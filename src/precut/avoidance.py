@@ -92,12 +92,6 @@ class AvoidingInstance(SpeciesInstance):
     def serialize(self, s):
         return self.parent.serialize(s)
 
-    def extend_corners(self, corner):
-        out = self.parent.extend_corners(corner)
-        if out is None:
-            return None
-        return [s for s in out if not has_part(self.parent, self.aset, s)]
-
     def extend_mu(self, which, u, v):
         out = self.parent.extend_mu(which, u, v)
         if out is None:

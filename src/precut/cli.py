@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import fock
 from .errors import PrecutError
@@ -101,19 +100,14 @@ def _load_instance(args):
 
 def cmd_enum(args):
     inst = _load_instance(args)
-    ground = tuple(range(1, args.n + 1))
     if args.classes:
-        registry = fock._ClassRegistry(inst)
-        seen = {}
-        for s in inst.elements(ground):
-            cls = registry.class_of(s)
-            seen[cls.cid] = cls
         listing = [
             {"id": c.cid, "repr": fock._jsonify(c.key)}
-            for c in sorted(seen.values(), key=lambda c: c.key)
+            for c in fock._ClassRegistry(inst).classes_of_degree(args.n)
         ]
         _emit({"instance": inst.name, "degree": args.n, "classes": listing}, args.json)
     else:
+        ground = tuple(range(1, args.n + 1))
         listing = [fock._jsonify(inst.serialize(s)) for s in inst.elements(ground)]
         _emit({"instance": inst.name, "degree": args.n, "elements": listing}, args.json)
     return 0
@@ -121,21 +115,12 @@ def cmd_enum(args):
 
 def cmd_verify(args):
     inst = _load_instance(args)
-    checks = {
-        "preorders": lambda degs: check_species_over_preorders(inst, args.nmax, degrees=degs),
-        "intertwined": lambda degs: check_intertwined(inst, args.nmax, degrees=degs),
-        "bimonoid": lambda degs: check_bimonoid(inst, args.coproduct, args.nmax, degrees=degs),
-    }
-    run = checks[args.check]
-    if args.threads > 1:
-        # populate the enumeration caches before fan-out; workers then only read
-        for n in range(args.nmax + 1):
-            inst.elements(tuple(range(1, n + 1)))
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            reports = list(pool.map(lambda n: run([n]), range(args.nmax + 1)))
-        report = next((r for r in reports if not r.passed), reports[-1])
+    if args.check == "preorders":
+        report = check_species_over_preorders(inst, args.nmax)
+    elif args.check == "intertwined":
+        report = check_intertwined(inst, args.nmax)
     else:
-        report = run(None)
+        report = check_bimonoid(inst, args.coproduct, args.nmax)
     _emit(
         {"instance": inst.name, "check": args.check, "nmax": args.nmax, **report.to_json()},
         args.json,
@@ -331,7 +316,6 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="precut")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON output")
-    common.add_argument("--threads", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enum", parents=[common], help="list elements or orbit classes per degree")

@@ -9,13 +9,13 @@ the bialgebra axioms degree by degree.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from math import factorial
 
 from .errors import CapExceeded, NotIntertwined
 from .preorder import is_cut
@@ -42,9 +42,7 @@ def _jsonify(x):
 
 def canonical_form(inst: SpeciesInstance, s):
     """Least-serialization relabeling onto 1..n, with the witness bijection."""
-    cached = getattr(inst, "_canon_cache", None)
-    if cached is None:
-        cached = inst._canon_cache = {}
+    cached = inst._canon_cache
     hit = cached.get(s)
     if hit is not None:
         return hit
@@ -189,19 +187,23 @@ class _ClassRegistry:
             self.by_key[key] = cls
         return cls
 
-
-_VERIFIED = {}
+    def classes_of_degree(self, n):
+        """The orbit classes of the elements on 1..n, sorted by key."""
+        seen = {}
+        for s in self.inst.elements(tuple(range(1, n + 1))):
+            cls = self.class_of(s)
+            seen[cls.cid] = cls
+        return sorted(seen.values(), key=lambda c: c.key)
 
 
 def _ensure_intertwined(inst, N, verify):
     if verify == "force":
         return
     depth = min(N, inst.cap, VERIFY_DEPTH_CAP)
-    key = (inst.name, depth)
-    report = _VERIFIED.get(key)
+    report = inst._verified.get(depth)
     if report is None:
         report = check_intertwined(inst, depth)
-        _VERIFIED[key] = report
+        inst._verified[depth] = report
     if not report.passed:
         raise NotIntertwined(
             f"{inst.name} fails intertwining at nmax={depth}: stage={report.stage}"
@@ -216,26 +218,21 @@ def fock_tables(
     The intertwining precondition is verified once per instance (depth
     capped at 4); pass verify="force" to skip it for negative-control
     experiments.  When cache_dir (or PRECUT_CACHE_DIR) is set, tables are
-    persisted content-addressed by (instance, coproducts, N, code version).
+    persisted content-addressed by (instance, coproducts, N, package
+    sources); a cache file that is unreadable or not the requested table is
+    recomputed and overwritten.
     """
     if which_delta == which_mu:
         raise ValueError("which_delta and which_mu must differ")
     _ensure_intertwined(inst, N, verify)
     cache_path = _cache_path(inst.name, which_delta, which_mu, N, cache_dir)
-    if cache_path and os.path.exists(cache_path):
-        with open(cache_path) as fh:
-            return table_from_json(json.load(fh))
+    if cache_path:
+        cached = _read_cached(cache_path, (inst.name, which_delta, which_mu, N))
+        if cached is not None:
+            return cached
 
     registry = _ClassRegistry(inst)
-    per_degree = {}
-    for n in range(N + 1):
-        ground = tuple(range(1, n + 1))
-        seen = {}
-        for s in inst.elements(ground):
-            cls = registry.class_of(s)
-            seen[cls.cid] = cls
-        per_degree[n] = sorted(seen.values(), key=lambda c: c.key)
-    classes = tuple(c for n in range(N + 1) for c in per_degree[n])
+    classes = tuple(c for n in range(N + 1) for c in registry.classes_of_degree(n))
 
     coproduct = {}
     for cls in classes:
@@ -279,9 +276,38 @@ def _cache_path(instance, which_delta, which_mu, N, cache_dir):
     cache_dir = cache_dir or os.environ.get("PRECUT_CACHE_DIR")
     if not cache_dir:
         return None
-    blob = json.dumps([instance, which_delta, which_mu, N, CODE_VERSION])
+    blob = json.dumps([instance, which_delta, which_mu, N, _source_digest()])
     name = hashlib.sha256(blob.encode()).hexdigest()[:24] + ".json"
     return os.path.join(cache_dir, name)
+
+
+@functools.cache
+def _source_digest():
+    """Hash of the package's .py sources, so tables from other code are never served."""
+    root = os.path.dirname(os.path.abspath(__file__))
+    paths = []
+    for folder, _, names in os.walk(root):
+        paths += [os.path.join(folder, n) for n in names if n.endswith(".py")]
+    digest = hashlib.sha256()
+    for path in sorted(paths):
+        digest.update(os.path.relpath(path, root).encode() + b"\0")
+        with open(path, "rb") as fh:
+            digest.update(fh.read() + b"\0")
+    return digest.hexdigest()
+
+
+def _read_cached(path, header):
+    """The cached table, or None when the file is missing, unreadable, not a
+    table or a table for another request; the caller then overwrites it."""
+    try:
+        with open(path) as fh:
+            table = table_from_json(json.load(fh))
+        table.unit_class()
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    if (table.instance, table.which_delta, table.which_mu, table.N) != header:
+        return None
+    return table
 
 
 def _atomic_write(path, text):
@@ -749,56 +775,6 @@ def _verify_transition(ta, tb, phi, N):
 
 def graded_dimensions(inst: SpeciesInstance, N):
     """Orbit-class counts per degree, without building structure constants."""
-    out = []
-    for n in range(N + 1):
-        ground = tuple(range(1, n + 1))
-        keys = set()
-        for s in inst.elements(ground):
-            rep, _ = canonical_form(inst, s)
-            keys.add(inst.serialize(rep))
-        out.append(len(keys))
-    return out
-
-
-def orbit_size(inst, s):
-    """Number of distinct relabelings of s on its own ground."""
-    ground = sorted(inst.ground_of(s))
-    seen = set()
-    for image in itertools.permutations(ground):
-        mapping = dict(zip(ground, image))
-        seen.add(inst.relabel(s, mapping))
-    return len(seen)
-
-
-def coproduct_via_orbit_standard_splits(inst, which, cls):
-    """Oracle for the class coproduct: orbit totals of standard splits,
-    renormalized by |stab| / (k! (n-k)!); asserts exact integrality."""
     registry = _ClassRegistry(inst)
-    n = cls.degree
-    ground = tuple(range(1, n + 1))
-    stab = factorial(n) // orbit_size(inst, cls.rep)
-    totals = {}
-    seen = set()
-    for image in itertools.permutations(ground):
-        mapping = dict(zip(ground, image))
-        s = inst.relabel(cls.rep, mapping)
-        if s in seen:
-            continue
-        seen.add(s)
-        for k in range(n + 1):
-            down = frozenset(ground[:k])
-            if not is_cut(inst.pi(which, s), down):
-                continue
-            pair = (
-                registry.class_of(inst.restrict(s, down)).cid,
-                registry.class_of(inst.restrict(s, frozenset(ground) - down)).cid,
-                k,
-            )
-            totals[pair] = totals.get(pair, 0) + 1
-    out = {}
-    for (x, y, k), total in totals.items():
-        scaled = total * stab
-        denom = factorial(k) * factorial(n - k)
-        assert scaled % denom == 0, "orbit-averaged coproduct must be integral"
-        out[(x, y)] = out.get((x, y), 0) + scaled // denom
-    return out
+    return [len(registry.classes_of_degree(n)) for n in range(N + 1)]
+

@@ -53,11 +53,6 @@ class ColoredSets(SpeciesInstance):
     def serialize(self, s):
         return ("colored", s.colors)
 
-    def extend_corners(self, corner):
-        colors = dict(corner.s_ac.colors)
-        colors.update(corner.s_bd.colors)
-        return [Coloring(tuple(sorted(colors.items())))]
-
     def extend_mu(self, which, u, v):
         return [Coloring(tuple(sorted(u.colors + v.colors)))]
 

@@ -74,17 +74,6 @@ class Graphs(SpeciesInstance):
     def serialize(self, s):
         return ("graph", s.vertices, s.edges)
 
-    def extend_corners(self, corner):
-        # both big cuts forbid any edge beyond the four corner restrictions
-        edges = sorted(
-            set(corner.s_ac.edges)
-            | set(corner.s_bd.edges)
-            | set(corner.s_ab.edges)
-            | set(corner.s_cd.edges)
-        )
-        verts = tuple(sorted(corner.A | corner.B | corner.C | corner.D))
-        return [Graph(verts, tuple(edges))]
-
     def extend_mu(self, which, u, v):
         verts = tuple(sorted(u.vertices + v.vertices))
         base = tuple(sorted(u.edges + v.edges))

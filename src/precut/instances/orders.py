@@ -52,18 +52,3 @@ class OrderSpecies(SpeciesInstance):
 
     def serialize(self, s):
         return ("order", s.ground, s.rows)
-
-    def extend_corners(self, corner):
-        # the component cut forbids relations between A∪C and B∪D either way,
-        # so the union of the corner relations is the only candidate
-        ground = corner.A | corner.B | corner.C | corner.D
-        pairs = (
-            corner.s_ac.pairs()
-            + corner.s_bd.pairs()
-            + corner.s_ab.pairs()
-            + corner.s_cd.pairs()
-        )
-        candidate = closure(ground, pairs)
-        if self.posets_only and not is_poset(candidate):
-            return []
-        return [candidate]

@@ -13,7 +13,6 @@ from ..preorder import (
     closure,
     enumerate_preorders,
     is_partition_order,
-    is_total_order,
     is_total_preorder,
     total_blocks,
     total_orders,
@@ -107,27 +106,6 @@ class PreorderPairs(SpeciesInstance):
     def serialize(self, s):
         return ("pair", self.kind, s.p.ground, s.p.rows, s.q.rows)
 
-    def extend_corners(self, corner):
-        ground = corner.A | corner.B | corner.C | corner.D
-        p_pairs = []
-        q_pairs = []
-        for part in (corner.s_ac, corner.s_bd, corner.s_ab, corner.s_cd):
-            p_pairs += part.p.pairs()
-            q_pairs += part.q.pairs()
-        # comparisons across the unknown blocks follow the type postulates
-        if self.kind == "cc":
-            p_pairs += [(a, d) for a in corner.A for d in corner.D]
-            q_pairs += [(a, d) for a in corner.A for d in corner.D]
-            p_pairs += [(b, c) for b in corner.B for c in corner.C]
-            q_pairs += [(c, b) for b in corner.B for c in corner.C]
-        elif self.kind == "nc":
-            q_pairs += [(a, d) for a in corner.A for d in corner.D]
-            q_pairs += [(c, b) for b in corner.B for c in corner.C]
-        candidate = PreorderPair(closure(ground, p_pairs), closure(ground, q_pairs))
-        if not MEMBERSHIP[self.kind](candidate.p, candidate.q):
-            return []
-        return [candidate]
-
 
 class PackedWords(PreorderPairs):
     """Subspecies of type cc: first component a total order, second a total
@@ -144,12 +122,6 @@ class PackedWords(PreorderPairs):
             PreorderPair(t1, t2)
             for t1 in total_orders(ground)
             for t2 in total_preorders(ground)
-        ]
-
-    def extend_corners(self, corner):
-        out = super().extend_corners(corner)
-        return [
-            s for s in out if is_total_order(s.p) and is_total_preorder(s.q)
         ]
 
 

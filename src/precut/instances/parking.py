@@ -162,14 +162,3 @@ class ParkingPairs(SpeciesInstance):
 
     def serialize(self, s):
         return ("parking", s.first, s.second)
-
-    def extend_corners(self, corner):
-        ab = corner.A | corner.B
-        ac = corner.A | corner.C
-        first = corner.s_ab.first + tuple(
-            tuple(sorted(ab | set(part))) for part in corner.s_cd.first
-        )
-        second = corner.s_ac.second + tuple(
-            tuple(sorted(ac | set(part))) for part in corner.s_bd.second
-        )
-        return [ParkingPair(first, second)]

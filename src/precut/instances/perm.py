@@ -100,24 +100,6 @@ class PermPairs(SpeciesInstance):
     def serialize(self, s):
         return ("perm", s.t1, s.t2)
 
-    def extend_corners(self, corner):
-        if self.basis == "f":
-            # first order concatenates along the (A∪B, C∪D) cut, second along (A∪C, B∪D)
-            return [
-                PermPair(
-                    corner.s_ab.t1 + corner.s_cd.t1,
-                    corner.s_ac.t2 + corner.s_bd.t2,
-                )
-            ]
-        # descent basis: the (A∪B, C∪D) cut of the join forces both orders:
-        # A∪B first in t1 and last in t2
-        return [
-            PermPair(
-                corner.s_ab.t1 + corner.s_cd.t1,
-                corner.s_cd.t2 + corner.s_ab.t2,
-            )
-        ]
-
     def extend_mu(self, which, u, v):
         if self.basis == "f":
             if which == 1:

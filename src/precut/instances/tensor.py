@@ -71,14 +71,6 @@ class TensorWords(SpeciesInstance):
     def serialize(self, s):
         return ("tensor", s.colors, s.order)
 
-    def extend_corners(self, corner):
-        # order: A ∪ C precedes B ∪ D, within each the corner order; colors glue
-        colors = dict(corner.s_ac.colors)
-        colors.update(corner.s_bd.colors)
-        return [
-            TensorWord(tuple(sorted(colors.items())), corner.s_ac.order + corner.s_bd.order)
-        ]
-
     def extend_mu(self, which, u, v):
         colors = tuple(sorted(u.colors + v.colors))
         if which == 2:

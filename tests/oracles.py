@@ -1,11 +1,17 @@
 """Independent brute-force enumerators used as acceptance oracles.
 
-Everything here is deliberately naive and shares no code with the package
-paths it checks.
+Everything here is deliberately naive.  The counting oracles share no code
+with the package paths they check; the two orbit oracles at the end
+(`orbit_size`, `coproduct_via_orbit_standard_splits`) reuse the package's
+class registry and `is_cut` only to name classes and test cuts, and derive
+the class coproduct by orbit averaging instead of from representatives.
 """
 
 import itertools
 from math import factorial
+
+from precut.fock import _ClassRegistry
+from precut.preorder import is_cut
 
 
 def contains_pattern(word, pattern):
@@ -105,3 +111,47 @@ def exhaustive_chains(ground, max_len):
     if not ground:
         out.add(())
     return sorted(out, key=lambda ch: (len(ch), tuple(tuple(sorted(s)) for s in ch)))
+
+
+def orbit_size(inst, s):
+    """Number of distinct relabelings of s on its own ground."""
+    ground = sorted(inst.ground_of(s))
+    seen = set()
+    for image in itertools.permutations(ground):
+        mapping = dict(zip(ground, image))
+        seen.add(inst.relabel(s, mapping))
+    return len(seen)
+
+
+def coproduct_via_orbit_standard_splits(inst, which, cls):
+    """Oracle for the class coproduct: orbit totals of standard splits,
+    renormalized by |stab| / (k! (n-k)!); asserts exact integrality."""
+    registry = _ClassRegistry(inst)
+    n = cls.degree
+    ground = tuple(range(1, n + 1))
+    stab = factorial(n) // orbit_size(inst, cls.rep)
+    totals = {}
+    seen = set()
+    for image in itertools.permutations(ground):
+        mapping = dict(zip(ground, image))
+        s = inst.relabel(cls.rep, mapping)
+        if s in seen:
+            continue
+        seen.add(s)
+        for k in range(n + 1):
+            down = frozenset(ground[:k])
+            if not is_cut(inst.pi(which, s), down):
+                continue
+            pair = (
+                registry.class_of(inst.restrict(s, down)).cid,
+                registry.class_of(inst.restrict(s, frozenset(ground) - down)).cid,
+                k,
+            )
+            totals[pair] = totals.get(pair, 0) + 1
+    out = {}
+    for (x, y, k), total in totals.items():
+        scaled = total * stab
+        denom = factorial(k) * factorial(n - k)
+        assert scaled % denom == 0, "orbit-averaged coproduct must be integral"
+        out[(x, y)] = out.get((x, y), 0) + scaled // denom
+    return out

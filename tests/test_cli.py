@@ -42,25 +42,6 @@ def test_verify_pass_and_fail_exit_codes(capsys):
     assert data["witness"]["completions"] == 0
 
 
-def test_verify_threads_match_serial(capsys):
-    code1, d1 = run_json(
-        capsys, "verify", "--instance", "graphs", "--check", "intertwined", "--nmax", "3"
-    )
-    code2, d2 = run_json(
-        capsys,
-        "verify",
-        "--threads",
-        "3",
-        "--instance",
-        "graphs",
-        "--check",
-        "intertwined",
-        "--nmax",
-        "3",
-    )
-    assert (code1, d1["passed"]) == (code2, d2["passed"]) == (0, True)
-
-
 def test_verify_bimonoid_parking(capsys):
     code, data = run_json(
         capsys, "verify", "--instance", "parking", "--check", "bimonoid", "--nmax", "3"

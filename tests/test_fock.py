@@ -1,14 +1,16 @@
 import itertools
 import json
+import os
+import shutil
 
 import pytest
 
+from precut import fock
 from precut.errors import NotIntertwined
 from precut.fock import (
     canonical_form,
     check_isomorphism_by_change_of_basis,
     check_isomorphism_by_constants,
-    coproduct_via_orbit_standard_splits,
     fock_tables,
     graded_dimensions,
     graded_dual,
@@ -17,6 +19,8 @@ from precut.fock import (
 )
 from precut.instances import build_instance, build_preset
 from precut.instances.perm import pair_from_word, word_of
+
+from oracles import coproduct_via_orbit_standard_splits
 
 
 @pytest.fixture(scope="module")
@@ -282,3 +286,51 @@ def test_table_cache_roundtrip(tmp_path, perm_f):
     cached = fock_tables(perm_f, 1, 2, 2, cache_dir=str(tmp_path))
     assert cached.to_json() == fresh.to_json()
     assert len(list(tmp_path.iterdir())) == 1
+
+
+def test_intertwining_verdict_is_per_instance():
+    # a failing instance that borrows a passing instance's name is still refused
+    good = build_instance("colored")
+    bad = build_instance("broken_dc")
+    bad.name = good.name
+    fock_tables(good, 1, 2, 2)
+    with pytest.raises(NotIntertwined):
+        fock_tables(bad, 1, 2, 2)
+
+
+def test_cache_key_follows_package_sources(tmp_path, monkeypatch, perm_f):
+    cache = tmp_path / "cache"
+    fock_tables(perm_f, 1, 2, 2, cache_dir=str(cache))
+    current = fock._source_digest()
+    # an identical copy of the sources hashes the same; one edit changes it
+    copy = tmp_path / "precut"
+    shutil.copytree(
+        os.path.dirname(fock.__file__), copy, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    monkeypatch.setattr(fock, "__file__", str(copy / "fock.py"))
+    digest = fock._source_digest.__wrapped__
+    assert digest() == current
+    with open(copy / "instances" / "perm.py", "a") as fh:
+        fh.write("# edited\n")
+    edited = digest()
+    assert edited != current
+    # tables cached by the old sources are not served to the edited ones
+    monkeypatch.setattr(fock, "_source_digest", lambda: edited)
+    fock_tables(perm_f, 1, 2, 2, cache_dir=str(cache))
+    assert len(list(cache.iterdir())) == 2
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"garbage", b"\xff\xfe", b"[]", b'{"instance": "perm_f"}', "other_request"],
+    ids=["not_json", "not_utf8", "not_a_table", "missing_fields", "other_request"],
+)
+def test_broken_cache_file_is_a_miss_and_overwritten(tmp_path, perm_f, content):
+    fresh = fock_tables(perm_f, 1, 2, 2, cache_dir=str(tmp_path))
+    (path,) = tmp_path.iterdir()
+    if content == "other_request":
+        content = json.dumps(fock_tables(perm_f, 1, 2, 1).to_json()).encode()
+    path.write_bytes(content)
+    again = fock_tables(perm_f, 1, 2, 2, cache_dir=str(tmp_path))
+    assert again.to_json() == fresh.to_json()
+    assert json.loads(path.read_text()) == fresh.to_json()

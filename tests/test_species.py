@@ -7,12 +7,12 @@ from precut.instances import build_instance
 from precut.instances.perm import pair_from_word
 from precut.preorder import is_cut
 from precut.species import (
-    CornerData,
     check_bimonoid,
     check_intertwined,
     check_species_over_preorders,
     delta,
     mu,
+    mu_bucket,
 )
 
 
@@ -79,6 +79,25 @@ def test_mu_matches_bucket_scan_on_perm():
     v = pair_from_word((1, 2), ground=(3, 4))
     for which in (1, 2):
         assert mu(inst, which, u, v) == mu(slow, which, u, v)
+
+
+@pytest.mark.parametrize(
+    "name", ["perm_f", "perm_m", "tensor", "graphs", "colored", "perm_m/213"]
+)
+@pytest.mark.parametrize("which", [1, 2])
+def test_extend_mu_is_complete(name, which):
+    # the fast product path returns exactly the definitional bucket scan
+    inst = build_instance(name)
+    for n in range(4):
+        ground = frozenset(range(1, n + 1))
+        for r in range(n + 1):
+            for sub in itertools.combinations(sorted(ground), r):
+                A = frozenset(sub)
+                B = ground - A
+                bucket = mu_bucket(inst, which, A, B)
+                for u in inst.elements(A):
+                    for v in inst.elements(B):
+                        assert mu(inst, which, u, v) == bucket.get((u, v), ())
 
 
 def test_mu_delta_round_trip():
@@ -194,90 +213,6 @@ def test_mu_associativity_as_multisets():
             for s in mu(inst, which, u, t)
         )
         assert left == right
-
-
-def _corner_quadruples(inst, ground, A, B, C, D):
-    AB, CD, AC, BD = A | B, C | D, A | C, B | D
-    u_side = [u for u in inst.elements(AC) if is_cut(inst.pi(1, u), A)]
-    v_side = [v for v in inst.elements(BD) if is_cut(inst.pi(1, v), B)]
-    p_side = [p for p in inst.elements(AB) if is_cut(inst.pi(2, p), A)]
-    q_side = [q for q in inst.elements(CD) if is_cut(inst.pi(2, q), C)]
-    for u in u_side:
-        for v in v_side:
-            corner = (
-                inst.restrict(u, A),
-                inst.restrict(v, B),
-                inst.restrict(u, C),
-                inst.restrict(v, D),
-            )
-            for p in p_side:
-                for q in q_side:
-                    if corner == (
-                        inst.restrict(p, A),
-                        inst.restrict(p, B),
-                        inst.restrict(q, C),
-                        inst.restrict(q, D),
-                    ):
-                        yield u, v, p, q
-
-
-@pytest.mark.parametrize(
-    "name",
-    [
-        "colored",
-        "tensor",
-        "graphs",
-        "posets",
-        "preorders",
-        "perm_f",
-        "perm_m",
-        "parking",
-        "packed_words",
-        "cc",
-        "nc",
-        "nn",
-    ],
-)
-def test_extension_generator_agrees_with_scan(name):
-    # the instance fast path, validated, must reproduce the exhaustive search
-    inst = build_instance(name)
-    n = 3
-    ground = tuple(range(1, n + 1))
-    els = inst.elements(ground)
-    for assignment in itertools.product(range(4), repeat=n):
-        blocks = [
-            frozenset(x for x, a in zip(ground, assignment) if a == k) for k in range(4)
-        ]
-        A, B, C, D = blocks
-        AB, CD, AC, BD = A | B, C | D, A | C, B | D
-        for u, v, p, q in _corner_quadruples(inst, ground, A, B, C, D):
-            scan = [
-                s
-                for s in els
-                if is_cut(inst.pi(1, s), AB)
-                and is_cut(inst.pi(2, s), AC)
-                and inst.restrict(s, AC) == u
-                and inst.restrict(s, BD) == v
-                and inst.restrict(s, AB) == p
-                and inst.restrict(s, CD) == q
-            ]
-            corner = CornerData(A, B, C, D, u, v, p, q)
-            fast = inst.extend_corners(corner)
-            if fast is None:
-                continue
-            validated = [
-                s
-                for s in fast
-                if inst.restrict(s, AC) == u
-                and inst.restrict(s, BD) == v
-                and inst.restrict(s, AB) == p
-                and inst.restrict(s, CD) == q
-                and is_cut(inst.pi(1, s), AB)
-                and is_cut(inst.pi(2, s), AC)
-            ]
-            assert sorted(map(inst.serialize, validated)) == sorted(
-                map(inst.serialize, scan)
-            )
 
 
 def test_broken_dc_realized_as_failing_multimap_square():
