@@ -4,7 +4,7 @@ sub/quotient bimonoid structure."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import IrreducibilityNotVerified
 from .preorder import cuts as preorder_cuts
@@ -24,15 +24,15 @@ class AvoidanceSet:
     membership: object
     sizes: frozenset | None = None
     monotone: bool = False
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def has_part(inst: SpeciesInstance, aset: AvoidanceSet, s) -> bool:
-    """Whether some restriction of s lies in the avoidance set."""
+    """Whether some restriction of s lies in the avoidance set; the verdict
+    is cached on inst."""
     if aset.monotone:
         return bool(aset.membership(s))
-    key = (id(inst), s)
-    hit = aset._memo.get(key)
+    key = (aset, s)
+    hit = inst._part_cache.get(key)
     if hit is not None:
         return hit
     ground = tuple(sorted(inst.ground_of(s)))
@@ -47,7 +47,7 @@ def has_part(inst: SpeciesInstance, aset: AvoidanceSet, s) -> bool:
                 break
         if found:
             break
-    aset._memo[key] = found
+    inst._part_cache[key] = found
     return found
 
 
@@ -91,12 +91,6 @@ class AvoidingInstance(SpeciesInstance):
 
     def serialize(self, s):
         return self.parent.serialize(s)
-
-    def extend_mu(self, which, u, v):
-        out = self.parent.extend_mu(which, u, v)
-        if out is None:
-            return None
-        return [s for s in out if not has_part(self.parent, self.aset, s)]
 
 
 def avoiding_instance(parent: SpeciesInstance, aset: AvoidanceSet) -> AvoidingInstance:

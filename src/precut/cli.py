@@ -1,7 +1,9 @@
 """Command-line surface: enumeration, verification, avoidance, Fock tables,
 square checks and small calculators for preorders, parking chains and pairs.
 
-Exit codes: 0 success/pass, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success/pass, 1 verification failure, 2 usage or input error
+(a degree outside 0..cap included).  A reader that closes stdout early ends
+the run quietly with 1, as Python does on a broken pipe.
 """
 
 from __future__ import annotations
@@ -98,8 +100,15 @@ def _load_instance(args):
     return build_instance(name, **params)
 
 
+def _check_degree(inst, degree):
+    """Refuse a degree outside 0..cap before any enumeration."""
+    if not 0 <= degree <= inst.cap:
+        raise PrecutError(f"{inst.name}: degree {degree} outside 0..{inst.cap}")
+
+
 def cmd_enum(args):
     inst = _load_instance(args)
+    _check_degree(inst, args.n)
     if args.classes:
         listing = [
             {"id": c.cid, "repr": fock._jsonify(c.key)}
@@ -115,6 +124,7 @@ def cmd_enum(args):
 
 def cmd_verify(args):
     inst = _load_instance(args)
+    _check_degree(inst, args.nmax)
     if args.check == "preorders":
         report = check_species_over_preorders(inst, args.nmax)
     elif args.check == "intertwined":
@@ -132,6 +142,7 @@ def cmd_avoid(args):
     if args.preset not in AVOIDANCE_PRESETS:
         raise PrecutError(f"unknown avoidance preset {args.preset!r}")
     inst = build_preset(args.preset)
+    _check_degree(inst, args.nmax)
     out = {"preset": args.preset, "instance": inst.name}
     if args.check_irreducible:
         parent_name, aset, _ = AVOIDANCE_PRESETS[args.preset]
@@ -149,6 +160,7 @@ def cmd_avoid(args):
 
 def cmd_fock(args):
     inst = _load_instance(args)
+    _check_degree(inst, args.N)
     table = fock.fock_tables(
         inst,
         which_delta=args.delta,
@@ -215,6 +227,8 @@ def cmd_preorder(args):
     q = _read_preorder(args.q) if args.q else None
     if op in ("meet", "join") and q is None:
         raise PrecutError(f"{op} needs --q")
+    if op == "restrict" and args.subset is None:
+        raise PrecutError("restrict needs --subset")
     if op == "meet":
         out = meet(p, q).to_json()
     elif op == "join":
@@ -382,7 +396,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except PrecutError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

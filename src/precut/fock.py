@@ -2,9 +2,9 @@
 
 Basis elements are orbit classes of labeled elements under relabeling.  The
 class coproduct projects every cut of one canonical representative; the
-class product places canonical representatives side by side, multiplies in
-the species, and projects.  Both are exact integer tables, verified against
-the bialgebra axioms degree by degree.
+class product counts, by class, the elements whose standard split is a cut
+with two canonical representatives side by side.  Both are exact integer
+tables, verified against the bialgebra axioms degree by degree.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 
-from .errors import CapExceeded, NotIntertwined
+from .errors import CapExceeded, NotIntertwined, PrecutError
 from .preorder import is_cut
-from .species import SpeciesInstance, VerificationReport, check_intertwined, mu
+from .species import SpeciesInstance, VerificationReport, check_intertwined
 from .species import (
     STAGE_ASSOC,
     STAGE_COASSOC,
@@ -41,7 +41,12 @@ def _jsonify(x):
 
 
 def canonical_form(inst: SpeciesInstance, s):
-    """Least-serialization relabeling onto 1..n, with the witness bijection."""
+    """Least-serialization relabeling onto 1..n, with the witness bijection.
+
+    A miss relabels s onto 1..n in order; unless that copy is cached, its
+    orbit is walked once and every member is cached with the representative
+    and its own witness, so each orbit costs n! relabelings in all.
+    """
     cached = inst._canon_cache
     hit = cached.get(s)
     if hit is not None:
@@ -50,16 +55,20 @@ def canonical_form(inst: SpeciesInstance, s):
     n = len(ground)
     if n > inst.cap:
         raise CapExceeded(f"{inst.name}: canonical form at size {n} above cap {inst.cap}")
-    best_key = None
-    best = None
-    for image in itertools.permutations(range(1, n + 1)):
-        mapping = dict(zip(ground, image))
-        r = inst.relabel(s, mapping)
-        key = inst.serialize(r)
-        if best_key is None or key < best_key:
-            best_key, best = key, (r, mapping)
-    cached[s] = best
-    return best
+    std = dict(zip(ground, range(1, n + 1)))
+    t = inst.relabel(s, std)
+    if t not in cached:
+        members = {}  # relabeling of t -> first image tuple giving it
+        for image in itertools.permutations(range(1, n + 1)):
+            members.setdefault(inst.relabel(t, dict(enumerate(image, 1))), image)
+        rep = min(members, key=inst.serialize)
+        to_rep = members[rep]
+        for r, image in members.items():
+            cached[r] = (rep, dict(zip(image, to_rep)))
+    rep, witness = cached[t]
+    out = (rep, {x: witness[std[x]] for x in ground})
+    cached[s] = out
+    return out
 
 
 @dataclass(frozen=True)
@@ -223,7 +232,7 @@ def fock_tables(
     recomputed and overwritten.
     """
     if which_delta == which_mu:
-        raise ValueError("which_delta and which_mu must differ")
+        raise PrecutError("which_delta and which_mu must differ")
     _ensure_intertwined(inst, N, verify)
     cache_path = _cache_path(inst.name, which_delta, which_mu, N, cache_dir)
     if cache_path:
@@ -251,18 +260,29 @@ def fock_tables(
             acc[pair] = acc.get(pair, 0) + 1
         coproduct[cls.cid] = acc
 
-    product = {}
-    for a in classes:
+    # every representative and its copies shifted onto p+1..p+k: the side of
+    # a standard split on 1..p can only match a representative, the side on
+    # p+1..n only a representative shifted by p
+    placed = {}
+    for p in range(N + 1):
         for b in classes:
-            if a.degree + b.degree > N:
-                continue
-            shift = {i: a.degree + i for i in range(1, b.degree + 1)}
-            v = inst.relabel(b.rep, shift) if b.degree else b.rep
-            acc = {}
-            for s in mu(inst, which_mu, a.rep, v):
+            if p + b.degree <= N:
+                placed[inst.relabel(b.rep, {i: p + i for i in range(1, b.degree + 1)})] = b
+    product = {(a.cid, b.cid): {} for a in classes for b in classes if a.degree + b.degree <= N}
+    for n in range(N + 1):
+        ground = tuple(range(1, n + 1))
+        splits = [(frozenset(ground[:p]), frozenset(ground[p:])) for p in range(n + 1)]
+        for s in inst.elements(ground):
+            for down, up in splits:
+                a = placed.get(inst.restrict(s, down))
+                if a is None:
+                    continue
+                b = placed.get(inst.restrict(s, up))
+                if b is None or not is_cut(inst.pi(which_mu, s), down):
+                    continue
+                cell = product[(a.cid, b.cid)]
                 cid = registry.class_of(s).cid
-                acc[cid] = acc.get(cid, 0) + 1
-            product[(a.cid, b.cid)] = acc
+                cell[cid] = cell.get(cid, 0) + 1
 
     table = StructureConstantTable(
         inst.name, which_delta, which_mu, N, classes, product, coproduct

@@ -53,9 +53,6 @@ class ColoredSets(SpeciesInstance):
     def serialize(self, s):
         return ("colored", s.colors)
 
-    def extend_mu(self, which, u, v):
-        return [Coloring(tuple(sorted(u.colors + v.colors)))]
-
 
 class BrokenCoarseSecond(ColoredSets):
     """Second projection constantly coarse: the classic failing choice.

@@ -73,17 +73,3 @@ class Graphs(SpeciesInstance):
 
     def serialize(self, s):
         return ("graph", s.vertices, s.edges)
-
-    def extend_mu(self, which, u, v):
-        verts = tuple(sorted(u.vertices + v.vertices))
-        base = tuple(sorted(u.edges + v.edges))
-        if which == 2:
-            return [Graph(verts, base)]
-        cross = [
-            (min(x, y), max(x, y)) for x in u.vertices for y in v.vertices
-        ]
-        out = []
-        for r in range(len(cross) + 1):
-            for chosen in itertools.combinations(cross, r):
-                out.append(Graph(verts, tuple(sorted(base + chosen))))
-        return out

@@ -39,19 +39,6 @@ def pair_from_word(word, ground=None):
     return PermPair(t1, t2)
 
 
-def _shuffles(left, right):
-    if not left:
-        yield right
-        return
-    if not right:
-        yield left
-        return
-    for rest in _shuffles(left[1:], right):
-        yield (left[0],) + rest
-    for rest in _shuffles(left, right[1:]):
-        yield (right[0],) + rest
-
-
 class PermPairs(SpeciesInstance):
     """basis="f": projections are the orders themselves.
     basis="m": first projection join(t1, t2-opposite), second meet(t1, t2)."""
@@ -99,14 +86,3 @@ class PermPairs(SpeciesInstance):
 
     def serialize(self, s):
         return ("perm", s.t1, s.t2)
-
-    def extend_mu(self, which, u, v):
-        if self.basis == "f":
-            if which == 1:
-                return [
-                    PermPair(u.t1 + v.t1, t2) for t2 in _shuffles(u.t2, v.t2)
-                ]
-            return [PermPair(t1, u.t2 + v.t2) for t1 in _shuffles(u.t1, v.t1)]
-        if which == 1:
-            return [PermPair(u.t1 + v.t1, v.t2 + u.t2)]
-        return None  # meet-cut products go through the bucket scan

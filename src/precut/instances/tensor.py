@@ -15,19 +15,6 @@ class TensorWord:
     order: tuple  # labels, smallest first
 
 
-def _shuffles(left, right):
-    if not left:
-        yield right
-        return
-    if not right:
-        yield left
-        return
-    for rest in _shuffles(left[1:], right):
-        yield (left[0],) + rest
-    for rest in _shuffles(left, right[1:]):
-        yield (right[0],) + rest
-
-
 class TensorWords(SpeciesInstance):
     """Pairs (coloring, total order); first projection discrete, second the order."""
 
@@ -70,9 +57,3 @@ class TensorWords(SpeciesInstance):
 
     def serialize(self, s):
         return ("tensor", s.colors, s.order)
-
-    def extend_mu(self, which, u, v):
-        colors = tuple(sorted(u.colors + v.colors))
-        if which == 2:
-            return [TensorWord(colors, u.order + v.order)]
-        return [TensorWord(colors, order) for order in _shuffles(u.order, v.order)]

@@ -46,15 +46,17 @@ class VerificationReport:
 class SpeciesInstance:
     """Behavioral bundle for one restriction species over preorders.
 
-    Subclasses provide `_elements`, `restrict`, `relabel`, `pi1`, `pi2` and
-    `serialize`; `extend_mu` is the only optional fast path.  It stays
-    because it pays in memory: without it `fock_tables(perm_f, N=5)` caches
-    a full product bucket per split, 54 MB peak RSS against 32-35 MB with
-    it, in about the same time (9-12 s on 2 cores) and with identical
-    tables.  Elements must be hashable values; `elements` results are cached
-    per ground set and returned in serialization order.  Each instance owns
-    its caches, including the canonical forms and the intertwining verdicts
-    that `fock` stores here, so two instances never share a result.
+    Subclasses provide `_elements`, `restrict`, `relabel`, `pi1`, `pi2`,
+    `serialize` and `ground_of`; there are no optional hooks.  The last one,
+    a per-species product fast path, went when `fock_tables` began building
+    products in one pass per degree: it paid only by keeping a bucket scan
+    per class pair out of `fock_tables(perm_f, N=5)` (32 MB peak RSS with
+    it, 54 MB without), and the one-pass product scans no buckets.  Elements
+    must be hashable values; `elements` results are cached per ground set
+    and returned in serialization order.  Each instance owns its caches,
+    including the canonical forms, intertwining verdicts and avoidance
+    verdicts that `fock` and `avoidance` store here, so two instances never
+    share a result.
     """
 
     name = "abstract"
@@ -66,6 +68,7 @@ class SpeciesInstance:
         self._pi_cache = {}
         self._canon_cache = {}
         self._verified = {}  # depth -> intertwining report
+        self._part_cache = {}  # (avoidance set, element) -> has_part
 
     # -- required per species ------------------------------------------
 
@@ -89,12 +92,6 @@ class SpeciesInstance:
 
     def ground_of(self, s) -> frozenset:
         raise NotImplementedError
-
-    # -- optional fast path -----------------------------------------------
-
-    def extend_mu(self, which, u, v):
-        """Candidate products of (u, v), or None for the bucket scan."""
-        return None
 
     # -- shared machinery -------------------------------------------------
 
@@ -159,13 +156,6 @@ def mu(inst: SpeciesInstance, which, u, v):
     A, B = inst.ground_of(u), inst.ground_of(v)
     if A & B:
         raise BadDecomposition(f"grounds overlap: {sorted(A)} and {sorted(B)}")
-    fast = inst.extend_mu(which, u, v)
-    if fast is not None:
-        out = []
-        for s in fast:
-            if delta(inst, which, s, A, B) == (u, v) and s not in out:
-                out.append(s)
-        return tuple(sorted(out, key=inst.serialize))
     return mu_bucket(inst, which, A, B).get((u, v), ())
 
 

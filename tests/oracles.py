@@ -1,10 +1,14 @@
 """Independent brute-force enumerators used as acceptance oracles.
 
 Everything here is deliberately naive.  The counting oracles share no code
-with the package paths they check; the two orbit oracles at the end
+with the package paths they check; the two orbit oracles
 (`orbit_size`, `coproduct_via_orbit_standard_splits`) reuse the package's
 class registry and `is_cut` only to name classes and test cuts, and derive
 the class coproduct by orbit averaging instead of from representatives.
+The two Fock oracles at the end search every relabeling of every element
+(`brute_canonical_form`) and multiply each class pair through the species
+product `mu` (`product_via_mu`); neither shares code with the orbit walk
+or the one-pass product they check.
 """
 
 import itertools
@@ -12,6 +16,7 @@ from math import factorial
 
 from precut.fock import _ClassRegistry
 from precut.preorder import is_cut
+from precut.species import mu
 
 
 def contains_pattern(word, pattern):
@@ -154,4 +159,35 @@ def coproduct_via_orbit_standard_splits(inst, which, cls):
         denom = factorial(k) * factorial(n - k)
         assert scaled % denom == 0, "orbit-averaged coproduct must be integral"
         out[(x, y)] = out.get((x, y), 0) + scaled // denom
+    return out
+
+
+def brute_canonical_form(inst, s):
+    """Least-serialization relabeling of s onto 1..n, trying all n! bijections."""
+    ground = sorted(inst.ground_of(s))
+    best_key = best = None
+    for image in itertools.permutations(range(1, len(ground) + 1)):
+        mapping = dict(zip(ground, image))
+        r = inst.relabel(s, mapping)
+        key = inst.serialize(r)
+        if best_key is None or key < best_key:
+            best_key, best = key, (r, mapping)
+    return best
+
+
+def product_via_mu(inst, which_mu, table):
+    """Class product: each class pair's representatives side by side, multiplied
+    in the species and named by brute-force canonical form."""
+    cid_of = {c.key: c.cid for c in table.classes}
+    out = {}
+    for a in table.classes:
+        for b in table.classes:
+            if a.degree + b.degree > table.N:
+                continue
+            shift = {i: a.degree + i for i in range(1, b.degree + 1)}
+            acc = {}
+            for s in mu(inst, which_mu, a.rep, inst.relabel(b.rep, shift)):
+                cid = cid_of[inst.serialize(brute_canonical_form(inst, s)[0])]
+                acc[cid] = acc.get(cid, 0) + 1
+            out[(a.cid, b.cid)] = acc
     return out

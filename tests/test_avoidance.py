@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import pytest
@@ -32,6 +33,14 @@ def test_has_part_matches_naive_scan():
     naive = AvoidanceSet("naive", sized.membership)
     for s in inst.elements((1, 2, 3, 4))[:200]:
         assert has_part(inst, sized, s) == has_part(inst, naive, s)
+
+
+def test_has_part_leaves_the_avoidance_set_unchanged():
+    # verdicts are cached on the instance, never on a module-level preset
+    before = copy.deepcopy(vars(CHERRY))
+    inst = build_instance("posets")
+    assert any(has_part(inst, CHERRY, s) for s in inst.elements((1, 2, 3)))
+    assert vars(CHERRY) == before
 
 
 def test_avoiding_instance_counts():

@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import precut
 from precut.cli import main
 
 
@@ -203,3 +209,51 @@ def test_pairs_calculator(capsys):
 
 def test_bad_json_is_usage_error(capsys):
     assert main(["parking", "--chain", "{broken"]) == 2
+
+
+def test_fock_equal_coproduct_indices_is_usage_error(capsys):
+    assert main(["fock", "--instance", "colored", "--delta", "1", "--mu", "1", "--N", "2"]) == 2
+    assert "must differ" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enum", "--instance", "perm_f", "--n", "-1"],
+        ["enum", "--instance", "perm_f", "--n", "8", "--classes"],
+        ["verify", "--instance", "perm_f", "--check", "intertwined", "--nmax", "-2"],
+        ["verify", "--instance", "parking", "--check", "bimonoid", "--nmax", "5"],
+        ["avoid", "--preset", "213", "--nmax", "-1"],
+        ["avoid", "--preset", "cherry", "--check-irreducible", "2", "--nmax", "6"],
+        ["fock", "--instance", "perm_f", "--N", "9"],
+        ["fock", "--instance", "graphs", "--N", "-1"],
+    ],
+)
+def test_degree_outside_cap_is_usage_error(capsys, argv):
+    # refused before any enumeration: an unchecked run of these would hang or pass vacuously
+    assert main(argv) == 2
+    assert "outside 0.." in capsys.readouterr().err
+
+
+def test_preorder_restrict_without_subset_is_usage_error(capsys):
+    chain = {"ground": [1, 2], "rel": [[True, True], [False, True]]}
+    assert main(["preorder", "--op", "restrict", "--p", json.dumps(chain)]) == 2
+    assert "--subset" in capsys.readouterr().err
+
+
+def test_closed_stdout_ends_quietly():
+    # the listing is far larger than a pipe buffer, so the writer meets the closed pipe
+    src = os.path.dirname(os.path.dirname(os.path.abspath(precut.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "precut.cli", "enum", "--instance", "perm_f", "--n", "5", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().strip() == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

@@ -17,10 +17,10 @@ from precut.fock import (
     table_from_json,
     verify_hopf_axioms,
 )
-from precut.instances import build_instance, build_preset
+from precut.instances import SHIPPED_TABLES, build_instance, build_preset
 from precut.instances.perm import pair_from_word, word_of
 
-from oracles import coproduct_via_orbit_standard_splits
+from oracles import brute_canonical_form, coproduct_via_orbit_standard_splits, product_via_mu
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +52,32 @@ def test_canonical_form_constancy(perm_f):
 def test_canonical_form_counts(perm_f):
     keys = {perm_f.serialize(canonical_form(perm_f, s)[0]) for s in perm_f.elements((1, 2, 3))}
     assert len(keys) == 6
+
+
+@pytest.mark.parametrize(
+    "name, nmax",
+    [(name, 3) for name in dict.fromkeys(t[0] for t in SHIPPED_TABLES)] + [("perm_f", 4)],
+)
+def test_canonical_form_matches_brute_force(name, nmax):
+    # a fresh instance, and odd grounds first, so that misses start orbit walks
+    # from elements off 1..n as well as on it
+    inst = build_instance(name)
+    for n in range(nmax + 1):
+        for ground in ((2, 3, 5, 8)[:n], tuple(range(1, n + 1))):
+            for s in inst.elements(ground):
+                rep, witness = canonical_form(inst, s)
+                assert rep == brute_canonical_form(inst, s)[0]
+                assert inst.relabel(s, witness) == rep
+
+
+@pytest.mark.parametrize(
+    "name", ["perm_f", "perm_m", "tensor", "graphs", "colored", "perm_m/213"]
+)
+@pytest.mark.parametrize("which_delta, which_mu", [(1, 2), (2, 1)])
+def test_product_matches_class_pair_products_through_mu(name, which_delta, which_mu):
+    inst = build_instance(name)
+    table = fock_tables(inst, which_delta, which_mu, 3)
+    assert table.product == product_via_mu(inst, which_mu, table)
 
 
 def test_perm_dims(table_f3):

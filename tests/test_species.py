@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from precut.errors import BadDecomposition
@@ -12,7 +10,6 @@ from precut.species import (
     check_species_over_preorders,
     delta,
     mu,
-    mu_bucket,
 )
 
 
@@ -68,36 +65,6 @@ def test_mu_mr_shifted_shuffles_count():
     v = pair_from_word((3, 1, 2), ground=(3, 4, 5))
     out = mu(inst, 2, u, v)
     assert len(out) == 10
-
-
-def test_mu_matches_bucket_scan_on_perm():
-    # fast shuffle path against the definitional filter
-    inst = build_instance("perm_f")
-    slow = build_instance("perm_f")
-    slow.extend_mu = lambda which, u, v: None
-    u = pair_from_word((2, 1), ground=(1, 2))
-    v = pair_from_word((1, 2), ground=(3, 4))
-    for which in (1, 2):
-        assert mu(inst, which, u, v) == mu(slow, which, u, v)
-
-
-@pytest.mark.parametrize(
-    "name", ["perm_f", "perm_m", "tensor", "graphs", "colored", "perm_m/213"]
-)
-@pytest.mark.parametrize("which", [1, 2])
-def test_extend_mu_is_complete(name, which):
-    # the fast product path returns exactly the definitional bucket scan
-    inst = build_instance(name)
-    for n in range(4):
-        ground = frozenset(range(1, n + 1))
-        for r in range(n + 1):
-            for sub in itertools.combinations(sorted(ground), r):
-                A = frozenset(sub)
-                B = ground - A
-                bucket = mu_bucket(inst, which, A, B)
-                for u in inst.elements(A):
-                    for v in inst.elements(B):
-                        assert mu(inst, which, u, v) == bucket.get((u, v), ())
 
 
 def test_mu_delta_round_trip():
