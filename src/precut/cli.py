@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import fock
-from .errors import PrecutError
+from .errors import CapExceeded, PrecutError
 from .instances import (
     AVOIDANCE_PRESETS,
     build_instance,
@@ -131,10 +131,10 @@ def cmd_verify(args):
         report = check_intertwined(inst, args.nmax)
     else:
         report = check_bimonoid(inst, args.coproduct, args.nmax)
-    _emit(
-        {"instance": inst.name, "check": args.check, "nmax": args.nmax, **report.to_json()},
-        args.json,
-    )
+    out = {"instance": inst.name, "check": args.check, "nmax": args.nmax, **report.to_json()}
+    if args.check != "preorders":
+        out["stats"] = list(report.stats)
+    _emit(out, args.json)
     return 0 if report.passed else 1
 
 
@@ -272,6 +272,8 @@ def cmd_parking(args):
     )
 
     if args.enumerate is not None:
+        if args.enumerate < 0:
+            raise CapExceeded(f"--enumerate {args.enumerate} below 0")
         chains = parking_chains(tuple(range(1, args.enumerate + 1)))
         _emit(
             {

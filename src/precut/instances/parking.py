@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ..errors import NotBreakPoint, NotExhaustive, NotNested
+from ..errors import CapExceeded, NotBreakPoint, NotExhaustive, NotNested
 from ..preorder import Preorder, total_preorder_from_blocks
 from ..species import SpeciesInstance
 
@@ -108,10 +108,15 @@ def slice_above(chain, b):
     return tuple(tuple(sorted(frozenset(part) - low)) for part in chain[b:])
 
 
+PARKING_ENUM_CAP = 7  # n^n candidate tuples: 823 543 at 7, a few seconds
+
+
 def parking_chains(ground):
     """All parking chains on the ground, via parking functions."""
     ground = tuple(sorted(ground))
     n = len(ground)
+    if n > PARKING_ENUM_CAP:
+        raise CapExceeded(f"n={n} above parking chain enumeration cap {PARKING_ENUM_CAP}")
     out = []
     for values in itertools.product(range(1, n + 1), repeat=n):
         if all(sum(1 for v in values if v <= i) >= i for i in range(1, n + 1)):

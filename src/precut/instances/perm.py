@@ -43,7 +43,7 @@ class PermPairs(SpeciesInstance):
     """basis="f": projections are the orders themselves.
     basis="m": first projection join(t1, t2-opposite), second meet(t1, t2)."""
 
-    cap = 7
+    cap = 6  # degree 7 is (7!)^2 = 25.4 M labeled pairs, minutes in one process
 
     def __init__(self, basis="f"):
         super().__init__()

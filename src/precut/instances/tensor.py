@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from ..errors import PrecutError
 from ..preorder import chain, discrete
 from ..species import SpeciesInstance
 
@@ -22,6 +23,8 @@ class TensorWords(SpeciesInstance):
 
     def __init__(self, palette=2):
         super().__init__()
+        if palette < 1:
+            raise PrecutError(f"palette {palette} below 1: the species would be empty")
         self.palette = palette
         self.name = f"tensor[{palette}]"
 

@@ -11,6 +11,7 @@ coproduct returns the given pair.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BadDecomposition, CapExceeded
@@ -35,6 +36,7 @@ class VerificationReport:
     passed: bool
     stage: str | None = None
     witness: object = None
+    stats: tuple = ()  # per-degree counts of the four-block pass; not in to_json()
 
     def __bool__(self):
         return self.passed
@@ -52,11 +54,11 @@ class SpeciesInstance:
     products in one pass per degree: it paid only by keeping a bucket scan
     per class pair out of `fock_tables(perm_f, N=5)` (32 MB peak RSS with
     it, 54 MB without), and the one-pass product scans no buckets.  Elements
-    must be hashable values; `elements` results are cached per ground set
-    and returned in serialization order.  Each instance owns its caches,
-    including the canonical forms, intertwining verdicts and avoidance
-    verdicts that `fock` and `avoidance` store here, so two instances never
-    share a result.
+    must be hashable values, each listed once; `elements` results are cached
+    per ground set and returned in serialization order.  Each instance owns
+    its caches, including the canonical forms, intertwining verdicts and
+    avoidance verdicts that `fock` and `avoidance` store here, so two
+    instances never share a result.
     """
 
     name = "abstract"
@@ -212,14 +214,91 @@ def check_species_over_preorders(inst: SpeciesInstance, nmax) -> VerificationRep
     return VerificationReport(True)
 
 
-def _corner_key(inst, u, v, A, B, C, D):
-    """Corner restrictions of the pair (u on A∪C, v on B∪D), in slot order A, B, C, D."""
+def _incidences(inst, els, i, j):
+    """Doubly-cut incidences of one degree: (AB, AC) -> ascending indices into
+    `els` of the elements s with AB a cut of π_i(s) and AC a cut of π_j(s).
+
+    Each key names one four-block diagram: A = AB ∩ AC, B = AB − AC,
+    C = AC − AB and D the rest.
+    """
+    out = {}
+    for k, s in enumerate(els):
+        downs = [cut.down for cut in preorder_cuts(inst.pi(j, s))]
+        for cut in preorder_cuts(inst.pi(i, s)):
+            for down in downs:
+                out.setdefault((cut.down, down), []).append(k)
+    return out
+
+
+def _split_side(inst, which, ground, down):
+    """Elements on `ground` that `down` cuts for π_which, each mapped to its
+    restrictions to `down` and to the rest (the domain of delta_which)."""
+    up = ground - down
+    return {
+        x: (inst.restrict(x, down), inst.restrict(x, up))
+        for x in inst.elements(ground)
+        if is_cut(inst.pi(which, x), down)
+    }
+
+
+def _corner_sides(inst, i, j, A, B, C, D):
+    """Corner side of a four-block diagram: u on A∪C and v on B∪D split by the
+    i-th cut, p on A∪B and q on C∪D split by the j-th."""
     return (
-        inst.restrict(u, A),
-        inst.restrict(v, B),
-        inst.restrict(u, C),
-        inst.restrict(v, D),
+        _split_side(inst, i, A | C, A),
+        _split_side(inst, i, B | D, B),
+        _split_side(inst, j, A | B, A),
+        _split_side(inst, j, C | D, C),
     )
+
+
+def _count_quadruples(sides):
+    """Corner-compatible quadruples (u, v, p, q), those with p = (a, b) and
+    q = (c, d) where u = (a, c) and v = (b, d), counted without listing them:
+    Σ |U(a, c)|·|V(b, d)|·|P(a, b)|·|Q(c, d)| over the corner data."""
+    cu, cv, cp, cq = (Counter(side.values()) for side in sides)
+    return sum(
+        nu * nv * cp.get((a, b), 0) * cq.get((c, d), 0)
+        for (a, c), nu in cu.items()
+        for (b, d), nv in cv.items()
+    )
+
+
+def _single_quadruples(sides, counts):
+    """How many corner-compatible quadruples occur exactly once in `counts`."""
+    U, V, P, Q = sides
+    hits = 0
+    for (u, v, p, q), count in counts.items():
+        if count == 1 and u in U and v in V:
+            (a, c), (b, d) = U[u], V[v]
+            hits += P.get(p) == (a, b) and Q.get(q) == (c, d)
+    return hits
+
+
+def _quadruples(sides):
+    """The corner-compatible quadruples, u-major, each side in element order:
+    the order of a u × v × p × q scan."""
+    U, V, P, Q = sides
+    by_p, by_q = {}, {}
+    for p, key in P.items():
+        by_p.setdefault(key, []).append(p)
+    for q, key in Q.items():
+        by_q.setdefault(key, []).append(q)
+    for u, (a, c) in U.items():
+        for v, (b, d) in V.items():
+            for p in by_p.get((a, b), ()):
+                for q in by_q.get((c, d), ()):
+                    yield u, v, p, q
+
+
+def _corners_json(inst, quadruple):
+    u, v, p, q = quadruple
+    return {
+        "on_AC": inst.serialize(u),
+        "on_BD": inst.serialize(v),
+        "on_AB": inst.serialize(p),
+        "on_CD": inst.serialize(q),
+    }
 
 
 def check_intertwined(inst: SpeciesInstance, nmax) -> VerificationReport:
@@ -227,83 +306,95 @@ def check_intertwined(inst: SpeciesInstance, nmax) -> VerificationReport:
     partial pullback: restrictions of doubly-cut elements carry the small
     cuts, the two restriction paths agree, and every corner-compatible
     quadruple has exactly one completion carrying both big cuts.
+
+    What is enumerated: the doubly-cut incidences, each element s with each
+    cut X of π1(s) and each cut Y of π2(s), filed under the diagram with
+    A∪B = X and A∪C = Y.  The diagrams are then walked in block-assignment
+    order, and each runs the per-element checks on its own incidences in
+    element order, so the first failure is the one a scan of every
+    assignment against every element finds.  The corner side is counted as
+    products of multiplicities per corner datum; only a failing diagram lists
+    its quadruples, in u × v × p × q order, to name the first bad one.
+
+    `stats` holds per degree the elements, the incidences visited and the
+    corner-compatible quadruples (completions) counted.  On a passing run the
+    last two agree; on a failure the last entry is the failing degree, with
+    completions counted up to the failing diagram.
     """
     pre = check_species_over_preorders(inst, nmax)
     if not pre.passed:
         return pre
+    stats = []
     for n in range(nmax + 1):
         ground = tuple(range(1, n + 1))
         els = inst.elements(ground)
+        incidences = _incidences(inst, els, 1, 2)
+        stat = {
+            "degree": n,
+            "elements": len(els),
+            "incidences": sum(map(len, incidences.values())),
+            "completions": 0,
+        }
+        stats.append(stat)
         for A, B, C, D in _block_assignments(ground, 4):
             AB, CD, AC, BD = A | B, C | D, A | C, B | D
             witness_base = {
                 "blocks": [sorted(A), sorted(B), sorted(C), sorted(D)],
             }
+            sides = U, V, P, Q = _corner_sides(inst, 1, 2, A, B, C, D)
             completions = {}
-            for s in els:
-                if not is_cut(inst.pi(1, s), AB) or not is_cut(inst.pi(2, s), AC):
-                    continue
+            for k in incidences.get((AB, AC), ()):
+                s = els[k]
                 u, v = inst.restrict(s, AC), inst.restrict(s, BD)
                 p, q = inst.restrict(s, AB), inst.restrict(s, CD)
+                # a side holds an element only if the small cut cuts it, with
+                # its two restrictions; anything else is tested and restricted here
+                du, dv, dp, dq = U.get(u), V.get(v), P.get(p), Q.get(q)
                 if not (
-                    is_cut(inst.pi(1, u), A)
-                    and is_cut(inst.pi(1, v), B)
-                    and is_cut(inst.pi(2, p), A)
-                    and is_cut(inst.pi(2, q), C)
+                    (du or is_cut(inst.pi(1, u), A))
+                    and (dv or is_cut(inst.pi(1, v), B))
+                    and (dp or is_cut(inst.pi(2, p), A))
+                    and (dq or is_cut(inst.pi(2, q), C))
                 ):
                     return VerificationReport(
                         False,
                         STAGE_CUT_VALIDITY,
                         dict(witness_base, element=inst.serialize(s)),
+                        tuple(stats),
                     )
-                if _corner_key(inst, u, v, A, B, C, D) != (
-                    inst.restrict(p, A),
-                    inst.restrict(p, B),
-                    inst.restrict(q, C),
-                    inst.restrict(q, D),
-                ):
+                ua, uc = du or (inst.restrict(u, A), inst.restrict(u, C))
+                vb, vd = dv or (inst.restrict(v, B), inst.restrict(v, D))
+                pa, pb = dp or (inst.restrict(p, A), inst.restrict(p, B))
+                qc, qd = dq or (inst.restrict(q, C), inst.restrict(q, D))
+                if (ua, vb, uc, vd) != (pa, pb, qc, qd):
                     return VerificationReport(
                         False,
                         STAGE_COMMUTE,
                         dict(witness_base, element=inst.serialize(s)),
+                        tuple(stats),
                     )
                 key = (u, v, p, q)
                 completions[key] = completions.get(key, 0) + 1
 
-            u_side = [u for u in inst.elements(AC) if is_cut(inst.pi(1, u), A)]
-            v_side = [v for v in inst.elements(BD) if is_cut(inst.pi(1, v), B)]
-            p_side = [p for p in inst.elements(AB) if is_cut(inst.pi(2, p), A)]
-            q_side = [q for q in inst.elements(CD) if is_cut(inst.pi(2, q), C)]
-            by_corner = {}
-            for p in p_side:
-                pa, pb = inst.restrict(p, A), inst.restrict(p, B)
-                for q in q_side:
-                    corner = (pa, pb, inst.restrict(q, C), inst.restrict(q, D))
-                    by_corner.setdefault(corner, []).append((p, q))
-            for u in u_side:
-                for v in v_side:
-                    corner = _corner_key(inst, u, v, A, B, C, D)
-                    for p, q in by_corner.get(corner, ()):
-                        count = completions.get((u, v, p, q), 0)
-                        if count != 1:
-                            return VerificationReport(
-                                False,
-                                STAGE_EXTENSION,
-                                dict(
-                                    witness_base,
-                                    corners={
-                                        "on_AC": inst.serialize(u),
-                                        "on_BD": inst.serialize(v),
-                                        "on_AB": inst.serialize(p),
-                                        "on_CD": inst.serialize(q),
-                                    },
-                                    completions=count,
-                                    near_misses=_near_misses(
-                                        inst, els, (u, v, p, q), (AC, BD, AB, CD)
-                                    ),
-                                ),
-                            )
-    return VerificationReport(True)
+            total = _count_quadruples(sides)
+            stat["completions"] += total
+            if _single_quadruples(sides, completions) == total:
+                continue
+            for quadruple in _quadruples(sides):
+                count = completions.get(quadruple, 0)
+                if count != 1:
+                    return VerificationReport(
+                        False,
+                        STAGE_EXTENSION,
+                        dict(
+                            witness_base,
+                            corners=_corners_json(inst, quadruple),
+                            completions=count,
+                            near_misses=_near_misses(inst, els, quadruple, (AC, BD, AB, CD)),
+                        ),
+                        tuple(stats),
+                    )
+    return VerificationReport(True, stats=tuple(stats))
 
 
 def _near_misses(inst, els, quadruple, grounds):
@@ -328,6 +419,71 @@ def _near_misses(inst, els, quadruple, grounds):
     return out
 
 
+def _restriction(inst, s, sub, memo):
+    r = memo.get(sub)
+    if r is None:
+        r = memo[sub] = inst.restrict(s, sub)
+    return r
+
+
+def _three_block_failure(inst, els, ground, i, j):
+    """The coassociativity or associativity failure of one degree that comes
+    first in (block assignment, element, which) order, or None.
+
+    For each element and each projection, the blocks (A, B) on which the left
+    side is defined are the cuts X of π(s) with the cuts A of π(s|X) (B = X − A);
+    those on which the right side is defined are the cuts A of π(s) with the
+    cuts B of π(s|rest).  A pair in only one set fails; a pair in both fails
+    when the two restriction triples differ.
+    """
+    full = frozenset(ground)
+    best = None  # ((assignment, element index, which index), (stage, witness))
+    for k, s in enumerate(els):
+        on = {}  # restrictions of s, by subset
+        for w, (which, stage) in enumerate(((i, STAGE_COASSOC), (j, STAGE_ASSOC))):
+            p = inst.pi(which, s)
+            left = {}
+            for x in preorder_cuts(p):
+                ab = _restriction(inst, s, x.down, on)
+                for a in preorder_cuts(inst.pi(which, ab)):
+                    left[(a.down, x.down - a.down)] = ab
+            right = {}
+            for a in preorder_cuts(p):
+                bc = _restriction(inst, s, a.up, on)
+                for b in preorder_cuts(inst.pi(which, bc)):
+                    right[(a.down, b.down)] = bc
+            for A, B in left.keys() | right.keys():
+                order = (tuple(0 if x in A else 1 if x in B else 2 for x in ground), k, w)
+                if best is not None and order >= best[0]:
+                    continue
+                C = full - A - B
+                if (A, B) in left and (A, B) in right:
+                    ab, bc = left[(A, B)], right[(A, B)]
+                    # A and A ∪ B cut π(s) here, so s|A and s|C are memoised
+                    if (
+                        inst.restrict(ab, A),
+                        inst.restrict(ab, B),
+                        _restriction(inst, s, C, on),
+                    ) == (
+                        _restriction(inst, s, A, on),
+                        inst.restrict(bc, B),
+                        inst.restrict(bc, C),
+                    ):
+                        continue
+                best = (
+                    order,
+                    (
+                        stage,
+                        {
+                            "element": inst.serialize(s),
+                            "blocks": [sorted(A), sorted(B), sorted(C)],
+                            "which": which,
+                        },
+                    ),
+                )
+    return None if best is None else best[1]
+
+
 def check_bimonoid(inst: SpeciesInstance, coproduct_index, nmax) -> VerificationReport:
     """Bimonoid laws for (delta_i, mu_j) on all ground sets of size <= nmax.
 
@@ -335,12 +491,26 @@ def check_bimonoid(inst: SpeciesInstance, coproduct_index, nmax) -> Verification
     of both coproducts elementwise (associativity of the dual product is the
     transpose of the second), and the product/coproduct compatibility square
     as an exact count comparison.
+
+    What is enumerated: for the three-block laws, each element's own
+    defined blocks, from the cuts of its projection and of its restrictions
+    (`_three_block_failure`); for the square, the doubly-cut incidences of
+    π_i and π_j, as in `check_intertwined`, with the delta-then-mu side
+    counted per corner datum.  A failure is the one a scan of every block
+    assignment against every element finds first.  A Compatibility witness
+    names the least differing key, comparing the serializations of its
+    corners on A∪C, B∪D, A∪B and C∪D in that order.
+
+    `stats` holds per degree the elements, the incidences of the square and
+    its delta-then-mu terms (completions), as in `check_intertwined`; a degree
+    whose three-block laws fail has no entry.
     """
     i = coproduct_index
     j = 2 if i == 1 else 1
     if len(inst.elements(())) != 1:
         return VerificationReport(False, STAGE_UNIT, {"size_on_empty": len(inst.elements(()))})
     unit = inst.unit()
+    stats = []
     for n in range(nmax + 1):
         ground = tuple(range(1, n + 1))
         els = inst.elements(ground)
@@ -349,106 +519,65 @@ def check_bimonoid(inst: SpeciesInstance, coproduct_index, nmax) -> Verification
             for which in (i, j):
                 if delta(inst, which, s, full, frozenset()) != (s, unit):
                     return VerificationReport(
-                        False, STAGE_COUNIT, {"element": inst.serialize(s), "which": which}
+                        False,
+                        STAGE_COUNIT,
+                        {"element": inst.serialize(s), "which": which},
+                        tuple(stats),
                     )
                 if delta(inst, which, s, frozenset(), full) != (unit, s):
                     return VerificationReport(
-                        False, STAGE_COUNIT, {"element": inst.serialize(s), "which": which}
+                        False,
+                        STAGE_COUNIT,
+                        {"element": inst.serialize(s), "which": which},
+                        tuple(stats),
                     )
             if n:
                 if mu(inst, j, unit, s) != (s,) or mu(inst, j, s, unit) != (s,):
                     return VerificationReport(
-                        False, STAGE_UNIT, {"element": inst.serialize(s)}
+                        False, STAGE_UNIT, {"element": inst.serialize(s)}, tuple(stats)
                     )
-        for A, B, C in _block_assignments(ground, 3):
-            for s in els:
-                for which, stage in ((i, STAGE_COASSOC), (j, STAGE_ASSOC)):
-                    p = inst.pi(which, s)
-                    left_defined = is_cut(p, A | B) and is_cut(
-                        inst.pi(which, inst.restrict(s, A | B)), A
-                    )
-                    right_defined = is_cut(p, A) and is_cut(
-                        inst.pi(which, inst.restrict(s, B | C)), B
-                    )
-                    if left_defined != right_defined:
-                        return VerificationReport(
-                            False,
-                            stage,
-                            {
-                                "element": inst.serialize(s),
-                                "blocks": [sorted(A), sorted(B), sorted(C)],
-                                "which": which,
-                            },
-                        )
-                    if left_defined:
-                        ab = inst.restrict(s, A | B)
-                        bc = inst.restrict(s, B | C)
-                        left = (
-                            inst.restrict(ab, A),
-                            inst.restrict(ab, B),
-                            inst.restrict(s, C),
-                        )
-                        right = (
-                            inst.restrict(s, A),
-                            inst.restrict(bc, B),
-                            inst.restrict(bc, C),
-                        )
-                        if left != right:
-                            return VerificationReport(
-                                False,
-                                stage,
-                                {
-                                    "element": inst.serialize(s),
-                                    "blocks": [sorted(A), sorted(B), sorted(C)],
-                                    "which": which,
-                                },
-                            )
+        failure = _three_block_failure(inst, els, ground, i, j)
+        if failure is not None:
+            return VerificationReport(False, *failure, tuple(stats))
+        incidences = _incidences(inst, els, i, j)
+        stat = {
+            "degree": n,
+            "elements": len(els),
+            "incidences": sum(map(len, incidences.values())),
+            "completions": 0,
+        }
+        stats.append(stat)
         for A, B, C, D in _block_assignments(ground, 4):
             AB, CD, AC, BD = A | B, C | D, A | C, B | D
             path1 = {}
-            for s in els:
-                top = delta(inst, j, s, AC, BD)
-                if top is None:
-                    continue
-                left = delta(inst, i, s, AB, CD)
-                if left is None:
-                    continue
-                key = (top, left)
-                path1[key] = path1.get(key, 0) + 1
-            path2 = {}
-            bucket_ab = mu_bucket(inst, j, A, B)
-            bucket_cd = mu_bucket(inst, j, C, D)
-            for u in inst.elements(AC):
-                du = delta(inst, i, u, A, C)
-                if du is None:
-                    continue
-                a, c = du
-                for v in inst.elements(BD):
-                    dv = delta(inst, i, v, B, D)
-                    if dv is None:
-                        continue
-                    b, d = dv
-                    for p in bucket_ab.get((a, b), ()):
-                        for q in bucket_cd.get((c, d), ()):
-                            key = ((u, v), (p, q))
-                            path2[key] = path2.get(key, 0) + 1
-            if path1 != path2:
-                keys = set(path1) | set(path2)
-                bad = next(k for k in keys if path1.get(k, 0) != path2.get(k, 0))
-                (u, v), (p, q) = bad
-                return VerificationReport(
-                    False,
-                    STAGE_COMPAT,
-                    {
-                        "blocks": [sorted(A), sorted(B), sorted(C), sorted(D)],
-                        "corners": {
-                            "on_AC": inst.serialize(u),
-                            "on_BD": inst.serialize(v),
-                            "on_AB": inst.serialize(p),
-                            "on_CD": inst.serialize(q),
-                        },
-                        "mu_then_delta": path1.get(bad, 0),
-                        "delta_then_mu": path2.get(bad, 0),
-                    },
+            for k in incidences.get((AB, AC), ()):
+                s = els[k]
+                key = (
+                    inst.restrict(s, AC),
+                    inst.restrict(s, BD),
+                    inst.restrict(s, AB),
+                    inst.restrict(s, CD),
                 )
-    return VerificationReport(True)
+                path1[key] = path1.get(key, 0) + 1
+            sides = _corner_sides(inst, i, j, A, B, C, D)
+            total = _count_quadruples(sides)
+            stat["completions"] += total
+            if len(path1) == total == _single_quadruples(sides, path1):
+                continue
+            path2 = dict.fromkeys(_quadruples(sides), 1)
+            bad = min(
+                (k for k in path1.keys() | path2.keys() if path1.get(k, 0) != path2.get(k, 0)),
+                key=lambda k: tuple(map(inst.serialize, k)),
+            )
+            return VerificationReport(
+                False,
+                STAGE_COMPAT,
+                {
+                    "blocks": [sorted(A), sorted(B), sorted(C), sorted(D)],
+                    "corners": _corners_json(inst, bad),
+                    "mu_then_delta": path1.get(bad, 0),
+                    "delta_then_mu": path2.get(bad, 0),
+                },
+                tuple(stats),
+            )
+    return VerificationReport(True, stats=tuple(stats))

@@ -5,18 +5,22 @@ with the package paths they check; the two orbit oracles
 (`orbit_size`, `coproduct_via_orbit_standard_splits`) reuse the package's
 class registry and `is_cut` only to name classes and test cuts, and derive
 the class coproduct by orbit averaging instead of from representatives.
-The two Fock oracles at the end search every relabeling of every element
+The two Fock oracles search every relabeling of every element
 (`brute_canonical_form`) and multiply each class pair through the species
 product `mu` (`product_via_mu`); neither shares code with the orbit walk
-or the one-pass product they check.
+or the one-pass product they check.  The two verifier oracles at the end
+(`brute_check_intertwined`, `brute_check_bimonoid`) scan every block
+assignment against every element and build the corner side as a full
+product, as the verifiers did before they started from each element's cuts.
 """
 
 import itertools
 from math import factorial
 
+from precut import species
 from precut.fock import _ClassRegistry
 from precut.preorder import is_cut
-from precut.species import mu
+from precut.species import VerificationReport, delta, mu, mu_bucket
 
 
 def contains_pattern(word, pattern):
@@ -191,3 +195,216 @@ def product_via_mu(inst, which_mu, table):
                 acc[cid] = acc.get(cid, 0) + 1
             out[(a.cid, b.cid)] = acc
     return out
+
+
+def _block_assignments(ground, nblocks):
+    ground = tuple(sorted(ground))
+    for assignment in itertools.product(range(nblocks), repeat=len(ground)):
+        yield [frozenset(x for x, a in zip(ground, assignment) if a == k) for k in range(nblocks)]
+
+
+def _corner_key(inst, u, v, A, B, C, D):
+    return (
+        inst.restrict(u, A),
+        inst.restrict(v, B),
+        inst.restrict(u, C),
+        inst.restrict(v, D),
+    )
+
+
+def _near_misses(inst, els, quadruple, grounds):
+    u, v, p, q = quadruple
+    AC, BD, AB, CD = grounds
+    out = []
+    for s in els:
+        if (
+            inst.restrict(s, AC) == u
+            and inst.restrict(s, BD) == v
+            and inst.restrict(s, AB) == p
+            and inst.restrict(s, CD) == q
+        ):
+            out.append(
+                {
+                    "element": inst.serialize(s),
+                    "cut_for_pi1": is_cut(inst.pi(1, s), AB),
+                    "cut_for_pi2": is_cut(inst.pi(2, s), AC),
+                }
+            )
+    return out
+
+
+def brute_check_intertwined(inst, nmax):
+    """Intertwining by scanning all 4^n block assignments against every element,
+    with the corner side materialised as a product of p x q and u x v."""
+    pre = species.check_species_over_preorders(inst, nmax)
+    if not pre.passed:
+        return pre
+    for n in range(nmax + 1):
+        ground = tuple(range(1, n + 1))
+        els = inst.elements(ground)
+        for A, B, C, D in _block_assignments(ground, 4):
+            AB, CD, AC, BD = A | B, C | D, A | C, B | D
+            witness_base = {"blocks": [sorted(A), sorted(B), sorted(C), sorted(D)]}
+            completions = {}
+            for s in els:
+                if not is_cut(inst.pi(1, s), AB) or not is_cut(inst.pi(2, s), AC):
+                    continue
+                u, v = inst.restrict(s, AC), inst.restrict(s, BD)
+                p, q = inst.restrict(s, AB), inst.restrict(s, CD)
+                if not (
+                    is_cut(inst.pi(1, u), A)
+                    and is_cut(inst.pi(1, v), B)
+                    and is_cut(inst.pi(2, p), A)
+                    and is_cut(inst.pi(2, q), C)
+                ):
+                    return VerificationReport(
+                        False, species.STAGE_CUT_VALIDITY, dict(witness_base, element=inst.serialize(s))
+                    )
+                if _corner_key(inst, u, v, A, B, C, D) != (
+                    inst.restrict(p, A),
+                    inst.restrict(p, B),
+                    inst.restrict(q, C),
+                    inst.restrict(q, D),
+                ):
+                    return VerificationReport(
+                        False, species.STAGE_COMMUTE, dict(witness_base, element=inst.serialize(s))
+                    )
+                key = (u, v, p, q)
+                completions[key] = completions.get(key, 0) + 1
+
+            u_side = [u for u in inst.elements(AC) if is_cut(inst.pi(1, u), A)]
+            v_side = [v for v in inst.elements(BD) if is_cut(inst.pi(1, v), B)]
+            p_side = [p for p in inst.elements(AB) if is_cut(inst.pi(2, p), A)]
+            q_side = [q for q in inst.elements(CD) if is_cut(inst.pi(2, q), C)]
+            by_corner = {}
+            for p in p_side:
+                pa, pb = inst.restrict(p, A), inst.restrict(p, B)
+                for q in q_side:
+                    corner = (pa, pb, inst.restrict(q, C), inst.restrict(q, D))
+                    by_corner.setdefault(corner, []).append((p, q))
+            for u in u_side:
+                for v in v_side:
+                    corner = _corner_key(inst, u, v, A, B, C, D)
+                    for p, q in by_corner.get(corner, ()):
+                        count = completions.get((u, v, p, q), 0)
+                        if count != 1:
+                            return VerificationReport(
+                                False,
+                                species.STAGE_EXTENSION,
+                                dict(
+                                    witness_base,
+                                    corners={
+                                        "on_AC": inst.serialize(u),
+                                        "on_BD": inst.serialize(v),
+                                        "on_AB": inst.serialize(p),
+                                        "on_CD": inst.serialize(q),
+                                    },
+                                    completions=count,
+                                    near_misses=_near_misses(
+                                        inst, els, (u, v, p, q), (AC, BD, AB, CD)
+                                    ),
+                                ),
+                            )
+    return VerificationReport(True)
+
+
+def brute_check_bimonoid(inst, coproduct_index, nmax):
+    """Bimonoid laws by scanning all 3^n and 4^n block assignments against every
+    element; a Compatibility witness is the least differing key by serialization."""
+    i = coproduct_index
+    j = 2 if i == 1 else 1
+    if len(inst.elements(())) != 1:
+        return VerificationReport(False, species.STAGE_UNIT, {"size_on_empty": len(inst.elements(()))})
+    unit = inst.unit()
+    for n in range(nmax + 1):
+        ground = tuple(range(1, n + 1))
+        els = inst.elements(ground)
+        full = frozenset(ground)
+        for s in els:
+            for which in (i, j):
+                if delta(inst, which, s, full, frozenset()) != (s, unit):
+                    return VerificationReport(
+                        False, species.STAGE_COUNIT, {"element": inst.serialize(s), "which": which}
+                    )
+                if delta(inst, which, s, frozenset(), full) != (unit, s):
+                    return VerificationReport(
+                        False, species.STAGE_COUNIT, {"element": inst.serialize(s), "which": which}
+                    )
+            if n:
+                if mu(inst, j, unit, s) != (s,) or mu(inst, j, s, unit) != (s,):
+                    return VerificationReport(False, species.STAGE_UNIT, {"element": inst.serialize(s)})
+        for A, B, C in _block_assignments(ground, 3):
+            for s in els:
+                for which, stage in ((i, species.STAGE_COASSOC), (j, species.STAGE_ASSOC)):
+                    witness = {
+                        "element": inst.serialize(s),
+                        "blocks": [sorted(A), sorted(B), sorted(C)],
+                        "which": which,
+                    }
+                    p = inst.pi(which, s)
+                    left_defined = is_cut(p, A | B) and is_cut(
+                        inst.pi(which, inst.restrict(s, A | B)), A
+                    )
+                    right_defined = is_cut(p, A) and is_cut(
+                        inst.pi(which, inst.restrict(s, B | C)), B
+                    )
+                    if left_defined != right_defined:
+                        return VerificationReport(False, stage, witness)
+                    if left_defined:
+                        ab = inst.restrict(s, A | B)
+                        bc = inst.restrict(s, B | C)
+                        left = (inst.restrict(ab, A), inst.restrict(ab, B), inst.restrict(s, C))
+                        right = (inst.restrict(s, A), inst.restrict(bc, B), inst.restrict(bc, C))
+                        if left != right:
+                            return VerificationReport(False, stage, witness)
+        for A, B, C, D in _block_assignments(ground, 4):
+            AB, CD, AC, BD = A | B, C | D, A | C, B | D
+            path1 = {}
+            for s in els:
+                top = delta(inst, j, s, AC, BD)
+                if top is None:
+                    continue
+                left = delta(inst, i, s, AB, CD)
+                if left is None:
+                    continue
+                key = (top, left)
+                path1[key] = path1.get(key, 0) + 1
+            path2 = {}
+            bucket_ab = mu_bucket(inst, j, A, B)
+            bucket_cd = mu_bucket(inst, j, C, D)
+            for u in inst.elements(AC):
+                du = delta(inst, i, u, A, C)
+                if du is None:
+                    continue
+                a, c = du
+                for v in inst.elements(BD):
+                    dv = delta(inst, i, v, B, D)
+                    if dv is None:
+                        continue
+                    b, d = dv
+                    for p in bucket_ab.get((a, b), ()):
+                        for q in bucket_cd.get((c, d), ()):
+                            key = ((u, v), (p, q))
+                            path2[key] = path2.get(key, 0) + 1
+            if path1 != path2:
+                bad = min(
+                    (k for k in path1.keys() | path2.keys() if path1.get(k, 0) != path2.get(k, 0)),
+                    key=lambda k: tuple(inst.serialize(x) for pair in k for x in pair),
+                )
+                (u, v), (p, q) = bad
+                return VerificationReport(
+                    False,
+                    species.STAGE_COMPAT,
+                    {
+                        "blocks": [sorted(A), sorted(B), sorted(C), sorted(D)],
+                        "corners": {
+                            "on_AC": inst.serialize(u),
+                            "on_BD": inst.serialize(v),
+                            "on_AB": inst.serialize(p),
+                            "on_CD": inst.serialize(q),
+                        },
+                        "mu_then_delta": path1.get(bad, 0),
+                        "delta_then_mu": path2.get(bad, 0),
+                    },
+                )
+    return VerificationReport(True)

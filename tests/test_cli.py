@@ -7,6 +7,8 @@ import pytest
 
 import precut
 from precut.cli import main
+from precut.instances import build_instance
+from precut.preorder import cuts
 
 
 def run(capsys, *argv):
@@ -183,6 +185,63 @@ def test_parking_enumeration(capsys):
     assert code == 0 and data["count"] == 16
 
 
+@pytest.mark.parametrize("n", ["-1", "8", "30"])
+def test_parking_enumeration_outside_bounds_is_usage_error(capsys, n):
+    # -1 used to print one empty chain; 30 would loop over 30^30 tuples
+    assert main(["parking", "--enumerate", n]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enum", "--instance", "colored", "--palette", "-1", "--n", "2"],
+        ["enum", "--instance", "colored", "--palette", "0", "--n", "2"],
+        ["verify", "--instance", "tensor", "--palette", "0", "--check", "intertwined"],
+        ["verify", "--instance", "broken_dc", "--palette", "0", "--check", "intertwined"],
+    ],
+)
+def test_palette_below_one_is_usage_error(capsys, argv):
+    # an empty palette makes an empty species, which passes every check vacuously
+    assert main(argv) == 2
+    assert "palette" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,incidences", [("perm_f", 14400), ("perm_m", 14472)])
+def test_verify_json_reports_per_degree_counts(capsys, name, incidences):
+    code, data = run_json(
+        capsys, "verify", "--instance", name, "--check", "intertwined", "--nmax", "4"
+    )
+    assert code == 0
+    assert set(data) == {"check", "instance", "nmax", "passed", "stage", "stats", "witness"}
+    assert data["stats"][-1] == {
+        "degree": 4,
+        "elements": 576,
+        "incidences": incidences,
+        "completions": incidences,
+    }
+    inst = build_instance(name)
+    assert [d["incidences"] for d in data["stats"]] == [
+        sum(len(cuts(inst.pi1(s))) * len(cuts(inst.pi2(s))) for s in inst.elements(range(1, n + 1)))
+        for n in range(5)
+    ]
+
+
+def test_verify_stats_only_for_four_block_checks(capsys):
+    code, data = run_json(
+        capsys, "verify", "--instance", "graphs", "--check", "bimonoid", "--nmax", "3"
+    )
+    assert code == 0
+    # a passing check has one completion per doubly-cut incidence
+    assert [(d["incidences"], d["completions"]) for d in data["stats"]] == [
+        (1, 1), (4, 4), (24, 24), (224, 224)
+    ]
+    code, data = run_json(
+        capsys, "verify", "--instance", "graphs", "--check", "preorders", "--nmax", "3"
+    )
+    assert code == 0 and "stats" not in data
+
+
 def test_pairs_calculator(capsys):
     d = {"ground": [1, 2], "rel": [[True, False], [False, True]]}
     c = {"ground": [1, 2], "rel": [[True, True], [True, True]]}
@@ -221,6 +280,8 @@ def test_fock_equal_coproduct_indices_is_usage_error(capsys):
     [
         ["enum", "--instance", "perm_f", "--n", "-1"],
         ["enum", "--instance", "perm_f", "--n", "8", "--classes"],
+        ["enum", "--instance", "perm_f", "--n", "7"],
+        ["avoid", "--preset", "213", "--nmax", "7"],
         ["verify", "--instance", "perm_f", "--check", "intertwined", "--nmax", "-2"],
         ["verify", "--instance", "parking", "--check", "bimonoid", "--nmax", "5"],
         ["avoid", "--preset", "213", "--nmax", "-1"],

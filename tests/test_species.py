@@ -1,10 +1,14 @@
 import pytest
 
+from oracles import brute_check_bimonoid, brute_check_intertwined
+from precut import species
 from precut.errors import BadDecomposition
-from precut.instances import build_instance
-from precut.instances.perm import pair_from_word
-from precut.preorder import is_cut
+from precut.instances import SHIPPED_TABLES, build_instance
+from precut.instances.colored import ColoredSets, Coloring
+from precut.instances.perm import PermPairs, pair_from_word
+from precut.preorder import chain, is_cut
 from precut.species import (
+    VerificationReport,
     check_bimonoid,
     check_intertwined,
     check_species_over_preorders,
@@ -286,3 +290,72 @@ def test_restriction_functoriality():
                     assert inst.restrict(
                         inst.restrict(s, frozenset(big)), frozenset(small)
                     ) == inst.restrict(s, frozenset(small))
+
+
+# -- the verifiers against the scans they replaced ---------------------------
+
+
+class FlippedColors(ColoredSets):
+    """Restriction that drops exactly two points also flips every color: not
+    functorial, so the two restriction paths of a diagram disagree."""
+
+    def restrict(self, s, sub):
+        r = super().restrict(s, sub)
+        if len(s.colors) - len(r.colors) == 2:
+            r = Coloring(tuple((x, 1 - c) for x, c in r.colors))
+        return r
+
+
+class ReversedOnPairs(PermPairs):
+    """perm_f whose first projection reverses the order on two-point grounds,
+    so a restriction can lose the small cut that its parent's cut implies."""
+
+    def __init__(self):
+        super().__init__("f")
+
+    def pi1(self, s):
+        return chain(s.t1[::-1] if len(s.t1) == 2 else s.t1)
+
+
+def _reports(make, intertwined, bimonoid):
+    return [intertwined(make(), 3)] + [bimonoid(make(), i, 3) for i in (1, 2)]
+
+
+def _assert_matches_oracles(make):
+    got = _reports(make, check_intertwined, check_bimonoid)
+    want = _reports(make, brute_check_intertwined, brute_check_bimonoid)
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+    return [r.stage for r in got]
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(
+        {name for name, *_ in SHIPPED_TABLES}
+        | {"broken_dc", "broken_monotone", "broken_cut", "cc", "nc", "nn"}
+    ),
+)
+def test_verifiers_match_scan_oracles(name):
+    _assert_matches_oracles(lambda: build_instance(name))
+
+
+@pytest.mark.parametrize(
+    "make,stages",
+    [
+        (FlippedColors, ["PullbackCommute", "Coassociativity", "Coassociativity"]),
+        (ReversedOnPairs, ["ProjectionMonotonicity", "Coassociativity", "Associativity"]),
+    ],
+)
+def test_verifiers_match_scan_oracles_on_broken_wrappers(make, stages):
+    assert _assert_matches_oracles(make) == stages
+
+
+def test_cut_validity_matches_scan_oracle(monkeypatch):
+    # Monotone projections carry every small cut down to the restrictions, so
+    # CutValidity is reached only with the precondition replaced by a pass.
+    monkeypatch.setattr(
+        species, "check_species_over_preorders", lambda inst, nmax: VerificationReport(True)
+    )
+    got = check_intertwined(ReversedOnPairs(), 3)
+    assert got.stage == "CutValidity"
+    assert got.to_json() == brute_check_intertwined(ReversedOnPairs(), 3).to_json()
