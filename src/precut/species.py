@@ -175,17 +175,34 @@ def _block_assignments(ground, nblocks):
 
 
 def check_species_over_preorders(inst: SpeciesInstance, nmax) -> VerificationReport:
-    """Both projections must shrink under restriction and be exact on cut sides."""
+    """Both projections must shrink under restriction and be exact on cut sides.
+
+    Every element is restricted once to each subset of its ground, and the
+    cut sides are read from those restrictions.  The restriction of a
+    projection to a subset is memoised per degree by (projection, subset):
+    projections repeat across the elements of a degree.
+    """
     for n in range(nmax + 1):
         ground = tuple(range(1, n + 1))
+        subsets = tuple(_subsets(ground))
+        projected = {}  # (projection, subset) -> its restriction
+
+        def restricted(p, sub):
+            key = (p, sub)
+            r = projected.get(key)
+            if r is None:
+                r = projected[key] = preorder_restrict(p, sub)
+            return r
+
         for s in inst.elements(ground):
             projections = {which: inst.pi(which, s) for which in (1, 2)}
-            for sub in _subsets(ground):
-                r = inst.restrict(s, sub)
+            on = {}  # restrictions of s, by subset
+            for sub in subsets:
+                r = on[sub] = inst.restrict(s, sub)
                 for which in (1, 2):
                     inner = inst.pi(which, r)
                     outer = projections[which]
-                    if not inner <= preorder_restrict(outer, sub):
+                    if not inner <= restricted(outer, sub):
                         return VerificationReport(
                             False,
                             STAGE_MONOTONICITY,
@@ -199,8 +216,7 @@ def check_species_over_preorders(inst: SpeciesInstance, nmax) -> VerificationRep
                 p = projections[which]
                 for cut in preorder_cuts(p):
                     for side in (cut.down, cut.up):
-                        r = inst.restrict(s, side)
-                        if inst.pi(which, r) != preorder_restrict(p, side):
+                        if inst.pi(which, on[side]) != restricted(p, side):
                             return VerificationReport(
                                 False,
                                 STAGE_CUT_EQUALITY,
@@ -230,26 +246,51 @@ def _incidences(inst, els, i, j):
     return out
 
 
-def _split_side(inst, which, ground, down):
-    """Elements on `ground` that `down` cuts for π_which, each mapped to its
-    restrictions to `down` and to the rest (the domain of delta_which)."""
-    up = ground - down
+def _stat(n, els, incidences):
+    """A degree's counts, before its diagrams are walked."""
     return {
-        x: (inst.restrict(x, down), inst.restrict(x, up))
-        for x in inst.elements(ground)
-        if is_cut(inst.pi(which, x), down)
+        "degree": n,
+        "elements": len(els),
+        "incidences": sum(map(len, incidences.values())),
+        "completions": 0,
+        "sides": 0,
     }
 
 
-def _corner_sides(inst, i, j, A, B, C, D):
-    """Corner side of a four-block diagram: u on A∪C and v on B∪D split by the
-    i-th cut, p on A∪B and q on C∪D split by the j-th."""
-    return (
-        _split_side(inst, i, A | C, A),
-        _split_side(inst, i, B | D, B),
-        _split_side(inst, j, A | B, A),
-        _split_side(inst, j, C | D, C),
-    )
+class _Sides:
+    """The split sides of one degree, each built once on first use:
+    (which, ground, down) -> {x: (x|down, x|ground − down)} over the elements
+    x on `ground` that `down` cuts for π_which (the domain of delta_which),
+    in element order.
+
+    All restrictions pass through one value pool, so equal restrictions are
+    one object and the table holds each value once.  A verifier makes one
+    table per degree and drops it with the degree; nothing lands on the
+    instance.
+    """
+
+    def __init__(self, inst):
+        self.inst = inst
+        self.table = {}
+        self.pool = {}
+
+    def __call__(self, which, ground, down):
+        key = (which, ground, down)
+        side = self.table.get(key)
+        if side is None:
+            inst, intern = self.inst, self.pool.setdefault
+            up = ground - down
+            side = self.table[key] = {}
+            for x in inst.elements(ground):
+                if is_cut(inst.pi(which, x), down):
+                    r, t = inst.restrict(x, down), inst.restrict(x, up)
+                    side[x] = (intern(r, r), intern(t, t))
+        return side
+
+    def corners(self, i, j, A, B, C, D):
+        """Corner side of a four-block diagram: u on A∪C and v on B∪D split by
+        the i-th cut, p on A∪B and q on C∪D split by the j-th."""
+        return (self(i, A | C, A), self(i, B | D, B), self(j, A | B, A), self(j, C | D, C))
 
 
 def _count_quadruples(sides):
@@ -314,12 +355,21 @@ def check_intertwined(inst: SpeciesInstance, nmax) -> VerificationReport:
     element order, so the first failure is the one a scan of every
     assignment against every element finds.  The corner side is counted as
     products of multiplicities per corner datum; only a failing diagram lists
-    its quadruples, in u × v × p × q order, to name the first bad one.
+    its quadruples, in u × v × p × q order, to name the first bad one.  Each
+    split side is built once per degree (`_Sides`), and an incidence's four
+    restrictions are read from the two sides on the full ground: s is in the
+    side of π1 split by A∪B and in the side of π2 split by A∪C.
 
-    `stats` holds per degree the elements, the incidences visited and the
-    corner-compatible quadruples (completions) counted.  On a passing run the
-    last two agree; on a failure the last entry is the failing degree, with
-    completions counted up to the failing diagram.
+    CutValidity cannot fail once the precondition passes: monotonicity,
+    π(s|S) ⊆ π(s)|S, carries each cut of π(s) down to s|S, so every small
+    cut holds.  The stage is kept as a defence and fires only when the
+    precondition is bypassed.
+
+    `stats` holds per degree the elements, the incidences visited, the
+    corner-compatible quadruples (completions) counted and the split sides
+    built.  On a passing run incidences and completions agree and the sides
+    number 2·3ⁿ; on a failure the last entry is the failing degree, with
+    completions and sides counted up to the failing diagram.
     """
     pre = check_species_over_preorders(inst, nmax)
     if not pre.passed:
@@ -327,26 +377,25 @@ def check_intertwined(inst: SpeciesInstance, nmax) -> VerificationReport:
     stats = []
     for n in range(nmax + 1):
         ground = tuple(range(1, n + 1))
+        full = frozenset(ground)
         els = inst.elements(ground)
         incidences = _incidences(inst, els, 1, 2)
-        stat = {
-            "degree": n,
-            "elements": len(els),
-            "incidences": sum(map(len, incidences.values())),
-            "completions": 0,
-        }
+        split = _Sides(inst)
+        stat = _stat(n, els, incidences)
         stats.append(stat)
         for A, B, C, D in _block_assignments(ground, 4):
             AB, CD, AC, BD = A | B, C | D, A | C, B | D
             witness_base = {
                 "blocks": [sorted(A), sorted(B), sorted(C), sorted(D)],
             }
-            sides = U, V, P, Q = _corner_sides(inst, 1, 2, A, B, C, D)
+            sides = U, V, P, Q = split.corners(1, 2, A, B, C, D)
+            # an incidence's s has AB cutting π1(s) and AC cutting π2(s)
+            on_AB, on_AC = split(1, full, AB), split(2, full, AC)
+            stat["sides"] = len(split.table)
             completions = {}
             for k in incidences.get((AB, AC), ()):
                 s = els[k]
-                u, v = inst.restrict(s, AC), inst.restrict(s, BD)
-                p, q = inst.restrict(s, AB), inst.restrict(s, CD)
+                (u, v), (p, q) = on_AC[s], on_AB[s]
                 # a side holds an element only if the small cut cuts it, with
                 # its two restrictions; anything else is tested and restricted here
                 du, dv, dp, dq = U.get(u), V.get(v), P.get(p), Q.get(q)
@@ -501,9 +550,9 @@ def check_bimonoid(inst: SpeciesInstance, coproduct_index, nmax) -> Verification
     names the least differing key, comparing the serializations of its
     corners on A∪C, B∪D, A∪B and C∪D in that order.
 
-    `stats` holds per degree the elements, the incidences of the square and
-    its delta-then-mu terms (completions), as in `check_intertwined`; a degree
-    whose three-block laws fail has no entry.
+    `stats` holds per degree the elements, the incidences of the square, its
+    delta-then-mu terms (completions) and the split sides built, as in
+    `check_intertwined`; a degree whose three-block laws fail has no entry.
     """
     i = coproduct_index
     j = 2 if i == 1 else 1
@@ -540,26 +589,19 @@ def check_bimonoid(inst: SpeciesInstance, coproduct_index, nmax) -> Verification
         if failure is not None:
             return VerificationReport(False, *failure, tuple(stats))
         incidences = _incidences(inst, els, i, j)
-        stat = {
-            "degree": n,
-            "elements": len(els),
-            "incidences": sum(map(len, incidences.values())),
-            "completions": 0,
-        }
+        split = _Sides(inst)
+        stat = _stat(n, els, incidences)
         stats.append(stat)
         for A, B, C, D in _block_assignments(ground, 4):
             AB, CD, AC, BD = A | B, C | D, A | C, B | D
+            sides = split.corners(i, j, A, B, C, D)
+            on_AB, on_AC = split(i, full, AB), split(j, full, AC)
+            stat["sides"] = len(split.table)
             path1 = {}
             for k in incidences.get((AB, AC), ()):
                 s = els[k]
-                key = (
-                    inst.restrict(s, AC),
-                    inst.restrict(s, BD),
-                    inst.restrict(s, AB),
-                    inst.restrict(s, CD),
-                )
+                key = on_AC[s] + on_AB[s]
                 path1[key] = path1.get(key, 0) + 1
-            sides = _corner_sides(inst, i, j, A, B, C, D)
             total = _count_quadruples(sides)
             stat["completions"] += total
             if len(path1) == total == _single_quadruples(sides, path1):

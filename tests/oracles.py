@@ -12,6 +12,9 @@ or the one-pass product they check.  The two verifier oracles at the end
 (`brute_check_intertwined`, `brute_check_bimonoid`) scan every block
 assignment against every element and build the corner side as a full
 product, as the verifiers did before they started from each element's cuts.
+`brute_check_species` is the precondition as it was before it memoised the
+restricted projections: every restriction and projection is recomputed
+where it is used.
 """
 
 import itertools
@@ -19,7 +22,9 @@ from math import factorial
 
 from precut import species
 from precut.fock import _ClassRegistry
+from precut.preorder import cuts as preorder_cuts
 from precut.preorder import is_cut
+from precut.preorder import restrict as preorder_restrict
 from precut.species import VerificationReport, delta, mu, mu_bucket
 
 
@@ -195,6 +200,52 @@ def product_via_mu(inst, which_mu, table):
                 acc[cid] = acc.get(cid, 0) + 1
             out[(a.cid, b.cid)] = acc
     return out
+
+
+def _subsets(ground):
+    ground = tuple(sorted(ground))
+    for r in range(len(ground) + 1):
+        yield from (frozenset(c) for c in itertools.combinations(ground, r))
+
+
+def brute_check_species(inst, nmax):
+    """Both projections must shrink under restriction and be exact on cut sides."""
+    for n in range(nmax + 1):
+        ground = tuple(range(1, n + 1))
+        for s in inst.elements(ground):
+            projections = {which: inst.pi(which, s) for which in (1, 2)}
+            for sub in _subsets(ground):
+                r = inst.restrict(s, sub)
+                for which in (1, 2):
+                    inner = inst.pi(which, r)
+                    outer = projections[which]
+                    if not inner <= preorder_restrict(outer, sub):
+                        return VerificationReport(
+                            False,
+                            species.STAGE_MONOTONICITY,
+                            {
+                                "element": inst.serialize(s),
+                                "subset": sorted(sub),
+                                "which": which,
+                            },
+                        )
+            for which in (1, 2):
+                p = projections[which]
+                for cut in preorder_cuts(p):
+                    for side in (cut.down, cut.up):
+                        r = inst.restrict(s, side)
+                        if inst.pi(which, r) != preorder_restrict(p, side):
+                            return VerificationReport(
+                                False,
+                                species.STAGE_CUT_EQUALITY,
+                                {
+                                    "element": inst.serialize(s),
+                                    "cut_down": sorted(cut.down),
+                                    "side": sorted(side),
+                                    "which": which,
+                                },
+                            )
+    return VerificationReport(True)
 
 
 def _block_assignments(ground, nblocks):

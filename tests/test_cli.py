@@ -219,7 +219,10 @@ def test_verify_json_reports_per_degree_counts(capsys, name, incidences):
         "elements": 576,
         "incidences": incidences,
         "completions": incidences,
+        "sides": 162,
     }
+    # each degree builds every split side (which, ground, down) once
+    assert [d["sides"] for d in data["stats"]] == [2 * 3**n for n in range(5)]
     inst = build_instance(name)
     assert [d["incidences"] for d in data["stats"]] == [
         sum(len(cuts(inst.pi1(s))) * len(cuts(inst.pi2(s))) for s in inst.elements(range(1, n + 1)))
@@ -233,8 +236,8 @@ def test_verify_stats_only_for_four_block_checks(capsys):
     )
     assert code == 0
     # a passing check has one completion per doubly-cut incidence
-    assert [(d["incidences"], d["completions"]) for d in data["stats"]] == [
-        (1, 1), (4, 4), (24, 24), (224, 224)
+    assert [(d["incidences"], d["completions"], d["sides"]) for d in data["stats"]] == [
+        (1, 1, 2), (4, 4, 6), (24, 24, 18), (224, 224, 54)
     ]
     code, data = run_json(
         capsys, "verify", "--instance", "graphs", "--check", "preorders", "--nmax", "3"

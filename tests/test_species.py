@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from oracles import brute_check_bimonoid, brute_check_intertwined
+from oracles import brute_check_bimonoid, brute_check_intertwined, brute_check_species
 from precut import species
 from precut.errors import BadDecomposition
 from precut.instances import SHIPPED_TABLES, build_instance
@@ -328,13 +330,13 @@ def _assert_matches_oracles(make):
     return [r.stage for r in got]
 
 
-@pytest.mark.parametrize(
-    "name",
-    sorted(
-        {name for name, *_ in SHIPPED_TABLES}
-        | {"broken_dc", "broken_monotone", "broken_cut", "cc", "nc", "nn"}
-    ),
+SHIPPED = sorted({name for name, *_ in SHIPPED_TABLES})
+CONTROLS = sorted(
+    set(SHIPPED) | {"broken_dc", "broken_monotone", "broken_cut", "cc", "nc", "nn"}
 )
+
+
+@pytest.mark.parametrize("name", CONTROLS)
 def test_verifiers_match_scan_oracles(name):
     _assert_matches_oracles(lambda: build_instance(name))
 
@@ -359,3 +361,98 @@ def test_cut_validity_matches_scan_oracle(monkeypatch):
     got = check_intertwined(ReversedOnPairs(), 3)
     assert got.stage == "CutValidity"
     assert got.to_json() == brute_check_intertwined(ReversedOnPairs(), 3).to_json()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(lambda name=name: build_instance(name), id=name) for name in CONTROLS]
+    + [pytest.param(FlippedColors, id="FlippedColors")],
+)
+def test_precondition_matches_brute_oracle(make):
+    got = check_species_over_preorders(make(), 3)
+    assert got.to_json() == brute_check_species(make(), 3).to_json()
+
+
+def _recorded_sides(monkeypatch):
+    made = []
+
+    class Recorded(species._Sides):
+        def __init__(self, inst):
+            super().__init__(inst)
+            made.append(self)
+
+    monkeypatch.setattr(species, "_Sides", Recorded)
+    return made
+
+
+def _four_block_checks(nmax):
+    return (
+        lambda inst: check_intertwined(inst, nmax),
+        lambda inst: check_bimonoid(inst, 1, nmax),
+        lambda inst: check_bimonoid(inst, 2, nmax),
+    )
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shared_sides_are_exact_and_interned(monkeypatch, name):
+    made = _recorded_sides(monkeypatch)
+    inst = build_instance(name)
+    for check in _four_block_checks(3):
+        made.clear()
+        assert check(inst).passed
+        # one table per degree, holding every (which, ground, down) split
+        assert [len(split.table) for split in made] == [2 * 3**n for n in range(4)]
+        for split in made:
+            interned = {}
+            for (which, ground, down), side in split.table.items():
+                want = {
+                    x: (inst.restrict(x, down), inst.restrict(x, ground - down))
+                    for x in inst.elements(ground)
+                    if is_cut(inst.pi(which, x), down)
+                }
+                assert list(side.items()) == list(want.items())
+                for r in itertools.chain.from_iterable(side.values()):
+                    assert interned.setdefault(r, r) is r
+
+
+def _cache_keys(inst):
+    """Keys of every cache on the instance and on the instance it filters."""
+    out = {}
+    for attr, value in vars(inst).items():
+        if isinstance(value, dict):
+            out[attr] = set(value)
+        elif isinstance(value, species.SpeciesInstance):
+            out.update({f"{attr}.{k}": keys for k, keys in _cache_keys(value).items()})
+    return out
+
+
+@pytest.mark.parametrize(
+    # one per instance class, and two that filter another instance
+    "name",
+    [
+        "colored",
+        "graphs",
+        "packed_words",
+        "parking/nondecreasing-parking",
+        "perm_f",
+        "perm_m/213",
+        "posets/cherry",
+        "preorders",
+        "tensor",
+    ],
+)
+def test_verifiers_leave_no_state_on_the_instance(name):
+    scans = (
+        lambda inst: brute_check_intertwined(inst, 3),
+        lambda inst: brute_check_bimonoid(inst, 1, 3),
+        lambda inst: brute_check_bimonoid(inst, 2, 3),
+    )
+    for check, scan in zip(_four_block_checks(3), scans):
+        inst, ref = build_instance(name), build_instance(name)
+        attrs = set(vars(inst))
+        assert check(inst).passed and scan(ref).passed
+        assert set(vars(inst)) == attrs
+        # every cache holds only what the scan of every assignment fills
+        got, want = _cache_keys(inst), _cache_keys(ref)
+        assert got.keys() == want.keys()
+        assert all(got[attr] <= want[attr] for attr in got)
