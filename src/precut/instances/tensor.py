@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import PrecutError
 from ..preorder import chain, discrete
 from ..species import SpeciesInstance
 
 
-@dataclass(frozen=True)
-class TensorWord:
+class TensorWord(NamedTuple):
     colors: tuple  # ((label, color), ...) sorted by label
     order: tuple  # labels, smallest first
 

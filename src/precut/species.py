@@ -246,17 +246,6 @@ def _incidences(inst, els, i, j):
     return out
 
 
-def _stat(n, els, incidences):
-    """A degree's counts, before its diagrams are walked."""
-    return {
-        "degree": n,
-        "elements": len(els),
-        "incidences": sum(map(len, incidences.values())),
-        "completions": 0,
-        "sides": 0,
-    }
-
-
 class _Sides:
     """The split sides of one degree, each built once on first use:
     (which, ground, down) -> {x: (x|down, x|ground − down)} over the elements
@@ -287,10 +276,52 @@ class _Sides:
                     side[x] = (intern(r, r), intern(t, t))
         return side
 
+    def of(self, which, ground, down, x):
+        """x's pair in its side, or None when `down` does not cut π_which(x).
+
+        A faulty species can restrict onto a value that `ground` does not
+        enumerate; such an x is tested and restricted on the spot.
+        """
+        pair = self(which, ground, down).get(x)
+        if pair is None and is_cut(self.inst.pi(which, x), down):
+            pair = (self.inst.restrict(x, down), self.inst.restrict(x, ground - down))
+        return pair
+
     def corners(self, i, j, A, B, C, D):
         """Corner side of a four-block diagram: u on A∪C and v on B∪D split by
         the i-th cut, p on A∪B and q on C∪D split by the j-th."""
         return (self(i, A | C, A), self(i, B | D, B), self(j, A | B, A), self(j, C | D, C))
+
+
+def _diagrams(split, ground, i, j, stats):
+    """The four-block diagrams of one degree, in block-assignment order, each
+    as (blocks, corner sides, incidences).  The incidences are the elements s
+    with A∪B a cut of π_i(s) and A∪C a cut of π_j(s), in element order, each
+    with its corners (u, v, p, q) = (s|A∪C, s|B∪D, s|A∪B, s|C∪D), read from
+    the two sides on the full ground.
+
+    Appends the degree's entry to `stats` and keeps its `sides` current; the
+    caller adds the completions of each diagram it gets through.
+    """
+    inst = split.inst
+    full = frozenset(ground)
+    els = inst.elements(ground)
+    incidences = _incidences(inst, els, i, j)
+    stat = {
+        "degree": len(ground),
+        "elements": len(els),
+        "incidences": sum(map(len, incidences.values())),
+        "completions": 0,
+        "sides": 0,
+    }
+    stats.append(stat)
+    for blocks in _block_assignments(ground, 4):
+        A, B, C, D = blocks
+        sides = split.corners(i, j, A, B, C, D)
+        on_AB, on_AC = split(i, full, A | B), split(j, full, A | C)
+        stat["sides"] = len(split.table)
+        doubly_cut = (els[k] for k in incidences.get((A | B, A | C), ()))
+        yield blocks, sides, [(s, on_AC[s] + on_AB[s]) for s in doubly_cut]
 
 
 def _count_quadruples(sides):
@@ -351,11 +382,12 @@ def check_intertwined(inst: SpeciesInstance, nmax) -> VerificationReport:
     What is enumerated: the doubly-cut incidences, each element s with each
     cut X of π1(s) and each cut Y of π2(s), filed under the diagram with
     A∪B = X and A∪C = Y.  The diagrams are then walked in block-assignment
-    order, and each runs the per-element checks on its own incidences in
-    element order, so the first failure is the one a scan of every
-    assignment against every element finds.  The corner side is counted as
-    products of multiplicities per corner datum; only a failing diagram lists
-    its quadruples, in u × v × p × q order, to name the first bad one.  Each
+    order (`_diagrams`, which the bimonoid square walks too), and each runs
+    the per-element checks on its own incidences in element order, so the
+    first failure is the one a scan of every assignment against every
+    element finds.  The corner side is counted as products of
+    multiplicities per corner datum; only a failing diagram lists its
+    quadruples, in u × v × p × q order, to name the first bad one.  Each
     split side is built once per degree (`_Sides`), and an incidence's four
     restrictions are read from the two sides on the full ground: s is in the
     side of π1 split by A∪B and in the side of π2 split by A∪C.
@@ -377,44 +409,31 @@ def check_intertwined(inst: SpeciesInstance, nmax) -> VerificationReport:
     stats = []
     for n in range(nmax + 1):
         ground = tuple(range(1, n + 1))
-        full = frozenset(ground)
-        els = inst.elements(ground)
-        incidences = _incidences(inst, els, 1, 2)
         split = _Sides(inst)
-        stat = _stat(n, els, incidences)
-        stats.append(stat)
-        for A, B, C, D in _block_assignments(ground, 4):
+        for blocks, sides, incidences in _diagrams(split, ground, 1, 2, stats):
+            A, B, C, D = blocks
             AB, CD, AC, BD = A | B, C | D, A | C, B | D
-            witness_base = {
-                "blocks": [sorted(A), sorted(B), sorted(C), sorted(D)],
-            }
-            sides = U, V, P, Q = split.corners(1, 2, A, B, C, D)
-            # an incidence's s has AB cutting π1(s) and AC cutting π2(s)
-            on_AB, on_AC = split(1, full, AB), split(2, full, AC)
-            stat["sides"] = len(split.table)
+            witness_base = {"blocks": [sorted(block) for block in blocks]}
             completions = {}
-            for k in incidences.get((AB, AC), ()):
-                s = els[k]
-                (u, v), (p, q) = on_AC[s], on_AB[s]
-                # a side holds an element only if the small cut cuts it, with
-                # its two restrictions; anything else is tested and restricted here
-                du, dv, dp, dq = U.get(u), V.get(v), P.get(p), Q.get(q)
-                if not (
-                    (du or is_cut(inst.pi(1, u), A))
-                    and (dv or is_cut(inst.pi(1, v), B))
-                    and (dp or is_cut(inst.pi(2, p), A))
-                    and (dq or is_cut(inst.pi(2, q), C))
-                ):
+            U, V, P, Q = sides
+            for s, key in incidences:
+                u, v, p, q = key
+                # a corner side holds every enumerated element its small cut
+                # cuts; `of` settles the rest
+                pairs = (
+                    U.get(u) or split.of(1, AC, A, u),
+                    V.get(v) or split.of(1, BD, B, v),
+                    P.get(p) or split.of(2, AB, A, p),
+                    Q.get(q) or split.of(2, CD, C, q),
+                )
+                if None in pairs:
                     return VerificationReport(
                         False,
                         STAGE_CUT_VALIDITY,
                         dict(witness_base, element=inst.serialize(s)),
                         tuple(stats),
                     )
-                ua, uc = du or (inst.restrict(u, A), inst.restrict(u, C))
-                vb, vd = dv or (inst.restrict(v, B), inst.restrict(v, D))
-                pa, pb = dp or (inst.restrict(p, A), inst.restrict(p, B))
-                qc, qd = dq or (inst.restrict(q, C), inst.restrict(q, D))
+                (ua, uc), (vb, vd), (pa, pb), (qc, qd) = pairs
                 if (ua, vb, uc, vd) != (pa, pb, qc, qd):
                     return VerificationReport(
                         False,
@@ -422,11 +441,10 @@ def check_intertwined(inst: SpeciesInstance, nmax) -> VerificationReport:
                         dict(witness_base, element=inst.serialize(s)),
                         tuple(stats),
                     )
-                key = (u, v, p, q)
                 completions[key] = completions.get(key, 0) + 1
 
             total = _count_quadruples(sides)
-            stat["completions"] += total
+            stats[-1]["completions"] += total
             if _single_quadruples(sides, completions) == total:
                 continue
             for quadruple in _quadruples(sides):
@@ -439,19 +457,20 @@ def check_intertwined(inst: SpeciesInstance, nmax) -> VerificationReport:
                             witness_base,
                             corners=_corners_json(inst, quadruple),
                             completions=count,
-                            near_misses=_near_misses(inst, els, quadruple, (AC, BD, AB, CD)),
+                            near_misses=_near_misses(inst, blocks, quadruple),
                         ),
                         tuple(stats),
                     )
     return VerificationReport(True, stats=tuple(stats))
 
 
-def _near_misses(inst, els, quadruple, grounds):
+def _near_misses(inst, blocks, quadruple):
     """Elements matching all four restrictions, with their big-cut status."""
     u, v, p, q = quadruple
-    AC, BD, AB, CD = grounds
+    A, B, C, D = blocks
+    AB, CD, AC, BD = A | B, C | D, A | C, B | D
     out = []
-    for s in els:
+    for s in inst.elements(A | B | C | D):
         if (
             inst.restrict(s, AC) == u
             and inst.restrict(s, BD) == v
@@ -468,14 +487,7 @@ def _near_misses(inst, els, quadruple, grounds):
     return out
 
 
-def _restriction(inst, s, sub, memo):
-    r = memo.get(sub)
-    if r is None:
-        r = memo[sub] = inst.restrict(s, sub)
-    return r
-
-
-def _three_block_failure(inst, els, ground, i, j):
+def _three_block_failure(split, ground, i, j):
     """The coassociativity or associativity failure of one degree that comes
     first in (block assignment, element, which) order, or None.
 
@@ -483,49 +495,40 @@ def _three_block_failure(inst, els, ground, i, j):
     side is defined are the cuts X of π(s) with the cuts A of π(s|X) (B = X − A);
     those on which the right side is defined are the cuts A of π(s) with the
     cuts B of π(s|rest).  A pair in only one set fails; a pair in both fails
-    when the two restriction triples differ.
+    when the two restriction triples differ.  Every restriction is read from
+    the degree's split sides: the left triple is the side of s|X split by A
+    with s|(full − X), the right one s|A with the side of s|(full − A) split
+    by B.
     """
+    inst = split.inst
     full = frozenset(ground)
     best = None  # ((assignment, element index, which index), (stage, witness))
-    for k, s in enumerate(els):
-        on = {}  # restrictions of s, by subset
+    for k, s in enumerate(inst.elements(ground)):
         for w, (which, stage) in enumerate(((i, STAGE_COASSOC), (j, STAGE_ASSOC))):
-            p = inst.pi(which, s)
+            downs = [cut.down for cut in preorder_cuts(inst.pi(which, s))]
             left = {}
-            for x in preorder_cuts(p):
-                ab = _restriction(inst, s, x.down, on)
-                for a in preorder_cuts(inst.pi(which, ab)):
-                    left[(a.down, x.down - a.down)] = ab
+            for X in downs:
+                ab, c = split(which, full, X)[s]
+                for cut in preorder_cuts(inst.pi(which, ab)):
+                    left[(cut.down, X - cut.down)] = split.of(which, X, cut.down, ab) + (c,)
             right = {}
-            for a in preorder_cuts(p):
-                bc = _restriction(inst, s, a.up, on)
-                for b in preorder_cuts(inst.pi(which, bc)):
-                    right[(a.down, b.down)] = bc
+            for A in downs:
+                a, bc = split(which, full, A)[s]
+                for cut in preorder_cuts(inst.pi(which, bc)):
+                    right[(A, cut.down)] = (a,) + split.of(which, full - A, cut.down, bc)
             for A, B in left.keys() | right.keys():
                 order = (tuple(0 if x in A else 1 if x in B else 2 for x in ground), k, w)
                 if best is not None and order >= best[0]:
                     continue
-                C = full - A - B
-                if (A, B) in left and (A, B) in right:
-                    ab, bc = left[(A, B)], right[(A, B)]
-                    # A and A ∪ B cut π(s) here, so s|A and s|C are memoised
-                    if (
-                        inst.restrict(ab, A),
-                        inst.restrict(ab, B),
-                        _restriction(inst, s, C, on),
-                    ) == (
-                        _restriction(inst, s, A, on),
-                        inst.restrict(bc, B),
-                        inst.restrict(bc, C),
-                    ):
-                        continue
+                if (A, B) in left and left[(A, B)] == right.get((A, B)):
+                    continue
                 best = (
                     order,
                     (
                         stage,
                         {
                             "element": inst.serialize(s),
-                            "blocks": [sorted(A), sorted(B), sorted(C)],
+                            "blocks": [sorted(A), sorted(B), sorted(full - A - B)],
                             "which": which,
                         },
                     ),
@@ -544,15 +547,19 @@ def check_bimonoid(inst: SpeciesInstance, coproduct_index, nmax) -> Verification
     What is enumerated: for the three-block laws, each element's own
     defined blocks, from the cuts of its projection and of its restrictions
     (`_three_block_failure`); for the square, the doubly-cut incidences of
-    π_i and π_j, as in `check_intertwined`, with the delta-then-mu side
-    counted per corner datum.  A failure is the one a scan of every block
-    assignment against every element finds first.  A Compatibility witness
-    names the least differing key, comparing the serializations of its
-    corners on A∪C, B∪D, A∪B and C∪D in that order.
+    π_i and π_j, walked as in `check_intertwined` (`_diagrams`), with the
+    delta-then-mu side counted per corner datum.  Both read their
+    restrictions from one table of split sides per degree, built before the
+    three-block pass and reused by the square.  A failure is the one a scan
+    of every block assignment against every element finds first.  A
+    Compatibility witness names the least differing key, comparing the
+    serializations of its corners on A∪C, B∪D, A∪B and C∪D in that order.
 
     `stats` holds per degree the elements, the incidences of the square, its
     delta-then-mu terms (completions) and the split sides built, as in
-    `check_intertwined`; a degree whose three-block laws fail has no entry.
+    `check_intertwined`.  `sides` counts every side the degree built, the
+    three-block pass's included, so a failing square may report more than
+    it reached; a degree whose three-block laws fail has no entry.
     """
     i = coproduct_index
     j = 2 if i == 1 else 1
@@ -562,18 +569,13 @@ def check_bimonoid(inst: SpeciesInstance, coproduct_index, nmax) -> Verification
     stats = []
     for n in range(nmax + 1):
         ground = tuple(range(1, n + 1))
-        els = inst.elements(ground)
         full = frozenset(ground)
-        for s in els:
+        for s in inst.elements(ground):
             for which in (i, j):
-                if delta(inst, which, s, full, frozenset()) != (s, unit):
-                    return VerificationReport(
-                        False,
-                        STAGE_COUNIT,
-                        {"element": inst.serialize(s), "which": which},
-                        tuple(stats),
-                    )
-                if delta(inst, which, s, frozenset(), full) != (unit, s):
+                if (
+                    delta(inst, which, s, full, frozenset()) != (s, unit)
+                    or delta(inst, which, s, frozenset(), full) != (unit, s)
+                ):
                     return VerificationReport(
                         False,
                         STAGE_COUNIT,
@@ -585,25 +587,14 @@ def check_bimonoid(inst: SpeciesInstance, coproduct_index, nmax) -> Verification
                     return VerificationReport(
                         False, STAGE_UNIT, {"element": inst.serialize(s)}, tuple(stats)
                     )
-        failure = _three_block_failure(inst, els, ground, i, j)
+        split = _Sides(inst)
+        failure = _three_block_failure(split, ground, i, j)
         if failure is not None:
             return VerificationReport(False, *failure, tuple(stats))
-        incidences = _incidences(inst, els, i, j)
-        split = _Sides(inst)
-        stat = _stat(n, els, incidences)
-        stats.append(stat)
-        for A, B, C, D in _block_assignments(ground, 4):
-            AB, CD, AC, BD = A | B, C | D, A | C, B | D
-            sides = split.corners(i, j, A, B, C, D)
-            on_AB, on_AC = split(i, full, AB), split(j, full, AC)
-            stat["sides"] = len(split.table)
-            path1 = {}
-            for k in incidences.get((AB, AC), ()):
-                s = els[k]
-                key = on_AC[s] + on_AB[s]
-                path1[key] = path1.get(key, 0) + 1
+        for blocks, sides, incidences in _diagrams(split, ground, i, j, stats):
+            path1 = Counter(key for _, key in incidences)
             total = _count_quadruples(sides)
-            stat["completions"] += total
+            stats[-1]["completions"] += total
             if len(path1) == total == _single_quadruples(sides, path1):
                 continue
             path2 = dict.fromkeys(_quadruples(sides), 1)
@@ -615,7 +606,7 @@ def check_bimonoid(inst: SpeciesInstance, coproduct_index, nmax) -> Verification
                 False,
                 STAGE_COMPAT,
                 {
-                    "blocks": [sorted(A), sorted(B), sorted(C), sorted(D)],
+                    "blocks": [sorted(block) for block in blocks],
                     "corners": _corners_json(inst, bad),
                     "mu_then_delta": path1.get(bad, 0),
                     "delta_then_mu": path2.get(bad, 0),

@@ -245,6 +245,24 @@ def test_verify_stats_only_for_four_block_checks(capsys):
     assert code == 0 and "stats" not in data
 
 
+@pytest.mark.parametrize(
+    "name,counts,sides",
+    [
+        ("nn", [(1, 1, 1), (1, 4, 4), (8, 60, 60), (85, 1204, 206)], 54),
+        ("broken_dc", [(1, 1, 1), (2, 8, 8), (4, 32, 12)], 16),
+    ],
+)
+def test_failing_bimonoid_stats(capsys, name, counts, sides):
+    code, data = run_json(
+        capsys, "verify", "--instance", name, "--check", "bimonoid", "--nmax", "3"
+    )
+    assert code == 1 and data["stage"] == "Compatibility"
+    stats = data["stats"]
+    assert [(d["elements"], d["incidences"], d["completions"]) for d in stats] == counts
+    # the failing degree counts every side it built, the three-block pass's too
+    assert [d["sides"] for d in stats] == [2 * 3**n for n in range(len(stats) - 1)] + [sides]
+
+
 def test_pairs_calculator(capsys):
     d = {"ground": [1, 2], "rel": [[True, False], [False, True]]}
     c = {"ground": [1, 2], "rel": [[True, True], [True, True]]}

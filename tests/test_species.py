@@ -308,6 +308,18 @@ class FlippedColors(ColoredSets):
         return r
 
 
+class OffPalette(ColoredSets):
+    """Restriction from three points onto one paints that point color 7,
+    a value the one-point ground does not enumerate."""
+
+    def restrict(self, s, sub):
+        r = super().restrict(s, sub)
+        if len(s.colors) == 3 and len(r.colors) == 1:
+            ((x, _),) = r.colors
+            r = Coloring(((x, 7),))
+        return r
+
+
 class ReversedOnPairs(PermPairs):
     """perm_f whose first projection reverses the order on two-point grounds,
     so a restriction can lose the small cut that its parent's cut implies."""
@@ -346,6 +358,7 @@ def test_verifiers_match_scan_oracles(name):
     [
         (FlippedColors, ["PullbackCommute", "Coassociativity", "Coassociativity"]),
         (ReversedOnPairs, ["ProjectionMonotonicity", "Coassociativity", "Associativity"]),
+        (OffPalette, ["ExtensionUniqueness", "Coassociativity", "Coassociativity"]),
     ],
 )
 def test_verifiers_match_scan_oracles_on_broken_wrappers(make, stages):
