@@ -5,6 +5,10 @@ class PrecutError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidStructure(PrecutError, ValueError):
+    """A preorder, finite set, multimap or JSON payload that breaks its invariants."""
+
+
 class DimensionMismatch(PrecutError):
     pass
 

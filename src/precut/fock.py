@@ -357,11 +357,16 @@ def _clean(vec):
 
 def verify_hopf_axioms(table: StructureConstantTable, N=None) -> VerificationReport:
     """Exact integer checks of unit, counit, associativity, coassociativity
-    and the bialgebra compatibility up to degree N."""
+    and the bialgebra compatibility up to degree N.
+
+    Each later factor of the associativity and compatibility passes runs
+    only over the classes whose degree still fits under N, in table order,
+    so the first witness is the one the full loops would meet."""
     N = table.N if N is None else N
     e = table.unit_class().cid
     deg = {c.cid: c.degree for c in table.classes}
     cls = [c.cid for c in table.classes if c.degree <= N]
+    upto = [[a for a in cls if deg[a] <= k] for k in range(N + 1)]
 
     for a in cls:
         if table.product.get((e, a)) != {a: 1} or table.product.get((a, e)) != {a: 1}:
@@ -374,10 +379,8 @@ def verify_hopf_axioms(table: StructureConstantTable, N=None) -> VerificationRep
             return VerificationReport(False, STAGE_COUNIT, {"class": a})
 
     for a in cls:
-        for b in cls:
-            for c in cls:
-                if deg[a] + deg[b] + deg[c] > N:
-                    continue
+        for b in upto[N - deg[a]]:
+            for c in upto[N - deg[a] - deg[b]]:
                 left = {}
                 for w, cw in table.product[(a, b)].items():
                     _add(left, _scale(table.product[(w, c)], cw))
@@ -404,9 +407,7 @@ def verify_hopf_axioms(table: StructureConstantTable, N=None) -> VerificationRep
             return VerificationReport(False, STAGE_COASSOC, {"class": a})
 
     for a in cls:
-        for b in cls:
-            if deg[a] + deg[b] > N:
-                continue
+        for b in upto[N - deg[a]]:
             left = {}
             for w, cw in table.product[(a, b)].items():
                 for pair, c in table.coproduct[w].items():
@@ -565,30 +566,48 @@ def _constants_match(ta, tb, mapping, degree, N):
     return True
 
 
-def _solve_affine(rows, nvars):
-    """Exact Gaussian elimination on [coeffs | rhs]; returns (pivots, reduced)
-    or None when inconsistent."""
-    from fractions import Fraction
+def _reduced_echelon(equations):
+    """Sparse exact reduced row echelon form of affine equations, or None.
 
-    mat = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(nvars):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if pivot is None:
+    An equation is a dict {var: coeff} that reads sum(coeff * var) +
+    constant = 0, with the constant under the key None; variables must be
+    mutually comparable.  Each new row is reduced by the pivots so far, takes
+    its least variable as pivot, is scaled to a pivot coefficient of 1, and
+    that pivot is substituted out of every earlier row.  So each row holds
+    its pivot and otherwise only free variables above it: a row's variables
+    are all at or above its pivot when it is made, and substituting a later
+    pivot q brings in only the free variables of q's row, all above q.  Rows
+    in pivot order are then the reduced row echelon form of the system,
+    which is unique, so the pivot set and the rows are exactly those of a
+    dense column-by-column sweep.  Returns {pivot: row}, or None when some
+    row reduces to a nonzero constant.
+    """
+    from fractions import Fraction  # kept off the import path of every CLI command
+
+    rows = {}
+    for equation in equations:
+        row = {v: Fraction(c) for v, c in equation.items()}
+        for p in [v for v in row if v in rows]:
+            _add(row, _scale(rows[p], -row[p]))
+        row = _clean(row)
+        if row.keys() <= {None}:
+            if row:
+                return None
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        mat[r] = [v / mat[r][col] for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    for row in mat[r:]:
-        if row[-1]:
-            return None
-    return pivots, mat[: len(pivots)]
+        pivot = min(v for v in row if v is not None)
+        row = _scale(row, 1 / row[pivot])
+        for p, other in rows.items():
+            if pivot in other:
+                rows[p] = _clean(_add(other, _scale(row, -other[pivot])))
+        rows[pivot] = row
+    return rows
+
+
+def _times(f, g):
+    """The product of two affine forms, one of which is a constant {None: k}."""
+    if f.keys() != {None}:
+        f, g = g, f
+    return _scale(g, f[None])
 
 
 def check_isomorphism_by_change_of_basis(ta, tb, N=None, order_key=None):
@@ -597,7 +616,14 @@ def check_isomorphism_by_change_of_basis(ta, tb, N=None, order_key=None):
     Classes in each degree are ordered by order_key (default: serialization
     key); the returned dict maps degree -> matrix rows (tuples of ints), row
     i giving the expansion of the i-th source class in target classes.
-    A None result means: not found under this triangular ansatz.
+
+    Degree by degree, each entry is an affine form: 1 on the diagonal, the
+    unknown (i, j) above it, and the entries of lower degrees are constants.
+    The equations phi(a.b) = phi(a) phi(b) and (phi x phi) Delta(w) =
+    Delta(phi(w)) are linear, since every coproduct term has one side in a
+    lower degree.  They are solved exactly with the free unknowns at 0, and
+    the whole transition is checked by substitution at the end.  A None
+    result means: no integer transition with the free unknowns at 0.
     """
     N = min(ta.N, tb.N) if N is None else N
     if not _tables_comparable(ta, tb, N):
@@ -606,156 +632,57 @@ def check_isomorphism_by_change_of_basis(ta, tb, N=None, order_key=None):
     per_a = {n: sorted((c for c in ta.classes if c.degree == n), key=key) for n in range(N + 1)}
     per_b = {n: sorted((c for c in tb.classes if c.degree == n), key=key) for n in range(N + 1)}
 
-    phi = {}  # cid of A-class -> {cid of B-class: int}
+    image = {}  # cid of A-class -> {cid of B-class: affine form}
     matrices = {}
     for n in range(N + 1):
         a_classes, b_classes = per_a[n], per_b[n]
         m = len(a_classes)
-        if n == 0:
-            phi[a_classes[0].cid] = {b_classes[0].cid: 1}
-            matrices[0] = ((1,),)
-            continue
-        unknown_index = {}
-        for i in range(m):
-            for j in range(i + 1, m):
-                unknown_index[(i, j)] = len(unknown_index)
-        nvars = len(unknown_index)
-
-        def entry_terms(i, j):
-            """(constant, var_index or None) for matrix entry (i, j)."""
-            if i == j:
-                return 1, None
-            if j < i:
-                return 0, None
-            return 0, unknown_index[(i, j)]
-
-        rows = []
-
-        def add_equation(lin, const):
-            # lin: {var: coeff}; equation lin·x = const
-            row = [0] * (nvars + 1)
-            for var, coeff in lin.items():
-                row[var] = coeff
-            row[-1] = const
-            rows.append(row)
-
-        b_pos = {c.cid: k for k, c in enumerate(b_classes)}
-        a_pos = {c.cid: k for k, c in enumerate(a_classes)}
-
-        # product constraints: phi(a.b) = phi(a) phi(b) for p+q = n, p,q >= 1
-        for p in range(1, n):
-            q = n - p
-            for a in per_a[p]:
-                for b in per_a[q]:
-                    out = ta.product[(a.cid, b.cid)]
-                    rhs_vec = {}
-                    for a_img, ca in phi[a.cid].items():
-                        for b_img, cb in phi[b.cid].items():
-                            _add(rhs_vec, _scale(tb.product[(a_img, b_img)], ca * cb))
-                    for tau in b_classes:
-                        lin = {}
-                        const = rhs_vec.get(tau.cid, 0)
-                        for w, cw in out.items():
-                            base, var = entry_terms(a_pos[w], b_pos[tau.cid])
-                            const -= cw * base
-                            if var is not None:
-                                lin[var] = lin.get(var, 0) + cw
-                        add_equation(lin, const)
-
-        # coproduct constraints: (phi⊗phi) Delta_A(w) = Delta_B(phi w)
-        e_a = ta.unit_class().cid
-        e_b = tb.unit_class().cid
-        for w in a_classes:
-            lhs_const = {}
-            lhs_lin = {}
-            for (x, y), c in ta.coproduct[w.cid].items():
-                if x == e_a and y == w.cid:
-                    # contributes c * (e ⊗ phi(w)): unknown row of w
-                    for tau in b_classes:
-                        base, var = entry_terms(a_pos[w.cid], b_pos[tau.cid])
-                        keyt = (e_b, tau.cid)
-                        if base:
-                            lhs_const[keyt] = lhs_const.get(keyt, 0) + c * base
-                        if var is not None:
-                            lhs_lin.setdefault(keyt, {})[var] = (
-                                lhs_lin.get(keyt, {}).get(var, 0) + c
-                            )
-                elif y == e_a and x == w.cid:
-                    for tau in b_classes:
-                        base, var = entry_terms(a_pos[w.cid], b_pos[tau.cid])
-                        keyt = (tau.cid, e_b)
-                        if base:
-                            lhs_const[keyt] = lhs_const.get(keyt, 0) + c * base
-                        if var is not None:
-                            lhs_lin.setdefault(keyt, {})[var] = (
-                                lhs_lin.get(keyt, {}).get(var, 0) + c
-                            )
-                else:
-                    for x_img, cx in phi[x].items():
-                        for y_img, cy in phi[y].items():
-                            keyt = (x_img, y_img)
-                            lhs_const[keyt] = lhs_const.get(keyt, 0) + c * cx * cy
-            # rhs: sum_tau phi[w][tau] * Delta_B(tau)
-            rhs_lin = {}
-            rhs_const = {}
-            for tau in b_classes:
-                base, var = entry_terms(a_pos[w.cid], b_pos[tau.cid])
-                for pair, c in tb.coproduct[tau.cid].items():
-                    if base:
-                        rhs_const[pair] = rhs_const.get(pair, 0) + c * base
-                    if var is not None:
-                        rhs_lin.setdefault(pair, {})[var] = (
-                            rhs_lin.get(pair, {}).get(var, 0) + c
-                        )
-            keys = set(lhs_const) | set(lhs_lin) | set(rhs_const) | set(rhs_lin)
-            for keyt in keys:
-                lin = dict(lhs_lin.get(keyt, {}))
-                for var, coeff in rhs_lin.get(keyt, {}).items():
-                    lin[var] = lin.get(var, 0) - coeff
-                const = rhs_const.get(keyt, 0) - lhs_const.get(keyt, 0)
-                add_equation(lin, const)
-
-        if nvars == 0:
-            solution = {}
-        else:
-            solved = _solve_affine(rows, nvars)
-            if solved is None:
-                return None
-            pivots, reduced = solved
-            free = [v for v in range(nvars) if v not in pivots]
-            if len(free) > 12:
-                return None
-            solution = None
-            for assignment in itertools.product((0, 1), repeat=len(free)):
-                values = [None] * nvars
-                for v, val in zip(free, assignment):
-                    values[v] = val
-                ok = True
-                for prow, col in zip(reduced, pivots):
-                    val = prow[-1] - sum(
-                        prow[v] * values[v] for v in free
-                    )
-                    if val.denominator != 1:
-                        ok = False
-                        break
-                    values[col] = int(val)
-                if ok and all(v is not None for v in values):
-                    solution = {v: values[v] for v in range(nvars)}
-                    break
-            if solution is None:
-                return None
-
-        mat = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                base, var = entry_terms(i, j)
-                row.append(base if var is None else solution[var])
-            mat.append(tuple(row))
-        matrices[n] = tuple(mat)
         for i, a in enumerate(a_classes):
-            phi[a.cid] = _clean({b_classes[j].cid: mat[i][j] for j in range(m)})
+            image[a.cid] = {
+                b.cid: {(i, j): 1} if j > i else {None: 1}
+                for j, b in enumerate(b_classes)
+                if j >= i
+            }
 
+        equations = []
+        for p in range(1, n):
+            for a in per_a[p]:
+                for b in per_a[n - p]:
+                    eq = {}
+                    for w, cw in ta.product[(a.cid, b.cid)].items():
+                        for tau, f in image[w].items():
+                            _add(eq.setdefault(tau, {}), _scale(f, cw))
+                    for a_img, fa in image[a.cid].items():
+                        for b_img, fb in image[b.cid].items():
+                            for tau, c in tb.product[(a_img, b_img)].items():
+                                _add(eq.setdefault(tau, {}), _scale(_times(fa, fb), -c))
+                    equations += eq.values()
+        for w in a_classes:
+            eq = {}
+            for (x, y), c in ta.coproduct[w.cid].items():
+                for x_img, fx in image[x].items():
+                    for y_img, fy in image[y].items():
+                        _add(eq.setdefault((x_img, y_img), {}), _scale(_times(fx, fy), c))
+            for tau, f in image[w.cid].items():
+                for pair, c in tb.coproduct[tau].items():
+                    _add(eq.setdefault(pair, {}), _scale(f, -c))
+            equations += eq.values()
+
+        echelon = _reduced_echelon(equations)
+        if echelon is None:
+            return None
+        value = {v: -row.get(None, 0) for v, row in echelon.items()}
+        if any(x.denominator != 1 for x in value.values()):
+            return None
+        mat = tuple(
+            tuple(1 if i == j else int(value.get((i, j), 0)) if j > i else 0 for j in range(m))
+            for i in range(m)
+        )
+        matrices[n] = mat
+        for i, a in enumerate(a_classes):
+            image[a.cid] = {b_classes[j].cid: {None: v} for j, v in enumerate(mat[i]) if v}
+
+    phi = {a: {b: f[None] for b, f in row.items()} for a, row in image.items()}
     if not _verify_transition(ta, tb, phi, N):
         return None
     return matrices

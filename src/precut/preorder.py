@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import CapExceeded, GroundMismatch, UnknownLabel
+from .errors import CapExceeded, GroundMismatch, InvalidStructure, UnknownLabel
 
 
 def _closed_rows(n, rows):
@@ -50,18 +50,18 @@ class Preorder:
     def __post_init__(self):
         ground = tuple(self.ground)
         if list(ground) != sorted(ground):
-            raise ValueError("ground must be sorted at construction")
+            raise InvalidStructure("ground must be sorted at construction")
         if len(set(ground)) != len(ground):
-            raise ValueError("duplicate ground labels")
+            raise InvalidStructure("duplicate ground labels")
         n = len(ground)
         full = (1 << n) - 1
         for i, row in enumerate(self.rows):
             if row & ~full:
-                raise ValueError("relation bits outside ground")
+                raise InvalidStructure("relation bits outside ground")
             if not row >> i & 1:
-                raise ValueError("relation not reflexive")
+                raise InvalidStructure("relation not reflexive")
         if not _is_transitive(n, self.rows):
-            raise ValueError("relation not transitive")
+            raise InvalidStructure("relation not transitive")
 
     # -- basic queries ----------------------------------------------------
 
@@ -111,9 +111,16 @@ class Preorder:
 
 
 def preorder_from_json(data) -> Preorder:
+    """Parse {"ground": [labels], "rel": n x n truth values}."""
+    if not isinstance(data, dict) or not isinstance(data.get("ground"), list):
+        raise InvalidStructure('a preorder is an object with a list "ground"')
     ground = tuple(data["ground"])
-    order = sorted(range(len(ground)), key=lambda i: ground[i])
-    rel = data["rel"]
+    n = len(ground)
+    rel = data.get("rel")
+    square = isinstance(rel, list) and len(rel) == n
+    if not (square and all(isinstance(row, list) and len(row) == n for row in rel)):
+        raise InvalidStructure(f'a preorder on {n} labels needs a {n} x {n} list "rel"')
+    order = sorted(range(n), key=lambda i: ground[i])
     rows = tuple(
         sum(1 << j for j, oj in enumerate(order) if rel[oi][oj]) for oi in order
     )

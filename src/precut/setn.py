@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, NotPartialMap, NotPromap
+from .errors import DimensionMismatch, InvalidStructure, NotPartialMap, NotPromap
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class FiniteSet:
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"duplicate labels: {self.labels!r}")
+            raise InvalidStructure(f"duplicate labels: {self.labels!r}")
 
     def __len__(self):
         return len(self.labels)
@@ -56,7 +56,7 @@ class Multimap:
                     f"row of length {len(row)} for target of size {len(self.target)}"
                 )
             if any(v < 0 for v in row):
-                raise ValueError("multimap entries must be naturals")
+                raise InvalidStructure("multimap entries must be naturals")
 
     def entry(self, x, y):
         return self.coeff[self.source.index(x)][self.target.index(y)]
@@ -77,6 +77,18 @@ class Multimap:
 
 
 def multimap_from_json(data) -> Multimap:
+    """Parse {"source": [labels], "target": [labels], "coeff": rows of integers}."""
+    if not (
+        isinstance(data, dict)
+        and all(isinstance(data.get(k), list) for k in ("source", "target", "coeff"))
+        and all(
+            isinstance(row, list) and all(isinstance(v, int) for v in row)
+            for row in data["coeff"]
+        )
+    ):
+        raise InvalidStructure(
+            'a multimap is an object with lists "source" and "target" and integer rows "coeff"'
+        )
     return Multimap(
         FiniteSet(tuple(data["source"])),
         FiniteSet(tuple(data["target"])),
@@ -184,6 +196,8 @@ class Square:
 
 
 def square_from_json(data) -> Square:
+    if not isinstance(data, dict):
+        raise InvalidStructure('a square is an object with multimaps "alpha" to "delta"')
     return Square(*(multimap_from_json(data[k]) for k in ("alpha", "beta", "gamma", "delta")))
 
 

@@ -14,14 +14,21 @@ assignment against every element and build the corner side as a full
 product, as the verifiers did before they started from each element's cuts.
 `brute_check_species` is the precondition as it was before it memoised the
 restricted projections: every restriction and projection is recomputed
-where it is used.
+where it is used.  `brute_verify_hopf_axioms` is the Hopf-axiom check as it
+was before its loops were bounded by degree: full triple and double loops
+over all classes that skip cells above the degree bound.  The last two
+oracles serve the F -> M change of basis: `weak_order_zeta` is the
+Aguiar-Sottile closed form, read from the permutation words only, and
+`dense_solve_affine` is the dense column-by-column Gaussian elimination
+that the sparse reduced echelon form replaced.
 """
 
 import itertools
 from math import factorial
 
 from precut import species
-from precut.fock import _ClassRegistry
+from precut.fock import _add, _ClassRegistry, _clean, _scale
+from precut.instances.perm import word_of
 from precut.preorder import cuts as preorder_cuts
 from precut.preorder import is_cut
 from precut.preorder import restrict as preorder_restrict
@@ -459,3 +466,129 @@ def brute_check_bimonoid(inst, coproduct_index, nmax):
                     },
                 )
     return VerificationReport(True)
+
+
+def brute_verify_hopf_axioms(table, N=None):
+    """Exact integer checks of unit, counit, associativity, coassociativity
+    and the bialgebra compatibility up to degree N."""
+    N = table.N if N is None else N
+    e = table.unit_class().cid
+    deg = {c.cid: c.degree for c in table.classes}
+    cls = [c.cid for c in table.classes if c.degree <= N]
+
+    for a in cls:
+        if table.product.get((e, a)) != {a: 1} or table.product.get((a, e)) != {a: 1}:
+            return VerificationReport(False, species.STAGE_UNIT, {"class": a})
+    for a in cls:
+        cop = table.coproduct[a]
+        left_counit = _clean({y: c for (x, y), c in cop.items() if x == e})
+        right_counit = _clean({x: c for (x, y), c in cop.items() if y == e})
+        if left_counit != {a: 1} or right_counit != {a: 1}:
+            return VerificationReport(False, species.STAGE_COUNIT, {"class": a})
+
+    for a in cls:
+        for b in cls:
+            for c in cls:
+                if deg[a] + deg[b] + deg[c] > N:
+                    continue
+                left = {}
+                for w, cw in table.product[(a, b)].items():
+                    _add(left, _scale(table.product[(w, c)], cw))
+                right = {}
+                for w, cw in table.product[(b, c)].items():
+                    _add(right, _scale(table.product[(a, w)], cw))
+                if _clean(left) != _clean(right):
+                    return VerificationReport(
+                        False, species.STAGE_ASSOC, {"classes": [a, b, c]}
+                    )
+
+    for a in cls:
+        left = {}
+        for (x, y), c in table.coproduct[a].items():
+            for (x1, x2), c2 in table.coproduct[x].items():
+                key = (x1, x2, y)
+                left[key] = left.get(key, 0) + c * c2
+        right = {}
+        for (x, y), c in table.coproduct[a].items():
+            for (y1, y2), c2 in table.coproduct[y].items():
+                key = (x, y1, y2)
+                right[key] = right.get(key, 0) + c * c2
+        if _clean(left) != _clean(right):
+            return VerificationReport(False, species.STAGE_COASSOC, {"class": a})
+
+    for a in cls:
+        for b in cls:
+            if deg[a] + deg[b] > N:
+                continue
+            left = {}
+            for w, cw in table.product[(a, b)].items():
+                for pair, c in table.coproduct[w].items():
+                    left[pair] = left.get(pair, 0) + cw * c
+            right = {}
+            for (a1, a2), ca in table.coproduct[a].items():
+                for (b1, b2), cb in table.coproduct[b].items():
+                    for x, cx in table.product[(a1, b1)].items():
+                        for y, cy in table.product[(a2, b2)].items():
+                            key = (x, y)
+                            right[key] = right.get(key, 0) + ca * cb * cx * cy
+            if _clean(left) != _clean(right):
+                def rows(vec):
+                    return [
+                        {"left": x, "right": y, "coeff": c}
+                        for (x, y), c in sorted(_clean(vec).items())
+                    ]
+
+                return VerificationReport(
+                    False,
+                    species.STAGE_COMPAT,
+                    {
+                        "classes": [a, b],
+                        "delta_of_product": rows(left),
+                        "product_of_deltas": rows(right),
+                    },
+                )
+    return VerificationReport(True)
+
+
+def weak_order_zeta(table_f, table_m, n, order_key):
+    """Zeta matrix of the weak order on S_n, F_u = sum over u <= w of M_w
+    (Aguiar-Sottile): entry 1 iff inv(u) is a subset of inv(w), with the
+    inversions (i, j) taken by position, i < j and w[i] > w[j].  Rows and
+    columns are the degree-n classes of each table sorted by order_key."""
+
+    def inversion_sets(table):
+        classes = sorted((c for c in table.classes if c.degree == n), key=order_key)
+        words = [word_of(c.rep) if n else () for c in classes]
+        return [
+            {(i, j) for i, j in itertools.combinations(range(n), 2) if w[i] > w[j]}
+            for w in words
+        ]
+
+    targets = inversion_sets(table_m)
+    return tuple(tuple(int(u <= w) for w in targets) for u in inversion_sets(table_f))
+
+
+def dense_solve_affine(rows, nvars):
+    """Exact Gaussian elimination on [coeffs | rhs]; returns (pivots, reduced)
+    or None when inconsistent."""
+    from fractions import Fraction
+
+    mat = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(nvars):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        mat[r] = [v / mat[r][col] for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                factor = mat[i][col]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+    for row in mat[r:]:
+        if row[-1]:
+            return None
+    return pivots, mat[: len(pivots)]

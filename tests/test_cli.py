@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -321,6 +322,37 @@ def test_preorder_restrict_without_subset_is_usage_error(capsys):
     chain = {"ground": [1, 2], "rel": [[True, True], [False, True]]}
     assert main(["preorder", "--op", "restrict", "--p", json.dumps(chain)]) == 2
     assert "--subset" in capsys.readouterr().err
+
+
+DISCRETE_2 = '{"ground": [1, 2], "rel": [[true, false], [false, true]]}'
+ONE_BY_ONE = '{"ground": [1, 2], "rel": [[true]]}'
+IRREFLEXIVE = '{"ground": [1, 2], "rel": [[false, false], [false, true]]}'
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["preorder", "--op", "meet", "--p", ONE_BY_ONE, "--q", DISCRETE_2], "2 x 2"),
+        (["preorder", "--op", "cuts", "--p", IRREFLEXIVE], "not reflexive"),
+        (["preorder", "--op", "cuts", "--p", "[1, 2]"], "object"),
+        (["pairs", "--op", "membership", "--data", '{"p": 1, "q": 2}'], "object"),
+    ],
+    ids=["rel_not_square", "rel_not_reflexive", "preorder_not_object", "pair_side_not_object"],
+)
+def test_malformed_preorder_payload_is_usage_error(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    ["[1]", '{"alpha": {"source": [1], "target": [1], "coeff": [["x"]]}}'],
+    ids=["not_object", "coeff_not_integers"],
+)
+def test_malformed_square_payload_is_usage_error(capsys, monkeypatch, payload):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+    assert main(["check-square"]) == 2
+    assert capsys.readouterr().err.startswith("error: a ")
 
 
 def test_closed_stdout_ends_quietly():

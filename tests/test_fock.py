@@ -1,13 +1,17 @@
+import dataclasses
 import itertools
 import json
 import os
 import shutil
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from precut import fock
 from precut.errors import NotIntertwined
 from precut.fock import (
+    _reduced_echelon,
     canonical_form,
     check_isomorphism_by_change_of_basis,
     check_isomorphism_by_constants,
@@ -20,7 +24,14 @@ from precut.fock import (
 from precut.instances import SHIPPED_TABLES, build_instance, build_preset
 from precut.instances.perm import pair_from_word, word_of
 
-from oracles import brute_canonical_form, coproduct_via_orbit_standard_splits, product_via_mu
+from oracles import (
+    brute_canonical_form,
+    brute_verify_hopf_axioms,
+    coproduct_via_orbit_standard_splits,
+    dense_solve_affine,
+    product_via_mu,
+    weak_order_zeta,
+)
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +281,89 @@ def test_f_to_m_change_of_basis(perm_f, table_f3):
             assert row[i] == 1
             assert all(v in (0, 1) for v in row)
             assert all(v == 0 for v in row[:i])
+
+
+def inversion_order(c):
+    """Criterion 9's order on permutation classes: (inversions, key)."""
+    w = word_of(c.rep) if c.degree else ()
+    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j]), c.key
+
+
+@pytest.fixture(scope="module")
+def tables_fm4(perm_f):
+    return fock_tables(perm_f, 1, 2, 4), fock_tables(build_instance("perm_m"), 1, 2, 4)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_f_to_m_transition_is_weak_order_zeta(tables_fm4, N):
+    # inversion sets compared by position; compared by value, the two sets
+    # of a pair of words disagree from degree 3 on
+    tf, tm = tables_fm4
+    trans = check_isomorphism_by_change_of_basis(tf, tm, N, order_key=inversion_order)
+    assert trans == {n: weak_order_zeta(tf, tm, n, inversion_order) for n in range(N + 1)}
+
+
+def as_equations(rows):
+    """Dense rows [coeffs | rhs] as affine forms {var: coeff, None: -rhs}."""
+    return [{**dict(enumerate(row[:-1])), None: -row[-1]} for row in rows]
+
+
+def as_dense_rows(echelon, nvars):
+    return [
+        [echelon[p].get(v, 0) for v in range(nvars)] + [-echelon[p].get(None, 0)]
+        for p in sorted(echelon)
+    ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda nvars: st.tuples(
+            st.just(nvars),
+            st.lists(
+                st.lists(st.integers(-2, 2), min_size=nvars + 1, max_size=nvars + 1),
+                max_size=8,
+            ),
+        )
+    )
+)
+def test_reduced_echelon_matches_dense_sweep(system):
+    nvars, rows = system
+    dense = dense_solve_affine(rows, nvars)
+    echelon = _reduced_echelon(as_equations(rows))
+    if dense is None:
+        assert echelon is None
+        return
+    pivots, reduced = dense
+    assert sorted(echelon) == pivots
+    assert as_dense_rows(echelon, nvars) == reduced
+
+
+def test_reduced_echelon_leaves_free_unknown():
+    # x1 + x2 = 1, then x0 + x1 = 2: the second row takes x0 as pivot after
+    # x1 is eliminated, and x2 stays free in both rows
+    rows = [[0, 1, 1, 1], [1, 1, 0, 2]]
+    echelon = _reduced_echelon(as_equations(rows))
+    assert echelon == {0: {0: 1, 2: -1, None: -1}, 1: {1: 1, 2: 1, None: -1}}
+    assert dense_solve_affine(rows, 3) == ([0, 1], as_dense_rows(echelon, 3))
+
+
+@pytest.mark.parametrize("kind", ["cc", "nc", "nn"])
+def test_axioms_match_unbounded_oracle_on_forced_tables(kind):
+    table = fock_tables(build_instance(kind), 1, 2, 3, verify="force")
+    got = verify_hopf_axioms(table)
+    assert got.stage == "Compatibility"
+    assert got.to_json() == brute_verify_hopf_axioms(table).to_json()
+
+
+def test_axioms_match_unbounded_oracle_on_bumped_product(table_f3):
+    a = next(c.cid for c in table_f3.classes if c.degree == 1)
+    bumped = dict(table_f3.product[(a, a)])
+    bumped[next(iter(bumped))] += 1
+    bad = dataclasses.replace(table_f3, product={**table_f3.product, (a, a): bumped})
+    got = verify_hopf_axioms(bad)
+    assert got.stage == "Associativity"
+    assert got.to_json() == brute_verify_hopf_axioms(bad).to_json()
 
 
 def test_catalan_dimensions():
