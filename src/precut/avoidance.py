@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .errors import IrreducibilityNotVerified
 from .preorder import cuts as preorder_cuts
-from .species import SpeciesInstance, VerificationReport, delta
+from .species import SpeciesInstance, VerificationReport
 
 
 @dataclass(frozen=True)
@@ -106,13 +106,8 @@ def is_irreducible(inst: SpeciesInstance, which, aset: AvoidanceSet, nmax) -> Ve
             if not has_part(inst, aset, s):
                 continue
             for cut in preorder_cuts(inst.pi(which, s)):
-                pair = delta(inst, which, s, cut.down, cut.up)
-                if pair is None:
-                    continue
-                left, right = pair
-                if not (
-                    has_part(inst, aset, left) or has_part(inst, aset, right)
-                ):
+                left, right = inst.restrict(s, cut.down), inst.restrict(s, cut.up)
+                if not (has_part(inst, aset, left) or has_part(inst, aset, right)):
                     return VerificationReport(
                         False,
                         "Irreducibility",

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import fock
-from .errors import CapExceeded, PrecutError
+from .errors import CapExceeded, InvalidStructure, PrecutError
 from .instances import (
     AVOIDANCE_PRESETS,
     build_instance,
@@ -41,6 +41,7 @@ from .preorder import (
     opposite,
     preorder_from_json,
     restrict,
+    sorted_labels,
 )
 from .avoidance import is_irreducible
 from .setn import check_dual_commutation, check_partial_pullback, square_from_json
@@ -216,10 +217,21 @@ def _read_preorder(text):
     return preorder_from_json(json.loads(text))
 
 
+def _payload(text, *lists):
+    """Parse a JSON object whose given keys hold lists."""
+    data = json.loads(text)
+    if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in lists):
+        fields = "".join(f', "{k}" a list' for k in lists)
+        raise InvalidStructure(f"the payload is an object{fields}")
+    return data
+
+
 def cmd_preorder(args):
     op = args.op
     if op == "closure":
-        data = json.loads(args.p)
+        data = _payload(args.p, "ground", "pairs")
+        if not all(isinstance(pair, list) and len(pair) == 2 for pair in data["pairs"]):
+            raise InvalidStructure('each of "pairs" is a list of two labels')
         out = closure(data["ground"], [tuple(pair) for pair in data["pairs"]]).to_json()
         _emit(out, args.json)
         return 0
@@ -246,7 +258,10 @@ def cmd_preorder(args):
     elif op == "minimal-total":
         out = minimal_total_refinement(p).to_json()
     elif op == "restrict":
-        out = restrict(p, set(json.loads(args.subset))).to_json()
+        subset = json.loads(args.subset)
+        if not isinstance(subset, list):
+            raise InvalidStructure("--subset is a JSON list of labels")
+        out = restrict(p, sorted_labels(subset)).to_json()
     elif op == "predicates":
         out = {
             "total_preorder": is_total_preorder(p),
@@ -286,9 +301,10 @@ def cmd_parking(args):
         return 0
     if not args.chain:
         raise PrecutError("parking needs --chain or --enumerate")
-    data = json.loads(args.chain)
-    ground = tuple(data["ground"])
-    raw = [set(part) for part in data["chain"]]
+    data = _payload(args.chain, "ground", "chain")
+    ground, raw = data["ground"], data["chain"]
+    if not all(isinstance(part, list) for part in raw):
+        raise InvalidStructure('each step of "chain" is a list of labels')
     out = {
         "dilation": list(dilation_sequence(raw, ground)),
         "parkization": [list(part) for part in parkize(raw, ground)],
@@ -300,27 +316,30 @@ def cmd_parking(args):
 
 
 def cmd_pairs(args):
+    data = _payload(args.data)
     if args.op == "membership":
-        data = json.loads(args.data)
         p = preorder_from_json(data["p"])
         q = preorder_from_json(data["q"])
         out = {kind: member(p, q) for kind, member in MEMBERSHIP.items()}
         _emit(out, args.json)
         return 0
     if args.op == "matrix":
-        data = json.loads(args.data)
         p = preorder_from_json(data["p"])
         q = preorder_from_json(data["q"])
         _emit([list(row) for row in cc_matrix(p, q)], args.json)
         return 0
     if args.op == "generate":
-        data = json.loads(args.data)
         f1 = preorder_from_json(data["frame1"])
         f2 = preorder_from_json(data["frame2"])
         def refs(key):
+            items = data.get(key, [])
+            if not isinstance(items, list) or not all(
+                isinstance(item, dict) and isinstance(item.get("bubble"), list) for item in items
+            ):
+                raise InvalidStructure(f'"{key}" is a list of objects with a list "bubble"')
             return {
-                frozenset(item["bubble"]): preorder_from_json(item["preorder"])
-                for item in data.get(key, [])
+                frozenset(sorted_labels(item["bubble"])): preorder_from_json(item["preorder"])
+                for item in items
             }
         pair = generate_pair(data["kind"], f1, f2, refs("refine1"), refs("refine2"))
         _emit({"p": pair.p.to_json(), "q": pair.q.to_json()}, args.json)

@@ -131,10 +131,7 @@ SHIPPED_TABLES = (
 
 
 def build_instance(name, **params):
-    """Instance registry; composite names like perm_m/213 apply a preset.
-
-    A `cap` parameter overrides the instance's enumeration size cap.
-    """
+    """Instance registry; composite names like perm_m/213 apply a preset."""
     if "/" in name:
         parent, preset = name.split("/", 1)
         if preset in AVOIDANCE_PRESETS and AVOIDANCE_PRESETS[preset][0] == parent:
@@ -145,8 +142,6 @@ def build_instance(name, **params):
         inst = _BUILDERS[name](params)
     else:
         raise UnknownInstance(f"unknown instance {name!r}")
-    if "cap" in params:
-        inst.cap = int(params["cap"])
     return inst
 
 

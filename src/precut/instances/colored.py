@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from ..errors import PrecutError
 from ..preorder import chain, coarse, discrete
-from ..species import SpeciesInstance
+from ..species import SpeciesInstance, check_element_count
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,7 @@ class ColoredSets(SpeciesInstance):
         self.name = f"colored[{palette}]"
 
     def _elements(self, ground):
+        check_element_count(self, len(ground), self.palette ** len(ground))
         out = []
         for values in itertools.product(range(self.palette), repeat=len(ground)):
             out.append(Coloring(tuple(zip(ground, values))))

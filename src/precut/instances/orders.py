@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from ..preorder import (
     Preorder,
-    closure,
     component_partition,
     enumerate_preorders,
     is_poset,
+    relabel as relabel_preorder,
     restrict as restrict_preorder,
 )
 from ..species import SpeciesInstance
@@ -24,22 +24,18 @@ class OrderSpecies(SpeciesInstance):
         self.name = "posets" if posets_only else "preorders"
 
     def _elements(self, ground):
-        out = []
-        for p in enumerate_preorders(len(ground)):
-            if self.posets_only and not is_poset(p):
-                continue
-            mapping = dict(zip(p.ground, ground))
-            out.append(closure(ground, [(mapping[x], mapping[y]) for x, y in p.pairs()]))
-        return out
+        # 1..n onto the sorted ground preserves order, so the rows carry over
+        return [
+            Preorder(ground, p.rows)
+            for p in enumerate_preorders(len(ground))
+            if not self.posets_only or is_poset(p)
+        ]
 
     def restrict(self, s: Preorder, sub):
         return restrict_preorder(s, sub)
 
     def relabel(self, s: Preorder, mapping):
-        return closure(
-            [mapping[x] for x in s.ground],
-            [(mapping[x], mapping[y]) for x, y in s.pairs()],
-        )
+        return relabel_preorder(s, mapping)
 
     def pi1(self, s):
         return s

@@ -17,6 +17,7 @@ from ..preorder import (
     total_blocks,
     total_orders,
     total_preorders,
+    relabel as relabel_preorder,
     restrict as restrict_preorder,
 )
 from ..species import SpeciesInstance
@@ -55,13 +56,6 @@ def is_nn(p: Preorder, q: Preorder) -> bool:
 MEMBERSHIP = {"cc": is_cc, "nc": is_nc, "nn": is_nn}
 
 
-def _relabel_preorder(s: Preorder, mapping):
-    return closure(
-        [mapping[x] for x in s.ground],
-        [(mapping[x], mapping[y]) for x, y in s.pairs()],
-    )
-
-
 class PreorderPairs(SpeciesInstance):
     cap = 4
 
@@ -71,16 +65,10 @@ class PreorderPairs(SpeciesInstance):
         self.kind = kind
         self.name = kind
 
-    def _all_preorders_on(self, ground):
-        out = []
-        for p in enumerate_preorders(len(ground)):
-            mapping = dict(zip(p.ground, ground))
-            out.append(_relabel_preorder(p, mapping))
-        return out
-
     def _elements(self, ground):
         member = MEMBERSHIP[self.kind]
-        pres = self._all_preorders_on(ground)
+        # 1..n onto the sorted ground preserves order, so the rows carry over
+        pres = [Preorder(ground, p.rows) for p in enumerate_preorders(len(ground))]
         return [
             PreorderPair(p, q)
             for p in pres
@@ -92,7 +80,7 @@ class PreorderPairs(SpeciesInstance):
         return PreorderPair(restrict_preorder(s.p, sub), restrict_preorder(s.q, sub))
 
     def relabel(self, s, mapping):
-        return PreorderPair(_relabel_preorder(s.p, mapping), _relabel_preorder(s.q, mapping))
+        return PreorderPair(relabel_preorder(s.p, mapping), relabel_preorder(s.q, mapping))
 
     def pi1(self, s):
         return s.p

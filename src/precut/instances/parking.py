@@ -11,14 +11,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ..errors import CapExceeded, NotBreakPoint, NotExhaustive, NotNested
+from ..errors import CapExceeded, InvalidStructure, NotBreakPoint, NotExhaustive, NotNested
 from ..preorder import Preorder, total_preorder_from_blocks
 from ..species import SpeciesInstance
 
 
 def _normalize_raw(raw, ground):
-    ground = frozenset(ground)
-    sets = [frozenset(part) for part in raw]
+    try:
+        ground, sets = frozenset(sorted(ground)), [frozenset(part) for part in raw]
+    except TypeError:
+        raise InvalidStructure("a chain is a list of lists of comparable labels") from None
     prev = frozenset()
     for part in sets:
         if not prev <= part:
@@ -31,60 +33,63 @@ def _normalize_raw(raw, ground):
     return sets, ground
 
 
+# The underscored helpers take validated levels or a canonical chain.
+
+
+def _dilation(sets, n):
+    out = [0]
+    for t in range(1, n + 1):
+        p = out[-1] + 1
+        while p <= len(sets) and len(sets[p - 1]) < t:  # later levels are the ground
+            p += 1
+        out.append(p)
+    return out
+
+
+def _parkize(sets, ground):
+    return tuple(
+        tuple(sorted(sets[p - 1] if p <= len(sets) else ground))
+        for p in _dilation(sets, len(ground))[1:]
+    )
+
+
+def _break_points(chain):
+    return (0,) + tuple(b for b, part in enumerate(chain, start=1) if len(part) == b)
+
+
+def _filtration_preorder(chain):
+    bps = _break_points(chain)
+    return total_preorder_from_blocks(
+        set(chain[b - 1]).difference(chain[a - 1] if a else ()) for a, b in zip(bps, bps[1:])
+    )
+
+
+def _restrict(chain, sub):
+    return _parkize([frozenset(part) & sub for part in chain], sub)
+
+
 def dilation_sequence(raw, ground):
     """Strictly increasing reindexing p(0..n): p(t) is the first level past
     p(t-1) holding at least t elements.  Levels beyond the listed chain are
     the full ground."""
     sets, ground = _normalize_raw(raw, ground)
-    n = len(ground)
-    sizes = [0] + [len(part) for part in sets]
-
-    def size_at(p):
-        return sizes[p] if p < len(sizes) else n
-
-    out = [0]
-    for t in range(1, n + 1):
-        p = out[-1] + 1
-        while size_at(p) < t:
-            p += 1
-        out.append(p)
-    return tuple(out)
+    return tuple(_dilation(sets, len(ground)))
 
 
 def parkize(raw, ground):
     """Canonical parking chain (X_{p(1)}, ..., X_{p(n)})."""
-    sets, ground = _normalize_raw(raw, ground)
-    p = dilation_sequence(raw, ground)
-
-    def level(i):
-        return sets[i - 1] if i <= len(sets) else frozenset(ground)
-
-    return tuple(tuple(sorted(level(p[t]))) for t in range(1, len(ground) + 1))
+    return _parkize(*_normalize_raw(raw, ground))
 
 
 def break_points(raw, ground):
     """All b with |X_{p(b)}| = b; always contains 0 and n."""
-    sets, ground = _normalize_raw(raw, ground)
-    chain = parkize(raw, ground)
-    out = [0]
-    for b in range(1, len(ground) + 1):
-        if len(chain[b - 1]) == b:
-            out.append(b)
-    return tuple(out)
+    return _break_points(parkize(raw, ground))
 
 
 def filtration_preorder(raw, ground) -> Preorder:
     """Total preorder whose bubbles are the gaps between successive break
     points, earlier gaps smaller."""
-    chain = parkize(raw, ground)
-    bps = break_points(raw, ground)
-    blocks = []
-    prev = frozenset()
-    for b in bps[1:]:
-        cur = frozenset(chain[b - 1])
-        blocks.append(tuple(sorted(cur - prev)))
-        prev = cur
-    return total_preorder_from_blocks(blocks)
+    return _filtration_preorder(parkize(raw, ground))
 
 
 def restrict_filtration(chain, sub):
@@ -146,9 +151,8 @@ class ParkingPairs(SpeciesInstance):
         return [ParkingPair(a, b) for a in chains for b in chains]
 
     def restrict(self, s, sub):
-        return ParkingPair(
-            restrict_filtration(s.first, sub), restrict_filtration(s.second, sub)
-        )
+        sub = frozenset(sub)
+        return ParkingPair(_restrict(s.first, sub), _restrict(s.second, sub))
 
     def relabel(self, s, mapping):
         remap = lambda chain: tuple(
@@ -157,10 +161,10 @@ class ParkingPairs(SpeciesInstance):
         return ParkingPair(remap(s.first), remap(s.second))
 
     def pi1(self, s):
-        return filtration_preorder(s.first, self.ground_of(s))
+        return _filtration_preorder(s.first)
 
     def pi2(self, s):
-        return filtration_preorder(s.second, self.ground_of(s))
+        return _filtration_preorder(s.second)
 
     def ground_of(self, s):
         return frozenset(s.first[-1]) if s.first else frozenset()

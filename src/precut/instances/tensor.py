@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import itertools
+from math import factorial
 from typing import NamedTuple
 
 from ..errors import PrecutError
 from ..preorder import chain, discrete
-from ..species import SpeciesInstance
+from ..species import SpeciesInstance, check_element_count
 
 
 class TensorWord(NamedTuple):
@@ -28,6 +29,8 @@ class TensorWords(SpeciesInstance):
         self.name = f"tensor[{palette}]"
 
     def _elements(self, ground):
+        n = len(ground)
+        check_element_count(self, n, self.palette**n * factorial(n))
         out = []
         for values in itertools.product(range(self.palette), repeat=len(ground)):
             colors = tuple(zip(ground, values))

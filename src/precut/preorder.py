@@ -110,11 +110,24 @@ class Preorder:
         return all(r & ~s == 0 for r, s in zip(self.rows, other.rows))
 
 
+def sorted_labels(labels):
+    """The labels as a sorted tuple, refusing unhashable or incomparable ones."""
+    try:
+        out = tuple(sorted(labels))
+        hash(out)
+    except TypeError:
+        raise InvalidStructure(
+            f"labels must be hashable and mutually comparable: {labels!r}"
+        ) from None
+    return out
+
+
 def preorder_from_json(data) -> Preorder:
     """Parse {"ground": [labels], "rel": n x n truth values}."""
     if not isinstance(data, dict) or not isinstance(data.get("ground"), list):
         raise InvalidStructure('a preorder is an object with a list "ground"')
     ground = tuple(data["ground"])
+    g = sorted_labels(ground)
     n = len(ground)
     rel = data.get("rel")
     square = isinstance(rel, list) and len(rel) == n
@@ -124,7 +137,7 @@ def preorder_from_json(data) -> Preorder:
     rows = tuple(
         sum(1 << j for j, oj in enumerate(order) if rel[oi][oj]) for oi in order
     )
-    return Preorder(tuple(sorted(ground)), rows)
+    return Preorder(g, rows)
 
 
 # -- constructors ---------------------------------------------------------
@@ -132,11 +145,11 @@ def preorder_from_json(data) -> Preorder:
 
 def closure(ground, pairs) -> Preorder:
     """Smallest preorder on ground containing the given pairs."""
-    g = tuple(sorted(ground))
+    g = sorted_labels(ground)
     idx = {x: i for i, x in enumerate(g)}
     rows = [0] * len(g)
     for x, y in pairs:
-        if x not in idx or y not in idx:
+        if x not in g or y not in g:  # compares, so an unhashable label is refused too
             raise UnknownLabel(f"pair ({x!r}, {y!r}) not within ground")
         rows[idx[x]] |= 1 << idx[y]
     return Preorder(g, _closed_rows(len(g), rows))
@@ -320,6 +333,16 @@ def restrict(p: Preorder, sub) -> Preorder:
     return Preorder(tuple(p.ground[i] for i in keep), rows)
 
 
+def relabel(p: Preorder, mapping) -> Preorder:
+    """Image of p under a bijection of labels: the bitmask rows permuted."""
+    ground = tuple(sorted(mapping[x] for x in p.ground))
+    pos = [ground.index(mapping[x]) for x in p.ground]
+    rows = [0] * len(ground)
+    for i, row in enumerate(p.rows):
+        rows[pos[i]] = sum(1 << pj for j, pj in enumerate(pos) if row >> j & 1)
+    return Preorder(ground, tuple(rows))
+
+
 # -- refinements -----------------------------------------------------------
 
 
@@ -350,61 +373,16 @@ def is_bubble_refinement(p: Preorder, q: Preorder) -> bool:
 def minimal_total_refinement(p: Preorder) -> Preorder:
     """Least total preorder that p refines.
 
-    Its bubbles are the connected classes of the incomparable-or-same-bubble
-    relation; distinct classes compare uniformly through p.
+    Its bubbles are the components of the incomparable-or-same-bubble
+    relation, which are the closure rows of that symmetric relation.
+    Distinct components compare uniformly through p, so adding each
+    element's component to its row leaves the relation transitive.
     """
     n = len(p.ground)
-    masks = []
-    for i in range(n):
-        m = 1 << i
-        for j in range(n):
-            if i != j:
-                fwd = p.rows[i] >> j & 1
-                bwd = p.rows[j] >> i & 1
-                if fwd == bwd:  # incomparable or same bubble
-                    m |= 1 << j
-        masks.append(m)
-    classes = _merge_masks(masks)
-    # order classes by any cross pair; uniformity is forced for preorders
-    def below(a, b):
-        i = next(i for i in range(n) if a >> i & 1)
-        j = next(j for j in range(n) if b >> j & 1)
-        return bool(p.rows[i] >> j & 1)
-
-    ordered = sorted(classes, key=lambda m: sum(1 for c in classes if c != m and below(c, m)))
-    blocks = [
-        tuple(p.ground[i] for i in range(n) if m >> i & 1) for m in ordered
-    ]
-    return total_preorder_from_blocks(blocks)
-
-
-def _merge_masks(masks):
-    """Connected components of the overlap graph of the given bitmasks."""
-    classes = []
-    for m in masks:
-        merged = m
-        rest = []
-        for c in classes:
-            if c & merged:
-                merged |= c
-            else:
-                rest.append(c)
-        classes = rest + [merged]
-    changed = True
-    while changed:  # late merges can create new overlaps
-        changed = False
-        out = []
-        for c in classes:
-            for i, o in enumerate(out):
-                if o & c:
-                    if o | c != o:
-                        out[i] = o | c
-                    changed = changed or (o | c != o)
-                    break
-            else:
-                out.append(c)
-        classes = out
-    return classes
+    full = (1 << n) - 1
+    # x <= y and y <= x agree exactly when x, y are incomparable or one bubble
+    comps = _closed_rows(n, [full & ~(r ^ c) for r, c in zip(p.rows, opposite(p).rows)])
+    return Preorder(p.ground, tuple(r | c for r, c in zip(p.rows, comps)))
 
 
 # -- predicates ------------------------------------------------------------
@@ -449,22 +427,33 @@ def is_coarse(p: Preorder) -> bool:
 PREORDER_ENUM_CAP = 5
 
 
-def enumerate_preorders(n, cap=PREORDER_ENUM_CAP):
-    """All preorders on ground (1, ..., n), each exactly once."""
-    if n > cap:
-        raise CapExceeded(f"n={n} above preorder enumeration cap {cap}")
+def enumerate_preorders(n):
+    """All preorders on ground (1, ..., n), each exactly once.
+
+    Each preorder on 1..k+1 is one on 1..k plus the point k+1 with a down-set
+    L below it and an up-set U above it, every element of L below every
+    element of U.
+    """
+    if n > PREORDER_ENUM_CAP:
+        raise CapExceeded(f"n={n} above preorder enumeration cap {PREORDER_ENUM_CAP}")
+    level = [()]
+    for k in range(n):
+        new, extended = 1 << k, []
+        for rows in level:
+            rows_of = [[r for i, r in enumerate(rows) if m >> i & 1] for m in range(new)]
+            # nothing outside a down-set lies below it; an up-set holds all above it
+            downs = [m for m in range(new) if not any(r & m for r in rows_of[new - 1 - m])]
+            ups = [m for m in range(new) if all(r & ~m == 0 for r in rows_of[m])]
+            extended += [
+                tuple(r | new if low >> i & 1 else r for i, r in enumerate(rows)) + (up | new,)
+                for low in downs
+                for up in ups
+                if all(up & ~r == 0 for r in rows_of[low])
+            ]
+        level = extended
     ground = tuple(range(1, n + 1))
-    if n == 0:
-        yield Preorder(ground, ())
-        return
-    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for bits in range(1 << len(offdiag)):
-        rows = [1 << i for i in range(n)]
-        for b, (i, j) in enumerate(offdiag):
-            if bits >> b & 1:
-                rows[i] |= 1 << j
-        if _is_transitive(n, rows):
-            yield Preorder(ground, tuple(rows))
+    for rows in level:
+        yield Preorder(ground, rows)
 
 
 def total_orders(ground):

@@ -22,7 +22,11 @@ class FiniteSet:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        if len(set(self.labels)) != len(self.labels):
+        try:
+            distinct = len(set(self.labels))
+        except TypeError:
+            raise InvalidStructure(f"unhashable labels: {self.labels!r}") from None
+        if distinct != len(self.labels):
             raise InvalidStructure(f"duplicate labels: {self.labels!r}")
 
     def __len__(self):

@@ -123,6 +123,15 @@ class SpeciesInstance:
         return p
 
 
+ELEMENT_BOUND = 518_400  # (6!)^2, perm pairs at their cap: the largest shipped degree
+
+
+def check_element_count(inst: SpeciesInstance, n, count):
+    """Refuse, before enumerating, a degree n of more than ELEMENT_BOUND elements."""
+    if count > ELEMENT_BOUND:
+        raise CapExceeded(f"{inst.name}: {count} elements in degree {n}, above {ELEMENT_BOUND}")
+
+
 def delta(inst: SpeciesInstance, which, s, A, B):
     """Cut coproduct: the restriction pair when (A, B) cuts the projection, else None."""
     A, B = frozenset(A), frozenset(B)

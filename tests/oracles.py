@@ -20,15 +20,22 @@ over all classes that skip cells above the degree bound.  The last two
 oracles serve the F -> M change of basis: `weak_order_zeta` is the
 Aguiar-Sottile closed form, read from the permutation words only, and
 `dense_solve_affine` is the dense column-by-column Gaussian elimination
-that the sparse reduced echelon form replaced.
+that the sparse reduced echelon form replaced.  The oracles at the very end
+build preorders and parking chains as the package did before it had one way
+to build each: `brute_enumerate_preorders` tests every relation for
+transitivity, `closure_relabel` relabels through the Warshall closure, and
+the `brute_*` parking functions validate and parkize their input anew at
+every step.
 """
 
 import itertools
 from math import factorial
 
 from precut import species
+from precut.errors import NotExhaustive, NotNested
 from precut.fock import _add, _ClassRegistry, _clean, _scale
 from precut.instances.perm import word_of
+from precut.preorder import Preorder, _is_transitive, closure, total_preorder_from_blocks
 from precut.preorder import cuts as preorder_cuts
 from precut.preorder import is_cut
 from precut.preorder import restrict as preorder_restrict
@@ -592,3 +599,100 @@ def dense_solve_affine(rows, nvars):
         if row[-1]:
             return None
     return pivots, mat[: len(pivots)]
+
+
+# -- preorders and parking chains as they were built before the extension
+# enumerator, the bitmask relabel and the once-validated parking helpers --
+
+
+def brute_enumerate_preorders(n):
+    """All preorders on ground (1, ..., n): every relation tested for transitivity."""
+    ground = tuple(range(1, n + 1))
+    if n == 0:
+        yield Preorder(ground, ())
+        return
+    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for bits in range(1 << len(offdiag)):
+        rows = [1 << i for i in range(n)]
+        for b, (i, j) in enumerate(offdiag):
+            if bits >> b & 1:
+                rows[i] |= 1 << j
+        if _is_transitive(n, rows):
+            yield Preorder(ground, tuple(rows))
+
+
+def closure_relabel(s, mapping):
+    """Relabel by closing the image of every related pair."""
+    return closure(
+        [mapping[x] for x in s.ground],
+        [(mapping[x], mapping[y]) for x, y in s.pairs()],
+    )
+
+
+def _brute_normalize_raw(raw, ground):
+    ground = frozenset(ground)
+    sets = [frozenset(part) for part in raw]
+    prev = frozenset()
+    for part in sets:
+        if not prev <= part:
+            raise NotNested(f"chain step {sorted(part)} does not contain {sorted(prev)}")
+        if not part <= ground:
+            raise NotNested(f"chain step {sorted(part)} escapes ground {sorted(ground)}")
+        prev = part
+    if sets and sets[-1] != ground or (not sets and ground):
+        raise NotExhaustive("chain never reaches the ground set")
+    return sets, ground
+
+
+def brute_dilation_sequence(raw, ground):
+    sets, ground = _brute_normalize_raw(raw, ground)
+    n = len(ground)
+    sizes = [0] + [len(part) for part in sets]
+
+    def size_at(p):
+        return sizes[p] if p < len(sizes) else n
+
+    out = [0]
+    for t in range(1, n + 1):
+        p = out[-1] + 1
+        while size_at(p) < t:
+            p += 1
+        out.append(p)
+    return tuple(out)
+
+
+def brute_parkize(raw, ground):
+    sets, ground = _brute_normalize_raw(raw, ground)
+    p = brute_dilation_sequence(raw, ground)
+
+    def level(i):
+        return sets[i - 1] if i <= len(sets) else frozenset(ground)
+
+    return tuple(tuple(sorted(level(p[t]))) for t in range(1, len(ground) + 1))
+
+
+def brute_break_points(raw, ground):
+    sets, ground = _brute_normalize_raw(raw, ground)
+    chain = brute_parkize(raw, ground)
+    out = [0]
+    for b in range(1, len(ground) + 1):
+        if len(chain[b - 1]) == b:
+            out.append(b)
+    return tuple(out)
+
+
+def brute_filtration_preorder(raw, ground):
+    chain = brute_parkize(raw, ground)
+    bps = brute_break_points(raw, ground)
+    blocks = []
+    prev = frozenset()
+    for b in bps[1:]:
+        cur = frozenset(chain[b - 1])
+        blocks.append(tuple(sorted(cur - prev)))
+        prev = cur
+    return total_preorder_from_blocks(blocks)
+
+
+def brute_restrict_filtration(chain, sub):
+    sub = frozenset(sub)
+    return brute_parkize([frozenset(part) & sub for part in chain], sub)

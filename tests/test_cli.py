@@ -355,6 +355,62 @@ def test_malformed_square_payload_is_usage_error(capsys, monkeypatch, payload):
     assert capsys.readouterr().err.startswith("error: a ")
 
 
+ONE_POINT = {"ground": [1], "rel": [[True]]}
+DISCRETE_2_OBJ = json.loads(DISCRETE_2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parking", "--chain", '{"ground": [1, 2], "chain": 5}'],
+        ["parking", "--chain", '{"ground": 5, "chain": [[1]]}'],
+        ["parking", "--chain", '{"ground": [1], "chain": [5]}'],
+        ["parking", "--chain", '{"ground": [[1]], "chain": [[[1]]]}'],
+        ["parking", "--chain", '{"ground": [1, "a"], "chain": [[1, "a"]]}'],
+        ["parking", "--chain", "[1]"],
+        ["pairs", "--op", "membership", "--data", "[1]"],
+        ["pairs", "--op", "matrix", "--data", "[1]"],
+        ["pairs", "--op", "generate", "--data", "[1]"],
+        [
+            "pairs", "--op", "generate", "--data",
+            json.dumps({"kind": "nn", "frame1": ONE_POINT, "frame2": ONE_POINT, "refine1": [1]}),
+        ],
+        ["preorder", "--op", "closure", "--p", "[1]"],
+        ["preorder", "--op", "closure", "--p", '{"ground": [1, 2], "pairs": [1]}'],
+        ["preorder", "--op", "closure", "--p", '{"ground": [[1]], "pairs": []}'],
+        ["preorder", "--op", "cuts", "--p", json.dumps(dict(DISCRETE_2_OBJ, ground=[1, "a"]))],
+        ["preorder", "--op", "restrict", "--p", json.dumps(ONE_POINT), "--subset", "5"],
+        ["preorder", "--op", "restrict", "--p", json.dumps(ONE_POINT), "--subset", "[[1]]"],
+    ],
+)
+def test_malformed_payload_is_usage_error(capsys, argv):
+    # each of these used to end in a TypeError traceback with exit 1
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enum", "--instance", "colored", "--n", "2", "--palette", "1000000"],
+        ["verify", "--instance", "broken_cut", "--palette", "1000", "--check", "intertwined"],
+        ["enum", "--instance", "tensor", "--n", "6", "--palette", "3"],
+    ],
+)
+def test_oversized_palette_is_refused_before_enumerating(capsys, argv):
+    # palette^n (times n! for tensor) above (6!)^2 elements
+    assert main(argv) == 2
+    assert "above 518400" in capsys.readouterr().err
+
+
+def test_unhashable_square_labels_are_usage_error(capsys, monkeypatch):
+    one = {"source": [1], "target": [1], "coeff": [[1]]}
+    square = {"alpha": dict(one, source=[[1]]), "beta": one, "gamma": one, "delta": one}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(square)))
+    assert main(["check-square"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_closed_stdout_ends_quietly():
     # the listing is far larger than a pipe buffer, so the writer meets the closed pipe
     src = os.path.dirname(os.path.dirname(os.path.abspath(precut.__file__)))

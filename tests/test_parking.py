@@ -2,9 +2,17 @@ import itertools
 
 import pytest
 
-from oracles import exhaustive_chains
-from precut.errors import NotBreakPoint, NotExhaustive, NotNested
+from oracles import (
+    brute_break_points,
+    brute_dilation_sequence,
+    brute_filtration_preorder,
+    brute_parkize,
+    brute_restrict_filtration,
+    exhaustive_chains,
+)
+from precut.errors import InvalidStructure, NotBreakPoint, NotExhaustive, NotNested
 from precut.instances.parking import (
+    ParkingPairs,
     break_points,
     dilation_sequence,
     filtration_preorder,
@@ -38,6 +46,9 @@ def test_chain_validation_errors():
         dilation_sequence([{"a"}, {"b"}], ("a", "b"))
     with pytest.raises(NotExhaustive):
         dilation_sequence([{"a"}], ("a", "b"))
+    for raw, ground in [(5, (1,)), ([[[1]]], ([1],)), ([{1, "a"}], (1, "a"))]:
+        with pytest.raises(InvalidStructure):
+            parkize(raw, ground)
 
 
 def test_parkize_idempotent_exhaustive():
@@ -121,3 +132,39 @@ def test_parking_chain_counts():
         16,
         125,
     ]
+
+
+def _subsets(ground):
+    combos = (itertools.combinations(ground, r) for r in range(len(ground) + 1))
+    return [frozenset(c) for cs in combos for c in cs]
+
+
+def test_helpers_equal_brute_oracles():
+    # every parking chain at n <= 5 and every subset, then every raw chain at n <= 4
+    for n in range(6):
+        ground = tuple(range(1, n + 1))
+        for chain in parking_chains(ground):
+            for sub in _subsets(ground):
+                assert restrict_filtration(chain, sub) == brute_restrict_filtration(chain, sub)
+    for n in range(5):
+        ground = tuple(range(1, n + 1))
+        for raw in list(parking_chains(ground)) + exhaustive_chains(ground, 5):
+            assert dilation_sequence(raw, ground) == brute_dilation_sequence(raw, ground)
+            assert parkize(raw, ground) == brute_parkize(raw, ground)
+            assert break_points(raw, ground) == brute_break_points(raw, ground)
+            assert filtration_preorder(raw, ground) == brute_filtration_preorder(raw, ground)
+
+
+def test_species_restrict_outputs_are_parkized():
+    inst = ParkingPairs()
+    for n in range(5):
+        ground = tuple(range(1, n + 1))
+        outputs = set()
+        for s in inst.elements(ground):
+            if s.first == s.second:  # each chain once
+                want = brute_filtration_preorder(s.first, ground)
+                assert inst.pi1(s) == inst.pi2(s) == want
+            for sub in _subsets(ground):
+                r = inst.restrict(s, sub)
+                outputs |= {(r.first, sub), (r.second, sub)}
+        assert all(parkize(chain, sub) == chain for chain, sub in outputs)

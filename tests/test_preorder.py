@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from precut.errors import CapExceeded, GroundMismatch, UnknownLabel
+from oracles import brute_enumerate_preorders, closure_relabel
+from precut.errors import CapExceeded, GroundMismatch, InvalidStructure, UnknownLabel
 from precut.preorder import (
     TotalOrderPair,
     bubble_partition,
@@ -33,6 +34,7 @@ from precut.preorder import (
     partition_order,
     permutation_of_pair,
     preorder_from_json,
+    relabel,
     restrict,
     total_orders,
     total_preorder_from_blocks,
@@ -233,6 +235,33 @@ def test_enumerate_preorders_matches_closure_dedup_oracle():
             for chosen in itertools.combinations(pairs_all, r):
                 seen.add(closure(ground, chosen))
         assert seen == set(enumerate_preorders(n))
+
+
+def test_enumerate_preorders_equals_brute_force():
+    for n in range(5):
+        listed = list(enumerate_preorders(n))
+        assert len(listed) == len(set(listed))
+        assert set(listed) == set(brute_enumerate_preorders(n))
+    assert sum(1 for _ in enumerate_preorders(5)) == 6942  # OEIS A000798
+
+
+def test_relabel_equals_closure_relabel():
+    # every preorder at n <= 4 under every bijection onto a shifted ground
+    for n in range(5):
+        ground = tuple(range(1, n + 1))
+        for p in enumerate_preorders(n):
+            for image in itertools.permutations(range(11, 11 + n)):
+                mapping = dict(zip(ground, image))
+                assert relabel(p, mapping) == closure_relabel(p, mapping)
+
+
+def test_bad_labels_are_invalid_structure():
+    with pytest.raises(InvalidStructure):
+        closure([1, "a"], [])
+    with pytest.raises(InvalidStructure):
+        preorder_from_json({"ground": [[1]], "rel": [[True]]})
+    with pytest.raises(UnknownLabel):
+        closure([1], [([1], 1)])
 
 
 def test_enumerate_preorders_cap():
