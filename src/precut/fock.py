@@ -227,18 +227,20 @@ def fock_tables(
     The intertwining precondition is verified once per instance (depth
     capped at 4); pass verify="force" to skip it for negative-control
     experiments.  When cache_dir (or PRECUT_CACHE_DIR) is set, tables are
-    persisted content-addressed by (instance, coproducts, N, package
-    sources); a cache file that is unreadable or not the requested table is
-    recomputed and overwritten.
+    persisted content-addressed by (instance class and name, coproducts, N,
+    forced or verified, package sources); a cache file that is unreadable
+    or not the requested table is recomputed and overwritten.  A hit skips
+    the precondition: a verified key is written only after it passed, at a
+    depth the key fixes (N, the instance's cap, VERIFY_DEPTH_CAP).
     """
     if which_delta == which_mu:
         raise PrecutError("which_delta and which_mu must differ")
-    _ensure_intertwined(inst, N, verify)
-    cache_path = _cache_path(inst.name, which_delta, which_mu, N, cache_dir)
+    cache_path = _cache_path(inst, which_delta, which_mu, N, verify, cache_dir)
     if cache_path:
         cached = _read_cached(cache_path, (inst.name, which_delta, which_mu, N))
         if cached is not None:
             return cached
+    _ensure_intertwined(inst, N, verify)
 
     registry = _ClassRegistry(inst)
     classes = tuple(c for n in range(N + 1) for c in registry.classes_of_degree(n))
@@ -292,11 +294,13 @@ def fock_tables(
     return table
 
 
-def _cache_path(instance, which_delta, which_mu, N, cache_dir):
+def _cache_path(inst, which_delta, which_mu, N, verify, cache_dir):
     cache_dir = cache_dir or os.environ.get("PRECUT_CACHE_DIR")
     if not cache_dir:
         return None
-    blob = json.dumps([instance, which_delta, which_mu, N, _source_digest()])
+    cls = type(inst)
+    key = [f"{cls.__module__}.{cls.__qualname__}", inst.name, which_delta, which_mu, N]
+    blob = json.dumps(key + [verify == "force", _source_digest()])
     name = hashlib.sha256(blob.encode()).hexdigest()[:24] + ".json"
     return os.path.join(cache_dir, name)
 

@@ -15,9 +15,6 @@ from ..species import SpeciesInstance, check_element_count
 class Coloring:
     colors: tuple  # ((label, color), ...) sorted by label
 
-    def color_of(self, x):
-        return dict(self.colors)[x]
-
 
 class ColoredSets(SpeciesInstance):
     """Functions from the ground set to a palette of f colors."""

@@ -14,9 +14,6 @@ class Graph:
     vertices: tuple  # sorted labels
     edges: tuple  # sorted pairs (x, y) with x < y
 
-    def has_edge(self, x, y):
-        return (min(x, y), max(x, y)) in self.edges
-
 
 def _components(vertices, edges):
     comp = {x: {x} for x in vertices}

@@ -10,14 +10,13 @@ classical bases of the same Hopf algebra of permutations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..preorder import chain, join, meet, opposite
 from ..species import SpeciesInstance
 
 
-@dataclass(frozen=True)
-class PermPair:
+class PermPair(NamedTuple):
     t1: tuple  # labels in increasing first order
     t2: tuple  # labels in increasing second order
 

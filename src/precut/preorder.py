@@ -123,7 +123,7 @@ def sorted_labels(labels):
 
 
 def preorder_from_json(data) -> Preorder:
-    """Parse {"ground": [labels], "rel": n x n truth values}."""
+    """Parse {"ground": [labels], "rel": n x n booleans}."""
     if not isinstance(data, dict) or not isinstance(data.get("ground"), list):
         raise InvalidStructure('a preorder is an object with a list "ground"')
     ground = tuple(data["ground"])
@@ -131,8 +131,9 @@ def preorder_from_json(data) -> Preorder:
     n = len(ground)
     rel = data.get("rel")
     square = isinstance(rel, list) and len(rel) == n
-    if not (square and all(isinstance(row, list) and len(row) == n for row in rel)):
-        raise InvalidStructure(f'a preorder on {n} labels needs a {n} x {n} list "rel"')
+    square = square and all(isinstance(row, list) and len(row) == n for row in rel)
+    if not (square and all(isinstance(v, bool) for row in rel for v in row)):
+        raise InvalidStructure(f'a preorder on {n} labels needs a {n} x {n} list "rel" of booleans')
     order = sorted(range(n), key=lambda i: ground[i])
     rows = tuple(
         sum(1 << j for j, oj in enumerate(order) if rel[oi][oj]) for oi in order

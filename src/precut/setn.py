@@ -86,7 +86,8 @@ def multimap_from_json(data) -> Multimap:
         isinstance(data, dict)
         and all(isinstance(data.get(k), list) for k in ("source", "target", "coeff"))
         and all(
-            isinstance(row, list) and all(isinstance(v, int) for v in row)
+            isinstance(row, list)
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in row)
             for row in data["coeff"]
         )
     ):

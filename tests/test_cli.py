@@ -113,6 +113,7 @@ def test_fock_csv_export(tmp_path, capsys):
 
 
 def test_fock_cache_determinism(tmp_path, capsys):
+    cache = tmp_path / "cache"
     args = (
         "fock",
         "--instance",
@@ -120,20 +121,34 @@ def test_fock_cache_determinism(tmp_path, capsys):
         "--N",
         "3",
         "--cache-dir",
-        str(tmp_path),
+        str(cache),
         "--out",
     )
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert run_json(capsys, *args, str(out1))[0] == 0
+    (table,) = cache.iterdir()
+    cold = os.stat(table)
     assert run_json(capsys, *args, str(out2))[0] == 0
     assert out1.read_text() == out2.read_text()
+    # the warm run reads the one cached table and leaves it as it was
+    assert list(cache.iterdir()) == [table]
+    warm = os.stat(table)
+    assert (warm.st_ino, warm.st_mtime_ns, warm.st_size) == (
+        cold.st_ino,
+        cold.st_mtime_ns,
+        cold.st_size,
+    )
 
 
-def test_fock_refuses_unverified_instance(capsys):
+def test_fock_refuses_unverified_instance(tmp_path, capsys):
     code = main(["fock", "--instance", "cc", "--N", "3"])
     assert code == 2
-    code, data = run_json(capsys, "fock", "--instance", "cc", "--N", "3", "--force")
+    cached = ("--cache-dir", str(tmp_path))
+    code, data = run_json(capsys, "fock", "--instance", "cc", "--N", "3", "--force", *cached)
     assert code == 1 and not data["axioms_pass"]
+    # the forced table is cached under its own key and never served unforced
+    assert main(["fock", "--instance", "cc", "--N", "3", *cached]) == 2
+    assert "fails intertwining" in capsys.readouterr().err
 
 
 def test_check_square_from_file(tmp_path, capsys):
@@ -327,6 +342,8 @@ def test_preorder_restrict_without_subset_is_usage_error(capsys):
 DISCRETE_2 = '{"ground": [1, 2], "rel": [[true, false], [false, true]]}'
 ONE_BY_ONE = '{"ground": [1, 2], "rel": [[true]]}'
 IRREFLEXIVE = '{"ground": [1, 2], "rel": [[false, false], [false, true]]}'
+# a string read by truthiness would make 1 <= 2 and answer "total_order": true
+REL_STRING = '{"ground": [1, 2], "rel": [[true, "false"], [false, true]]}'
 
 
 @pytest.mark.parametrize(
@@ -336,18 +353,35 @@ IRREFLEXIVE = '{"ground": [1, 2], "rel": [[false, false], [false, true]]}'
         (["preorder", "--op", "cuts", "--p", IRREFLEXIVE], "not reflexive"),
         (["preorder", "--op", "cuts", "--p", "[1, 2]"], "object"),
         (["pairs", "--op", "membership", "--data", '{"p": 1, "q": 2}'], "object"),
+        (["preorder", "--op", "predicates", "--p", REL_STRING], "booleans"),
     ],
-    ids=["rel_not_square", "rel_not_reflexive", "preorder_not_object", "pair_side_not_object"],
+    ids=[
+        "rel_not_square",
+        "rel_not_reflexive",
+        "preorder_not_object",
+        "pair_side_not_object",
+        "rel_not_booleans",
+    ],
 )
 def test_malformed_preorder_payload_is_usage_error(capsys, argv, message):
     assert main(argv) == 2
     assert message in capsys.readouterr().err
 
 
+ONE_TO_ONE = {"source": [1], "target": [1], "coeff": [[1]]}
+# a square that commutes if the boolean is read as the coefficient 1
+BOOL_SQUARE = dict.fromkeys(("beta", "gamma", "delta"), ONE_TO_ONE)
+BOOL_SQUARE["alpha"] = dict(ONE_TO_ONE, coeff=[[True]])
+
+
 @pytest.mark.parametrize(
     "payload",
-    ["[1]", '{"alpha": {"source": [1], "target": [1], "coeff": [["x"]]}}'],
-    ids=["not_object", "coeff_not_integers"],
+    [
+        "[1]",
+        '{"alpha": {"source": [1], "target": [1], "coeff": [["x"]]}}',
+        json.dumps(BOOL_SQUARE),
+    ],
+    ids=["not_object", "coeff_not_integers", "coeff_boolean"],
 )
 def test_malformed_square_payload_is_usage_error(capsys, monkeypatch, payload):
     monkeypatch.setattr(sys, "stdin", io.StringIO(payload))

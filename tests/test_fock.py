@@ -408,14 +408,30 @@ def test_table_cache_roundtrip(tmp_path, perm_f):
     assert len(list(tmp_path.iterdir())) == 1
 
 
-def test_intertwining_verdict_is_per_instance():
-    # a failing instance that borrows a passing instance's name is still refused
+def test_intertwining_verdict_is_per_instance(tmp_path):
+    # a failing instance that borrows a passing instance's name is still
+    # refused, and the passing instance's cached table is not served to it
     good = build_instance("colored")
     bad = build_instance("broken_dc")
     bad.name = good.name
-    fock_tables(good, 1, 2, 2)
+    fock_tables(good, 1, 2, 2, cache_dir=str(tmp_path))
     with pytest.raises(NotIntertwined):
         fock_tables(bad, 1, 2, 2)
+    with pytest.raises(NotIntertwined):
+        fock_tables(bad, 1, 2, 2, cache_dir=str(tmp_path))
+    assert len(list(tmp_path.iterdir())) == 1
+
+
+def test_cache_hit_skips_the_precondition(tmp_path, monkeypatch):
+    cold = fock_tables(build_instance("perm_f"), 1, 2, 3, cache_dir=str(tmp_path))
+
+    def refuse(inst, nmax):
+        raise AssertionError("a cache hit re-ran the intertwining check")
+
+    # a fresh instance has no in-memory verdict, so only the cache can answer
+    monkeypatch.setattr(fock, "check_intertwined", refuse)
+    warm = fock_tables(build_instance("perm_f"), 1, 2, 3, cache_dir=str(tmp_path))
+    assert warm.to_json() == cold.to_json()
 
 
 def test_cache_key_follows_package_sources(tmp_path, monkeypatch, perm_f):
