@@ -133,8 +133,7 @@ def cmd_verify(args):
     else:
         report = check_bimonoid(inst, args.coproduct, args.nmax)
     out = {"instance": inst.name, "check": args.check, "nmax": args.nmax, **report.to_json()}
-    if args.check != "preorders":
-        out["stats"] = list(report.stats)
+    out["stats"] = list(report.stats)
     _emit(out, args.json)
     return 0 if report.passed else 1
 

@@ -6,7 +6,7 @@ class PrecutError(Exception):
 
 
 class InvalidStructure(PrecutError, ValueError):
-    """A preorder, finite set, multimap or JSON payload that breaks its invariants."""
+    """A preorder, finite set, multimap, species or JSON payload that breaks its invariants."""
 
 
 class DimensionMismatch(PrecutError):

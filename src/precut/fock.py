@@ -1,10 +1,12 @@
 """Graded Hopf algebra tables from a species bimonoid.
 
-Basis elements are orbit classes of labeled elements under relabeling.  The
-class coproduct projects every cut of one canonical representative; the
-class product counts, by class, the elements whose standard split is a cut
-with two canonical representatives side by side.  Both are exact integer
-tables, verified against the bialgebra axioms degree by degree.
+Basis elements are orbit classes of labeled elements under relabeling, named
+by one registry that walks each orbit once per degree and keeps, per labeled
+element, only its class.  The class coproduct projects every cut of one
+canonical representative; the class product counts, by class, the elements
+whose standard split is a cut with two canonical representatives side by
+side.  Both are exact integer tables, verified against the bialgebra axioms
+degree by degree.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 
-from .errors import CapExceeded, NotIntertwined, PrecutError
+from .errors import CapExceeded, InvalidStructure, NotIntertwined, PrecutError
+from .preorder import cuts as preorder_cuts
 from .preorder import is_cut
 from .species import SpeciesInstance, VerificationReport, check_intertwined
 from .species import (
@@ -40,35 +43,25 @@ def _jsonify(x):
     return x
 
 
-def canonical_form(inst: SpeciesInstance, s):
-    """Least-serialization relabeling onto 1..n, with the witness bijection.
-
-    A miss relabels s onto 1..n in order; unless that copy is cached, its
-    orbit is walked once and every member is cached with the representative
-    and its own witness, so each orbit costs n! relabelings in all.
-    """
-    cached = inst._canon_cache
-    hit = cached.get(s)
-    if hit is not None:
-        return hit
+def _orbit(inst, s):
+    """The distinct relabelings of s onto 1..n, each with the image along the
+    sorted ground of the first bijection giving it: the one orbit walk."""
     ground = sorted(inst.ground_of(s))
     n = len(ground)
     if n > inst.cap:
         raise CapExceeded(f"{inst.name}: canonical form at size {n} above cap {inst.cap}")
-    std = dict(zip(ground, range(1, n + 1)))
-    t = inst.relabel(s, std)
-    if t not in cached:
-        members = {}  # relabeling of t -> first image tuple giving it
-        for image in itertools.permutations(range(1, n + 1)):
-            members.setdefault(inst.relabel(t, dict(enumerate(image, 1))), image)
-        rep = min(members, key=inst.serialize)
-        to_rep = members[rep]
-        for r, image in members.items():
-            cached[r] = (rep, dict(zip(image, to_rep)))
-    rep, witness = cached[t]
-    out = (rep, {x: witness[std[x]] for x in ground})
-    cached[s] = out
-    return out
+    members = {}
+    for image in itertools.permutations(range(1, n + 1)):
+        members.setdefault(inst.relabel(s, dict(zip(ground, image))), image)
+    return ground, members
+
+
+def canonical_form(inst: SpeciesInstance, s):
+    """Least-serialization relabeling onto 1..n, with the witness bijection,
+    from one uncached orbit walk (the class registry never calls this)."""
+    ground, members = _orbit(inst, s)
+    rep = min(members, key=inst.serialize)
+    return rep, dict(zip(ground, members[rep]))
 
 
 @dataclass(frozen=True)
@@ -95,15 +88,9 @@ class StructureConstantTable:
         if not self.by_id:
             self.by_id = {c.cid: c for c in self.classes}
 
-    def degrees(self):
-        out = {}
-        for c in self.classes:
-            out.setdefault(c.degree, []).append(c)
-        return out
-
-    def dims(self):
-        degs = self.degrees()
-        return [len(degs.get(n, ())) for n in range(self.N + 1)]
+    def dims(self, N=None):
+        N = self.N if N is None else N
+        return [sum(c.degree == n for c in self.classes) for n in range(N + 1)]
 
     def unit_class(self):
         (e,) = [c for c in self.classes if c.degree == 0]
@@ -182,27 +169,49 @@ def _class_id(instance, degree, key):
 
 
 class _ClassRegistry:
+    """The orbit classes of one instance, each degree built once, on first use.
+
+    Building degree n walks, n! relabelings each, the orbits of the elements
+    on 1..n that no earlier walk met.  The orbit's least serialization is the
+    representative; each member is filed under its class in one dict over the
+    degree's elements, and no relabeled copy or witness outlives its walk.
+    """
+
     def __init__(self, inst):
         self.inst = inst
-        self.by_key = {}
+        self.degrees = {}  # n -> ({element on 1..n: its class}, classes by key)
 
     def class_of(self, s):
-        rep, _ = canonical_form(self.inst, s)
-        key = self.inst.serialize(rep)
-        cls = self.by_key.get(key)
+        """The class of s on any ground: s relabeled in order onto 1..k, looked up."""
+        inst = self.inst
+        ground = sorted(inst.ground_of(s))
+        k = len(ground)
+        if ground != list(range(1, k + 1)):
+            s = inst.relabel(s, dict(zip(ground, range(1, k + 1))))
+        self.classes_of_degree(k)
+        cls = self.degrees[k][0].get(s)
         if cls is None:
-            degree = len(self.inst.ground_of(rep))
-            cls = OrbitClass(self.inst.name, degree, rep, key, _class_id(self.inst.name, degree, key))
-            self.by_key[key] = cls
+            raise InvalidStructure(f"{inst.name}: {inst.serialize(s)} is not an element of degree {k}")
         return cls
 
     def classes_of_degree(self, n):
         """The orbit classes of the elements on 1..n, sorted by key."""
-        seen = {}
-        for s in self.inst.elements(tuple(range(1, n + 1))):
-            cls = self.class_of(s)
-            seen[cls.cid] = cls
-        return sorted(seen.values(), key=lambda c: c.key)
+        if n not in self.degrees:
+            inst = self.inst
+            els = inst.elements(tuple(range(1, n + 1)))
+            of, classes = dict.fromkeys(els), []
+            for s in els:
+                if of[s] is None:
+                    _, members = _orbit(inst, s)
+                    rep = min(members, key=inst.serialize)
+                    key = inst.serialize(rep)
+                    cls = OrbitClass(inst.name, n, rep, key, _class_id(inst.name, n, key))
+                    of.update(dict.fromkeys(members, cls))
+                    if len(of) > len(els):
+                        raise InvalidStructure(f"{inst.name}: relabeling {inst.serialize(s)} leaves degree {n}")
+                    classes.append(cls)
+            self.degrees[n] = (of, sorted(classes, key=lambda c: c.key))
+        return self.degrees[n][1]
 
 
 def _ensure_intertwined(inst, N, verify):
@@ -247,18 +256,9 @@ def fock_tables(
 
     coproduct = {}
     for cls in classes:
-        n = cls.degree
-        ground = tuple(range(1, n + 1))
         acc = {}
-        for mask in range(1 << n):
-            down = frozenset(ground[i] for i in range(n) if mask >> i & 1)
-            if not is_cut(inst.pi(which_delta, cls.rep), down):
-                continue
-            up = frozenset(ground) - down
-            pair = (
-                registry.class_of(inst.restrict(cls.rep, down)).cid,
-                registry.class_of(inst.restrict(cls.rep, up)).cid,
-            )
+        for cut in preorder_cuts(inst.pi(which_delta, cls.rep)):
+            pair = tuple(registry.class_of(inst.restrict(cls.rep, side)).cid for side in (cut.down, cut.up))
             acc[pair] = acc.get(pair, 0) + 1
         coproduct[cls.cid] = acc
 
@@ -286,9 +286,7 @@ def fock_tables(
                 cid = registry.class_of(s).cid
                 cell[cid] = cell.get(cid, 0) + 1
 
-    table = StructureConstantTable(
-        inst.name, which_delta, which_mu, N, classes, product, coproduct
-    )
+    table = StructureConstantTable(inst.name, which_delta, which_mu, N, classes, product, coproduct)
     if cache_path:
         _atomic_write(cache_path, json.dumps(table.to_json(), sort_keys=True, indent=1))
     return table
@@ -473,12 +471,6 @@ def graded_dual(table: StructureConstantTable) -> StructureConstantTable:
 # -- isomorphism search -----------------------------------------------------
 
 
-def _tables_comparable(ta, tb, N):
-    da = [len([c for c in ta.classes if c.degree == n]) for n in range(N + 1)]
-    db = [len([c for c in tb.classes if c.degree == n]) for n in range(N + 1)]
-    return da == db
-
-
 def _class_fingerprint(table, cls):
     """Cheap isomorphism invariant: degree patterns of the class's coproduct
     and of its products with itself."""
@@ -500,7 +492,7 @@ def check_isomorphism_by_constants(ta, tb, N=None):
     involve the class itself).
     """
     N = min(ta.N, tb.N) if N is None else N
-    if not _tables_comparable(ta, tb, N):
+    if ta.dims(N) != tb.dims(N):
         return None
     per_a = {n: sorted((c for c in ta.classes if c.degree == n), key=lambda c: c.key) for n in range(N + 1)}
     per_b = {n: sorted((c for c in tb.classes if c.degree == n), key=lambda c: c.key) for n in range(N + 1)}
@@ -625,12 +617,14 @@ def check_isomorphism_by_change_of_basis(ta, tb, N=None, order_key=None):
     unknown (i, j) above it, and the entries of lower degrees are constants.
     The equations phi(a.b) = phi(a) phi(b) and (phi x phi) Delta(w) =
     Delta(phi(w)) are linear, since every coproduct term has one side in a
-    lower degree.  They are solved exactly with the free unknowns at 0, and
-    the whole transition is checked by substitution at the end.  A None
-    result means: no integer transition with the free unknowns at 0.
+    lower degree.  They are solved exactly, and the whole transition is
+    checked by substitution at the end.  The free unknowns span a family of
+    solutions; setting them to 0 picks one member, not a canonical one (for
+    F -> M at N=5 the weak-order zeta matrix is another).  A None result
+    means: no integer transition with the free unknowns at 0.
     """
     N = min(ta.N, tb.N) if N is None else N
-    if not _tables_comparable(ta, tb, N):
+    if ta.dims(N) != tb.dims(N):
         return None
     key = order_key or (lambda c: c.key)
     per_a = {n: sorted((c for c in ta.classes if c.degree == n), key=key) for n in range(N + 1)}

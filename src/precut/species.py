@@ -36,7 +36,7 @@ class VerificationReport:
     passed: bool
     stage: str | None = None
     witness: object = None
-    stats: tuple = ()  # per-degree counts of the four-block pass; not in to_json()
+    stats: tuple = ()  # per-degree counts of the check; not in to_json()
 
     def __bool__(self):
         return self.passed
@@ -49,16 +49,13 @@ class SpeciesInstance:
     """Behavioral bundle for one restriction species over preorders.
 
     Subclasses provide `_elements`, `restrict`, `relabel`, `pi1`, `pi2`,
-    `serialize` and `ground_of`; there are no optional hooks.  The last one,
-    a per-species product fast path, went when `fock_tables` began building
-    products in one pass per degree: it paid only by keeping a bucket scan
-    per class pair out of `fock_tables(perm_f, N=5)` (32 MB peak RSS with
-    it, 54 MB without), and the one-pass product scans no buckets.  Elements
-    must be hashable values, each listed once; `elements` results are cached
-    per ground set and returned in serialization order.  Each instance owns
-    its caches, including the canonical forms, intertwining verdicts and
-    avoidance verdicts that `fock` and `avoidance` store here, so two
-    instances never share a result.
+    `serialize` and `ground_of`; there are no optional hooks.  Elements must
+    be hashable values, each listed once, and relabeling and restriction
+    must stay among the elements; `elements` results are cached per ground
+    set and returned in serialization order.  Each instance owns its caches,
+    with the intertwining and avoidance verdicts that `fock` and `avoidance`
+    store here, so two instances never share a result.  Orbit classes are
+    not cached here: each `fock` registry holds its own.
     """
 
     name = "abstract"
@@ -68,7 +65,6 @@ class SpeciesInstance:
         self._element_cache = {}
         self._mu_cache = {}
         self._pi_cache = {}
-        self._canon_cache = {}
         self._verified = {}  # depth -> intertwining report
         self._part_cache = {}  # (avoidance set, element) -> has_part
 
@@ -190,11 +186,19 @@ def check_species_over_preorders(inst: SpeciesInstance, nmax) -> VerificationRep
     cut sides are read from those restrictions.  The restriction of a
     projection to a subset is memoised per degree by (projection, subset):
     projections repeat across the elements of a degree.
+
+    `stats` holds per degree the elements, the subsets restricted (2ⁿ per
+    element on a passing run) and the cut sides compared, two per cut of each
+    projection; on a failure the last entry counts up to the failing one.
     """
+    stats = []
     for n in range(nmax + 1):
         ground = tuple(range(1, n + 1))
         subsets = tuple(_subsets(ground))
         projected = {}  # (projection, subset) -> its restriction
+        els = inst.elements(ground)
+        stat = {"degree": n, "elements": len(els), "restrictions": 0, "cut_sides": 0}
+        stats.append(stat)
 
         def restricted(p, sub):
             key = (p, sub)
@@ -203,15 +207,14 @@ def check_species_over_preorders(inst: SpeciesInstance, nmax) -> VerificationRep
                 r = projected[key] = preorder_restrict(p, sub)
             return r
 
-        for s in inst.elements(ground):
+        for s in els:
             projections = {which: inst.pi(which, s) for which in (1, 2)}
             on = {}  # restrictions of s, by subset
             for sub in subsets:
                 r = on[sub] = inst.restrict(s, sub)
+                stat["restrictions"] += 1
                 for which in (1, 2):
-                    inner = inst.pi(which, r)
-                    outer = projections[which]
-                    if not inner <= restricted(outer, sub):
+                    if not inst.pi(which, r) <= restricted(projections[which], sub):
                         return VerificationReport(
                             False,
                             STAGE_MONOTONICITY,
@@ -220,11 +223,13 @@ def check_species_over_preorders(inst: SpeciesInstance, nmax) -> VerificationRep
                                 "subset": sorted(sub),
                                 "which": which,
                             },
+                            tuple(stats),
                         )
             for which in (1, 2):
                 p = projections[which]
                 for cut in preorder_cuts(p):
                     for side in (cut.down, cut.up):
+                        stat["cut_sides"] += 1
                         if inst.pi(which, on[side]) != restricted(p, side):
                             return VerificationReport(
                                 False,
@@ -235,8 +240,9 @@ def check_species_over_preorders(inst: SpeciesInstance, nmax) -> VerificationRep
                                     "side": sorted(side),
                                     "which": which,
                                 },
+                                tuple(stats),
                             )
-    return VerificationReport(True)
+    return VerificationReport(True, stats=tuple(stats))
 
 
 def _incidences(inst, els, i, j):
@@ -414,7 +420,7 @@ def check_intertwined(inst: SpeciesInstance, nmax) -> VerificationReport:
     """
     pre = check_species_over_preorders(inst, nmax)
     if not pre.passed:
-        return pre
+        return VerificationReport(False, pre.stage, pre.witness)  # stats: four-block counts only
     stats = []
     for n in range(nmax + 1):
         ground = tuple(range(1, n + 1))

@@ -8,7 +8,11 @@ the class coproduct by orbit averaging instead of from representatives.
 The two Fock oracles search every relabeling of every element
 (`brute_canonical_form`) and multiply each class pair through the species
 product `mu` (`product_via_mu`); neither shares code with the orbit walk
-or the one-pass product they check.  The two verifier oracles at the end
+or the one-pass product they check.  `cached_canonical_form` and
+`CachedClassRegistry` are the class registry as it was while each instance
+cached a canonical form and a witness for every labeled element; the
+registry's classes and tables are pinned against them.  The two verifier
+oracles at the end
 (`brute_check_intertwined`, `brute_check_bimonoid`) scan every block
 assignment against every element and build the corner side as a full
 product, as the verifiers did before they started from each element's cuts.
@@ -33,7 +37,7 @@ from math import factorial
 
 from precut import species
 from precut.errors import NotExhaustive, NotNested
-from precut.fock import _add, _ClassRegistry, _clean, _scale
+from precut.fock import OrbitClass, _add, _class_id, _ClassRegistry, _clean, _scale
 from precut.instances.perm import word_of
 from precut.preorder import Preorder, _is_transitive, closure, total_preorder_from_blocks
 from precut.preorder import cuts as preorder_cuts
@@ -196,6 +200,60 @@ def brute_canonical_form(inst, s):
         if best_key is None or key < best_key:
             best_key, best = key, (r, mapping)
     return best
+
+
+def cached_canonical_form(inst, s, cached):
+    """`canonical_form` as it was while instances cached it: a miss walks
+    the orbit of s's in-order relabeling once and caches every member with
+    the representative and its own witness; `cached` stands in for the
+    instance's cache."""
+    hit = cached.get(s)
+    if hit is not None:
+        return hit
+    ground = sorted(inst.ground_of(s))
+    n = len(ground)
+    std = dict(zip(ground, range(1, n + 1)))
+    t = inst.relabel(s, std)
+    if t not in cached:
+        members = {}  # relabeling of t -> first image tuple giving it
+        for image in itertools.permutations(range(1, n + 1)):
+            members.setdefault(inst.relabel(t, dict(enumerate(image, 1))), image)
+        rep = min(members, key=inst.serialize)
+        to_rep = members[rep]
+        for r, image in members.items():
+            cached[r] = (rep, dict(zip(image, to_rep)))
+    rep, witness = cached[t]
+    out = (rep, {x: witness[std[x]] for x in ground})
+    cached[s] = out
+    return out
+
+
+class CachedClassRegistry:
+    """The class registry as it was over `cached_canonical_form`: every
+    element named through its cached canonical form, classes made on first
+    sight."""
+
+    def __init__(self, inst):
+        self.inst = inst
+        self.by_key = {}
+        self.cache = {}
+
+    def class_of(self, s):
+        rep, _ = cached_canonical_form(self.inst, s, self.cache)
+        key = self.inst.serialize(rep)
+        cls = self.by_key.get(key)
+        if cls is None:
+            degree = len(self.inst.ground_of(rep))
+            cls = OrbitClass(self.inst.name, degree, rep, key, _class_id(self.inst.name, degree, key))
+            self.by_key[key] = cls
+        return cls
+
+    def classes_of_degree(self, n):
+        seen = {}
+        for s in self.inst.elements(tuple(range(1, n + 1))):
+            cls = self.class_of(s)
+            seen[cls.cid] = cls
+        return sorted(seen.values(), key=lambda c: c.key)
 
 
 def product_via_mu(inst, which_mu, table):

@@ -11,9 +11,12 @@ from precut.avoidance import (
     quotient_or_sub_bimonoid,
 )
 from precut.errors import IrreducibilityNotVerified
+from precut.fock import fock_tables, graded_dimensions, verify_hopf_axioms
 from precut.instances import CHERRY, PARKING_SECOND, build_instance, build_preset, pattern_set
 from precut.instances.perm import pair_from_word
 from precut.species import check_intertwined, mu
+
+from oracles import count_avoiders
 
 
 def test_has_part_examples():
@@ -144,3 +147,35 @@ def test_mr_in_parking_elements_are_total_pairs():
         for s in els:
             assert all(len(part) == i + 1 for i, part in enumerate(s.first))
             assert all(len(part) == i + 1 for i, part in enumerate(s.second))
+
+
+# -- theorem (i) as a census over every pattern of length 3 and 4 -----------
+
+PATTERNS = [w for k in (3, 4) for w in itertools.permutations(range(1, k + 1))]
+
+
+def has_global_descent(word):
+    """Some split of the word puts every letter before it above every letter after."""
+    return any(min(word[:i]) > max(word[i:]) for i in range(1, len(word)))
+
+
+def test_census_irreducible_exactly_without_global_descent():
+    perm_m = build_instance("perm_m")
+    verdicts = {w: is_irreducible(perm_m, 1, pattern_set(w), 4).passed for w in PATTERNS}
+    assert verdicts == {w: not has_global_descent(w) for w in PATTERNS}
+    assert len(PATTERNS) == 30 and sum(verdicts.values()) == 16  # OEIS A003319: 3 + 13
+
+
+def test_census_dimensions_count_avoiders():
+    perm_m = build_instance("perm_m")
+    for w in PATTERNS:
+        inst = avoiding_instance(perm_m, pattern_set(w))
+        assert graded_dimensions(inst, 4) == [count_avoiders(n, [w]) for n in range(5)], w
+
+
+@pytest.mark.parametrize(
+    "word", [w for w in PATTERNS if not has_global_descent(w)], ids=lambda w: "".join(map(str, w))
+)
+def test_census_quotient_tables_pass_hopf_axioms(word):
+    inst = avoiding_instance(build_instance("perm_m"), pattern_set(word))
+    assert verify_hopf_axioms(fock_tables(inst, 1, 2, 3)).passed

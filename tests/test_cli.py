@@ -246,7 +246,7 @@ def test_verify_json_reports_per_degree_counts(capsys, name, incidences):
     ]
 
 
-def test_verify_stats_only_for_four_block_checks(capsys):
+def test_verify_stats_for_every_check(capsys):
     code, data = run_json(
         capsys, "verify", "--instance", "graphs", "--check", "bimonoid", "--nmax", "3"
     )
@@ -258,7 +258,37 @@ def test_verify_stats_only_for_four_block_checks(capsys):
     code, data = run_json(
         capsys, "verify", "--instance", "graphs", "--check", "preorders", "--nmax", "3"
     )
-    assert code == 0 and "stats" not in data
+    assert code == 0
+    # each element is restricted to every subset, and both sides of every cut
+    # of both projections are compared; counts only, no seconds
+    inst = build_instance("graphs")
+    els = [inst.elements(range(1, n + 1)) for n in range(4)]
+    assert data["stats"] == [
+        {
+            "degree": n,
+            "elements": len(els[n]),
+            "restrictions": len(els[n]) * 2**n,
+            "cut_sides": sum(2 * (len(cuts(inst.pi1(s))) + len(cuts(inst.pi2(s)))) for s in els[n]),
+        }
+        for n in range(4)
+    ]
+
+
+def test_failing_precondition_stats(capsys):
+    # broken_monotone fails on its first element of degree 3, at its fifth subset
+    code, data = run_json(
+        capsys, "verify", "--instance", "broken_monotone", "--check", "preorders", "--nmax", "3"
+    )
+    assert code == 1 and data["stage"] == "ProjectionMonotonicity"
+    assert [(d["elements"], d["restrictions"]) for d in data["stats"]] == [
+        (1, 1), (2, 4), (4, 16), (8, 5)
+    ]
+    assert data["stats"][-1]["cut_sides"] == 0
+    # intertwining reports only its own four-block counts
+    code, data = run_json(
+        capsys, "verify", "--instance", "broken_monotone", "--check", "intertwined", "--nmax", "3"
+    )
+    assert code == 1 and data["stage"] == "ProjectionMonotonicity" and data["stats"] == []
 
 
 @pytest.mark.parametrize(

@@ -3,13 +3,15 @@ import itertools
 import json
 import os
 import shutil
+import tracemalloc
+from math import factorial
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from precut import fock
-from precut.errors import NotIntertwined
+from precut import cli, fock
+from precut.errors import NotIntertwined, PrecutError
 from precut.fock import (
     _reduced_echelon,
     canonical_form,
@@ -22,9 +24,10 @@ from precut.fock import (
     verify_hopf_axioms,
 )
 from precut.instances import SHIPPED_TABLES, build_instance, build_preset
-from precut.instances.perm import pair_from_word, word_of
+from precut.instances.perm import PermPairs, pair_from_word, word_of
 
 from oracles import (
+    CachedClassRegistry,
     brute_canonical_form,
     brute_verify_hopf_axioms,
     coproduct_via_orbit_standard_splits,
@@ -70,8 +73,7 @@ def test_canonical_form_counts(perm_f):
     [(name, 3) for name in dict.fromkeys(t[0] for t in SHIPPED_TABLES)] + [("perm_f", 4)],
 )
 def test_canonical_form_matches_brute_force(name, nmax):
-    # a fresh instance, and odd grounds first, so that misses start orbit walks
-    # from elements off 1..n as well as on it
+    # elements off 1..n as well as on it, so that walks start from both
     inst = build_instance(name)
     for n in range(nmax + 1):
         for ground in ((2, 3, 5, 8)[:n], tuple(range(1, n + 1))):
@@ -303,6 +305,29 @@ def test_f_to_m_transition_is_weak_order_zeta(tables_fm4, N):
     assert trans == {n: weak_order_zeta(tf, tm, n, inversion_order) for n in range(N + 1)}
 
 
+def zeta_transition(tf, tm, N):
+    """The weak-order zeta matrices of degrees <= N as a map of class ids."""
+    phi = {}
+    for n in range(N + 1):
+        sources = sorted((c for c in tf.classes if c.degree == n), key=inversion_order)
+        targets = sorted((c for c in tm.classes if c.degree == n), key=inversion_order)
+        for a, row in zip(sources, weak_order_zeta(tf, tm, n, inversion_order)):
+            phi[a.cid] = {b.cid: v for b, v in zip(targets, row) if v}
+    return phi
+
+
+def test_weak_order_zeta_is_a_transition_at_n5():
+    # the solver's free unknowns at 0 pick another member of the same family
+    tf = fock_tables(build_instance("perm_f"), 1, 2, 5)
+    tm = fock_tables(build_instance("perm_m"), 1, 2, 5)
+    phi = zeta_transition(tf, tm, 5)
+    assert fock._verify_transition(tf, tm, phi, 5)
+    # the substitution check is not vacuous: drop one term of one row
+    a = next(c.cid for c in tf.classes if len(phi[c.cid]) > 1)
+    broken = {**phi, a: dict(list(phi[a].items())[:-1])}
+    assert not fock._verify_transition(tf, tm, broken, 5)
+
+
 def as_equations(rows):
     """Dense rows [coeffs | rhs] as affine forms {var: coeff, None: -rhs}."""
     return [{**dict(enumerate(row[:-1])), None: -row[-1]} for row in rows]
@@ -470,3 +495,88 @@ def test_broken_cache_file_is_a_miss_and_overwritten(tmp_path, perm_f, content):
     again = fock_tables(perm_f, 1, 2, 2, cache_dir=str(tmp_path))
     assert again.to_json() == fresh.to_json()
     assert json.loads(path.read_text()) == fresh.to_json()
+
+
+# -- the class registry against the per-element cache it replaced ----------
+
+
+def classes_upto(registry, N):
+    return [c for n in range(N + 1) for c in registry.classes_of_degree(n)]
+
+
+@pytest.mark.parametrize(
+    "name, which_delta, which_mu, N",
+    list(SHIPPED_TABLES)
+    + [("perm_f", 1, 2, 5), ("perm_m", 1, 2, 5)]
+    + [(kind, 1, 2, 3) for kind in ("cc", "nc", "nn", "broken_dc", "broken_monotone", "broken_cut")],
+)
+def test_registry_matches_cached_oracle(monkeypatch, name, which_delta, which_mu, N):
+    # forced, so that the controls build too; a forced table is the same table
+    monkeypatch.delenv("PRECUT_CACHE_DIR", raising=False)
+    inst = build_instance(name)
+    table = fock_tables(inst, which_delta, which_mu, N, verify="force")
+    old_inst = build_instance(name)
+    assert classes_upto(fock._ClassRegistry(inst), N) == classes_upto(CachedClassRegistry(old_inst), N)
+    monkeypatch.setattr(fock, "_ClassRegistry", CachedClassRegistry)
+    old = fock_tables(old_inst, which_delta, which_mu, N, verify="force")
+    assert table.classes == old.classes
+    assert json.dumps(table.to_json(), sort_keys=True) == json.dumps(old.to_json(), sort_keys=True)
+
+
+@pytest.mark.parametrize("name, n, classes", [("perm_f", 4, 24), ("parking", 3, 51)])
+def test_degree_build_walks_each_orbit_once(monkeypatch, name, n, classes):
+    inst = build_instance(name)
+    inst.elements(tuple(range(1, n + 1)))
+    calls = []
+    relabel = inst.relabel
+    monkeypatch.setattr(inst, "relabel", lambda s, mapping: calls.append(s) or relabel(s, mapping))
+    registry = fock._ClassRegistry(inst)
+    assert len(registry.classes_of_degree(n)) == classes
+    assert len(calls) == classes * factorial(n)
+    registry.classes_of_degree(n)  # built once
+    assert len(calls) == classes * factorial(n)
+
+
+def test_registry_keeps_no_orbit_copies():
+    # the per-element cache it replaced peaked at 16.7 MB here
+    inst = build_instance("parking")
+    inst.elements((1, 2, 3, 4))
+    tracemalloc.start()
+    try:
+        classes = fock._ClassRegistry(inst).classes_of_degree(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(classes) == 819
+    assert peak < 6_000_000
+
+
+class SortedFirstPairs(PermPairs):
+    """Pairs whose first order is increasing: closed under restriction, but
+    a relabeling can leave the enumeration."""
+
+    def _elements(self, ground):
+        return [s for s in super()._elements(ground) if list(s.t1) == sorted(s.t1)]
+
+
+class NoDegreeOnePairs(PermPairs):
+    """Pairs on every ground but a single point: relabeling stays inside,
+    restriction to a point leaves the enumeration."""
+
+    def _elements(self, ground):
+        return [] if len(ground) == 1 else super()._elements(ground)
+
+
+def test_relabeling_off_the_enumeration_is_refused(monkeypatch):
+    with pytest.raises(PrecutError, match="leaves degree 2"):
+        graded_dimensions(SortedFirstPairs(), 2)
+    with pytest.raises(PrecutError, match="leaves degree 2"):
+        fock_tables(SortedFirstPairs(), 1, 2, 2, verify="force")
+    monkeypatch.setattr(cli, "build_instance", lambda name, **params: SortedFirstPairs())
+    assert cli.main(["enum", "--instance", "perm_f", "--n", "2", "--classes"]) == 2
+
+
+def test_restriction_off_the_enumeration_is_refused():
+    assert graded_dimensions(NoDegreeOnePairs(), 2) == [1, 0, 2]
+    with pytest.raises(PrecutError, match="not an element of degree 1"):
+        fock_tables(NoDegreeOnePairs(), 1, 2, 2, verify="force")
