@@ -2,11 +2,10 @@
 
 Basis elements are orbit classes of labeled elements under relabeling, named
 by one registry that walks each orbit once per degree and keeps, per labeled
-element, only its class.  The class coproduct projects every cut of one
-canonical representative; the class product counts, by class, the elements
-whose standard split is a cut with two canonical representatives side by
-side.  Both are exact integer tables, verified against the bialgebra axioms
-degree by degree.
+element, only its class, and per class its orbit size.  Both tables are read
+off the cuts of one representative per class, which is sound for a natural
+species (`SpeciesInstance`); a fractional product constant is refused.  Both
+are exact integer tables, verified against the bialgebra axioms by degree.
 """
 
 from __future__ import annotations
@@ -17,11 +16,11 @@ import itertools
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import factorial
 
 from .errors import CapExceeded, InvalidStructure, NotIntertwined, PrecutError
 from .preorder import cuts as preorder_cuts
-from .preorder import is_cut
 from .species import SpeciesInstance, VerificationReport, check_intertwined
 from .species import (
     STAGE_ASSOC,
@@ -82,11 +81,6 @@ class StructureConstantTable:
     classes: tuple
     product: dict  # (cid, cid) -> {cid: coeff}
     coproduct: dict  # cid -> {(cid, cid): coeff}
-    by_id: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.by_id:
-            self.by_id = {c.cid: c for c in self.classes}
 
     def dims(self, N=None):
         N = self.N if N is None else N
@@ -175,11 +169,13 @@ class _ClassRegistry:
     on 1..n that no earlier walk met.  The orbit's least serialization is the
     representative; each member is filed under its class in one dict over the
     degree's elements, and no relabeled copy or witness outlives its walk.
+    It also records each orbit's size, for the product (see `fock_tables`).
     """
 
     def __init__(self, inst):
         self.inst = inst
         self.degrees = {}  # n -> ({element on 1..n: its class}, classes by key)
+        self.orbits = {}  # cid -> orbit size
 
     def class_of(self, s):
         """The class of s on any ground: s relabeled in order onto 1..k, looked up."""
@@ -209,9 +205,14 @@ class _ClassRegistry:
                     of.update(dict.fromkeys(members, cls))
                     if len(of) > len(els):
                         raise InvalidStructure(f"{inst.name}: relabeling {inst.serialize(s)} leaves degree {n}")
+                    self.orbits[cls.cid] = len(members)
                     classes.append(cls)
             self.degrees[n] = (of, sorted(classes, key=lambda c: c.key))
         return self.degrees[n][1]
+
+    def orbit_size(self, cls):
+        """The number of distinct relabelings of cls's representative onto 1..n."""
+        return self.orbits[cls.cid]
 
 
 def _ensure_intertwined(inst, N, verify):
@@ -241,6 +242,16 @@ def fock_tables(
     or not the requested table is recomputed and overwritten.  A hit skips
     the precondition: a verified key is written only after it passed, at a
     depth the key fixes (N, the instance's cap, VERIFY_DEPTH_CAP).
+
+    Both tables are read off the cuts of one representative per class: those
+    of π_δ(rep c) give the coproduct of c by the classes of their sides, and
+    product[(a, b)][c] = |Aut a|·|Aut b|/|Aut c| · #{cuts of π_μ(rep c) with
+    sides in a and b}, with |Aut x| = deg x!/|orbit of x|.  This counts the s
+    in c's orbit whose standard split is a cut of π_μ(s) with sides rep a and
+    rep b shifted: by naturality each such cut D gives |Aut a|·|Aut b|
+    relabelings of rep c that map D onto 1..p and reach one, and each s is
+    reached by |Aut c| relabelings.  A fractional quotient shows that π_μ is
+    not natural: InvalidStructure names the class pair and the projection.
     """
     if which_delta == which_mu:
         raise PrecutError("which_delta and which_mu must differ")
@@ -253,38 +264,24 @@ def fock_tables(
 
     registry = _ClassRegistry(inst)
     classes = tuple(c for n in range(N + 1) for c in registry.classes_of_degree(n))
+    aut = {c.cid: factorial(c.degree) // registry.orbit_size(c) for c in classes}
 
-    coproduct = {}
-    for cls in classes:
+    def cut_classes(rep, which):  # (class of the down side, of the up side) -> cuts of π_which(rep)
         acc = {}
-        for cut in preorder_cuts(inst.pi(which_delta, cls.rep)):
-            pair = tuple(registry.class_of(inst.restrict(cls.rep, side)).cid for side in (cut.down, cut.up))
+        for cut in preorder_cuts(inst.pi(which, rep)):
+            pair = tuple(registry.class_of(inst.restrict(rep, side)).cid for side in (cut.down, cut.up))
             acc[pair] = acc.get(pair, 0) + 1
-        coproduct[cls.cid] = acc
+        return acc
 
-    # every representative and its copies shifted onto p+1..p+k: the side of
-    # a standard split on 1..p can only match a representative, the side on
-    # p+1..n only a representative shifted by p
-    placed = {}
-    for p in range(N + 1):
-        for b in classes:
-            if p + b.degree <= N:
-                placed[inst.relabel(b.rep, {i: p + i for i in range(1, b.degree + 1)})] = b
+    coproduct = {c.cid: cut_classes(c.rep, which_delta) for c in classes}
     product = {(a.cid, b.cid): {} for a in classes for b in classes if a.degree + b.degree <= N}
-    for n in range(N + 1):
-        ground = tuple(range(1, n + 1))
-        splits = [(frozenset(ground[:p]), frozenset(ground[p:])) for p in range(n + 1)]
-        for s in inst.elements(ground):
-            for down, up in splits:
-                a = placed.get(inst.restrict(s, down))
-                if a is None:
-                    continue
-                b = placed.get(inst.restrict(s, up))
-                if b is None or not is_cut(inst.pi(which_mu, s), down):
-                    continue
-                cell = product[(a.cid, b.cid)]
-                cid = registry.class_of(s).cid
-                cell[cid] = cell.get(cid, 0) + 1
+    for c in classes:
+        for (a, b), count in cut_classes(c.rep, which_mu).items():
+            coeff, rest = divmod(count * aut[a] * aut[b], aut[c.cid])
+            if rest:
+                raise InvalidStructure(f"{inst.name}: the product of classes {a} and {b} into {c.cid} through"
+                                       f" pi{which_mu} is {count}*{aut[a]}*{aut[b]}/{aut[c.cid]}: pi{which_mu} is not natural")
+            product[(a, b)][c.cid] = coeff
 
     table = StructureConstantTable(inst.name, which_delta, which_mu, N, classes, product, coproduct)
     if cache_path:

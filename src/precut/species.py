@@ -50,12 +50,14 @@ class SpeciesInstance:
 
     Subclasses provide `_elements`, `restrict`, `relabel`, `pi1`, `pi2`,
     `serialize` and `ground_of`; there are no optional hooks.  Elements must
-    be hashable values, each listed once, and relabeling and restriction
-    must stay among the elements; `elements` results are cached per ground
-    set and returned in serialization order.  Each instance owns its caches,
-    with the intertwining and avoidance verdicts that `fock` and `avoidance`
-    store here, so two instances never share a result.  Orbit classes are
-    not cached here: each `fock` registry holds its own.
+    be hashable values, each listed once; relabeling and restriction must
+    stay among the elements, and relabeling must be natural, commuting with
+    restriction and with π1, π2 (`preorder.relabel`): the Fock tables rest
+    on it, and no verifier checks it yet.  `elements` results are cached per
+    ground set and returned in serialization order.  Each instance owns its
+    caches, with the intertwining and avoidance verdicts that `fock` and
+    `avoidance` store here, so two instances never share a result.  Orbit
+    classes are not cached here: each `fock` registry holds its own.
     """
 
     name = "abstract"

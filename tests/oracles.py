@@ -8,11 +8,18 @@ the class coproduct by orbit averaging instead of from representatives.
 The two Fock oracles search every relabeling of every element
 (`brute_canonical_form`) and multiply each class pair through the species
 product `mu` (`product_via_mu`); neither shares code with the orbit walk
-or the one-pass product they check.  `cached_canonical_form` and
+or the product read off representatives that they check.
+`labeled_product` is the class product as `fock_tables` counted it before
+it read products off representatives: a pass over every labeled element of
+degree <= N that matches each standard split against representatives
+placed side by side.  `brute_check_natural` checks, for every relabeling
+and every subset, that relabeling stays among the elements and commutes
+with both projections and with restriction: the naturality that the class
+registry and the product formula assume.  `cached_canonical_form` and
 `CachedClassRegistry` are the class registry as it was while each instance
-cached a canonical form and a witness for every labeled element; the
-registry's classes and tables are pinned against them.  The two verifier
-oracles at the end
+cached a canonical form and a witness for every labeled element, with
+orbit sizes counted by `orbit_size`; the registry's classes, orbit sizes
+and tables are pinned against them.  The two verifier oracles at the end
 (`brute_check_intertwined`, `brute_check_bimonoid`) scan every block
 assignment against every element and build the corner side as a full
 product, as the verifiers did before they started from each element's cuts.
@@ -42,6 +49,7 @@ from precut.instances.perm import word_of
 from precut.preorder import Preorder, _is_transitive, closure, total_preorder_from_blocks
 from precut.preorder import cuts as preorder_cuts
 from precut.preorder import is_cut
+from precut.preorder import relabel as preorder_relabel
 from precut.preorder import restrict as preorder_restrict
 from precut.species import VerificationReport, delta, mu, mu_bucket
 
@@ -255,6 +263,9 @@ class CachedClassRegistry:
             seen[cls.cid] = cls
         return sorted(seen.values(), key=lambda c: c.key)
 
+    def orbit_size(self, cls):
+        return orbit_size(self.inst, cls.rep)
+
 
 def product_via_mu(inst, which_mu, table):
     """Class product: each class pair's representatives side by side, multiplied
@@ -272,6 +283,68 @@ def product_via_mu(inst, which_mu, table):
                 acc[cid] = acc.get(cid, 0) + 1
             out[(a.cid, b.cid)] = acc
     return out
+
+
+def labeled_product(inst, which_mu, table):
+    """The class product as `fock_tables` counted it over labeled elements:
+    every element of degree <= N whose standard split (1..p, p+1..n) is a cut
+    of its mu-projection, with a representative on 1..p and a representative
+    shifted by p on p+1..n, counted by the pair and by its own class."""
+    registry = _ClassRegistry(inst)
+    N = table.N
+    # every representative and its copies shifted onto p+1..p+k: the side of
+    # a standard split on 1..p can only match a representative, the side on
+    # p+1..n only a representative shifted by p
+    placed = {}
+    for p in range(N + 1):
+        for b in table.classes:
+            if p + b.degree <= N:
+                placed[inst.relabel(b.rep, {i: p + i for i in range(1, b.degree + 1)})] = b
+    product = {(a.cid, b.cid): {} for a in table.classes for b in table.classes if a.degree + b.degree <= N}
+    for n in range(N + 1):
+        ground = tuple(range(1, n + 1))
+        splits = [(frozenset(ground[:p]), frozenset(ground[p:])) for p in range(n + 1)]
+        for s in inst.elements(ground):
+            for down, up in splits:
+                a = placed.get(inst.restrict(s, down))
+                if a is None:
+                    continue
+                b = placed.get(inst.restrict(s, up))
+                if b is None or not is_cut(inst.pi(which_mu, s), down):
+                    continue
+                cell = product[(a.cid, b.cid)]
+                cid = registry.class_of(s).cid
+                cell[cid] = cell.get(cid, 0) + 1
+    return product
+
+
+def brute_check_natural(inst, nmax):
+    """Naturality on 1..n for every n <= nmax: for every relabeling sigma of
+    1..n and every element s, sigma.s is an element, pi_i(sigma.s) is
+    sigma.pi_i(s) (by `preorder.relabel`) for i = 1, 2, and for every subset
+    S, (sigma.s)|sigma(S) is sigma|S.(s|S).  The stage names the first law
+    that fails: Relabel, Pi1, Pi2 or Restrict."""
+    for n in range(nmax + 1):
+        ground = tuple(range(1, n + 1))
+        els = inst.elements(ground)
+        members = set(els)
+        subsets = list(_subsets(ground))
+        for s in els:
+            parts = [(sub, inst.restrict(s, sub)) for sub in subsets]
+            for image in itertools.permutations(ground):
+                sigma = dict(zip(ground, image))
+                t = inst.relabel(s, sigma)
+                witness = {"element": inst.serialize(s), "sigma": list(image)}
+                if t not in members:
+                    return VerificationReport(False, "Relabel", witness)
+                for which in (1, 2):
+                    if inst.pi(which, t) != preorder_relabel(inst.pi(which, s), sigma):
+                        return VerificationReport(False, f"Pi{which}", witness)
+                for sub, part in parts:
+                    on_sub = {x: sigma[x] for x in sub}
+                    if inst.restrict(t, frozenset(on_sub.values())) != inst.relabel(part, on_sub):
+                        return VerificationReport(False, "Restrict", dict(witness, subset=sorted(sub)))
+    return VerificationReport(True)
 
 
 def _subsets(ground):

@@ -342,6 +342,19 @@ def test_fock_equal_coproduct_indices_is_usage_error(capsys):
     assert "must differ" in capsys.readouterr().err
 
 
+def test_fock_product_through_a_projection_that_is_not_natural_is_refused(capsys):
+    assert main(["fock", "--instance", "broken_cut", "--N", "3", "--force", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: broken_cut[2]: the product of classes")
+    assert captured.err.endswith("pi2 is not natural\n")
+    # its first projection is discrete, so the product through pi1 builds
+    code, data = run_json(
+        capsys, "fock", "--instance", "broken_cut", "--N", "3", "--force", "--delta", "2", "--mu", "1"
+    )
+    assert code == 1 and data["dimensions"] == [1, 2, 3, 4]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

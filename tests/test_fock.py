@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from precut import cli, fock
-from precut.errors import NotIntertwined, PrecutError
+from precut.errors import InvalidStructure, NotIntertwined, PrecutError
 from precut.fock import (
     _reduced_echelon,
     canonical_form,
@@ -24,14 +24,19 @@ from precut.fock import (
     verify_hopf_axioms,
 )
 from precut.instances import SHIPPED_TABLES, build_instance, build_preset
+from precut.instances.colored import ColoredSets
 from precut.instances.perm import PermPairs, pair_from_word, word_of
+from precut.preorder import chain
+from precut.species import check_species_over_preorders
 
 from oracles import (
     CachedClassRegistry,
     brute_canonical_form,
+    brute_check_natural,
     brute_verify_hopf_axioms,
     coproduct_via_orbit_standard_splits,
     dense_solve_affine,
+    labeled_product,
     product_via_mu,
     weak_order_zeta,
 )
@@ -83,14 +88,36 @@ def test_canonical_form_matches_brute_force(name, nmax):
                 assert inst.relabel(s, witness) == rep
 
 
-@pytest.mark.parametrize(
-    "name", ["perm_f", "perm_m", "tensor", "graphs", "colored", "perm_m/213"]
-)
+SHIPPED_NAMES = list(dict.fromkeys(t[0] for t in SHIPPED_TABLES))
+
+
+@pytest.mark.parametrize("name", SHIPPED_NAMES)
 @pytest.mark.parametrize("which_delta, which_mu", [(1, 2), (2, 1)])
 def test_product_matches_class_pair_products_through_mu(name, which_delta, which_mu):
     inst = build_instance(name)
     table = fock_tables(inst, which_delta, which_mu, 3)
     assert table.product == product_via_mu(inst, which_mu, table)
+
+
+@pytest.fixture(scope="module")
+def parking4():
+    # forced, since parking's precondition at n=4 alone takes about 19 s; it
+    # is pinned at n <= 3, and a forced table is the same table
+    return fock_tables(build_instance("parking"), 1, 2, 4, verify="force")
+
+
+@pytest.mark.parametrize("name", ["perm_f", "perm_m", "graphs", "posets", "packed_words", "parking"])
+def test_product_matches_class_pair_products_through_mu_at_degree_4(name, parking4):
+    # forced like parking4: a forced table is the same table
+    inst = build_instance(name)
+    table = parking4 if name == "parking" else fock_tables(inst, 1, 2, 4, verify="force")
+    assert table.product == product_via_mu(inst, 2, table)
+
+
+def test_parking_pairs_hopf_algebra_at_degree_4(parking4):
+    # the paper's result (ii)
+    assert parking4.dims() == [1, 1, 5, 51, 819]
+    assert verify_hopf_axioms(parking4).passed
 
 
 def test_perm_dims(table_f3):
@@ -316,16 +343,37 @@ def zeta_transition(tf, tm, N):
     return phi
 
 
-def test_weak_order_zeta_is_a_transition_at_n5():
+@pytest.fixture(scope="module")
+def tables_fm5(perm_f):
+    return fock_tables(perm_f, 1, 2, 5), fock_tables(build_instance("perm_m"), 1, 2, 5)
+
+
+def test_weak_order_zeta_is_a_transition_at_n5(tables_fm5):
     # the solver's free unknowns at 0 pick another member of the same family
-    tf = fock_tables(build_instance("perm_f"), 1, 2, 5)
-    tm = fock_tables(build_instance("perm_m"), 1, 2, 5)
+    tf, tm = tables_fm5
     phi = zeta_transition(tf, tm, 5)
     assert fock._verify_transition(tf, tm, phi, 5)
     # the substitution check is not vacuous: drop one term of one row
     a = next(c.cid for c in tf.classes if len(phi[c.cid]) > 1)
     broken = {**phi, a: dict(list(phi[a].items())[:-1])}
     assert not fock._verify_transition(tf, tm, broken, 5)
+
+
+def test_f_to_m_free_unknowns(monkeypatch, tables_fm5):
+    # the dimension of the family of transitions: the unknowns above the
+    # diagonal that no pivot of the reduced echelon form fixes
+    pivots = []
+
+    def counting(equations):
+        echelon = _reduced_echelon(equations)
+        pivots.append(len(echelon))
+        return echelon
+
+    monkeypatch.setattr(fock, "_reduced_echelon", counting)
+    assert check_isomorphism_by_change_of_basis(*tables_fm5, 5, order_key=inversion_order) is not None
+    unknowns = [factorial(n) * (factorial(n) - 1) // 2 for n in range(6)]
+    assert unknowns[4:] == [276, 7140]
+    assert [u - p for u, p in zip(unknowns, pivots)][4:] == [6, 538]
 
 
 def as_equations(rows):
@@ -511,16 +559,30 @@ def classes_upto(registry, N):
     + [(kind, 1, 2, 3) for kind in ("cc", "nc", "nn", "broken_dc", "broken_monotone", "broken_cut")],
 )
 def test_registry_matches_cached_oracle(monkeypatch, name, which_delta, which_mu, N):
-    # forced, so that the controls build too; a forced table is the same table
+    # forced, so that the controls build too; a forced table is the same
+    # table.  The product is pinned against the labeled pass as well.
     monkeypatch.delenv("PRECUT_CACHE_DIR", raising=False)
-    inst = build_instance(name)
-    table = fock_tables(inst, which_delta, which_mu, N, verify="force")
-    old_inst = build_instance(name)
-    assert classes_upto(fock._ClassRegistry(inst), N) == classes_upto(CachedClassRegistry(old_inst), N)
-    monkeypatch.setattr(fock, "_ClassRegistry", CachedClassRegistry)
-    old = fock_tables(old_inst, which_delta, which_mu, N, verify="force")
-    assert table.classes == old.classes
-    assert json.dumps(table.to_json(), sort_keys=True) == json.dumps(old.to_json(), sort_keys=True)
+    registries = fock._ClassRegistry, CachedClassRegistry
+    new, old = (registry(build_instance(name)) for registry in registries)
+    classes = classes_upto(new, N)
+    assert classes == classes_upto(old, N)
+    assert [new.orbit_size(c) for c in classes] == [old.orbit_size(c) for c in classes]
+
+    def build(registry):
+        monkeypatch.setattr(fock, "_ClassRegistry", registry)
+        return fock_tables(build_instance(name), which_delta, which_mu, N, verify="force")
+
+    if name == "broken_cut":
+        # pi2 is the label chain, which relabeling does not carry along: its
+        # products depend on the representative, and both registries refuse
+        for registry in registries:
+            with pytest.raises(InvalidStructure, match="pi2 is not natural"):
+                build(registry)
+        return
+    table = build(registries[0])
+    labeled = dataclasses.replace(table, product=labeled_product(build_instance(name), which_mu, table))
+    got = [json.dumps(t.to_json(), sort_keys=True) for t in (table, build(registries[1]), labeled)]
+    assert got[0] == got[1] == got[2]
 
 
 @pytest.mark.parametrize("name, n, classes", [("perm_f", 4, 24), ("parking", 3, 51)])
@@ -580,3 +642,32 @@ def test_restriction_off_the_enumeration_is_refused():
     assert graded_dimensions(NoDegreeOnePairs(), 2) == [1, 0, 2]
     with pytest.raises(PrecutError, match="not an element of degree 1"):
         fock_tables(NoDegreeOnePairs(), 1, 2, 2, verify="force")
+
+
+# -- naturality, which the product read off representatives rests on -------
+
+
+@pytest.mark.parametrize(
+    "name, nmax",
+    [(name, 3) for name in SHIPPED_NAMES + ["cc", "nc", "nn", "broken_dc", "broken_monotone"]]
+    + [("perm_f", 4), ("perm_m", 4)],
+)
+def test_instances_are_natural(name, nmax):
+    assert brute_check_natural(build_instance(name), nmax).passed
+
+
+class LabelChainColorings(ColoredSets):
+    """Colorings whose second projection is the chain of the labels in
+    order: monotone and exact on cut sides, but not natural."""
+
+    def pi2(self, s):
+        return chain(sorted(self.ground_of(s)))
+
+
+def test_projection_that_is_not_natural():
+    assert brute_check_natural(build_instance("broken_cut"), 3).stage == "Pi2"
+    inst = LabelChainColorings()
+    assert check_species_over_preorders(inst, 4).passed
+    assert brute_check_natural(inst, 2).stage == "Pi2"
+    with pytest.raises(InvalidStructure, match="through pi2"):
+        fock_tables(inst, 1, 2, 3, verify="force")
