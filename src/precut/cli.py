@@ -92,7 +92,7 @@ def _load_instance(args):
         if preset not in AVOIDANCE_PRESETS:
             raise PrecutError(f"unknown avoidance preset {preset!r}")
         parent, _, _ = AVOIDANCE_PRESETS[preset]
-        if parent is not None and name not in (None, parent):
+        if name != parent:
             raise PrecutError(f"preset {preset!r} applies to {parent!r}, not {name!r}")
         return build_preset(preset)
     params = {}
@@ -202,7 +202,11 @@ def _write_csv(path, table):
 
 
 def cmd_check_square(args):
-    data = json.load(open(args.file)) if args.file != "-" else json.load(sys.stdin)
+    if args.file == "-":
+        data = json.load(sys.stdin)
+    else:
+        with open(args.file) as fh:
+            data = json.load(fh)
     sq = square_from_json(data)
     if args.mode == "pullback":
         res = check_partial_pullback(sq)
@@ -426,7 +430,7 @@ def main(argv=None):
     except PrecutError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -486,7 +486,8 @@ def check_isomorphism_by_constants(ta, tb, N=None):
     Backtracks one class at a time; a candidate image must share the degree
     fingerprint and reproduce the class's full coproduct, which is already
     determined at assignment time (all its terms lie in lower degrees or
-    involve the class itself).
+    involve the class itself).  Each completed degree must then carry every
+    product and coproduct constant within it (`_verify_transition`).
     """
     N = min(ta.N, tb.N) if N is None else N
     if ta.dims(N) != tb.dims(N):
@@ -510,7 +511,7 @@ def check_isomorphism_by_constants(ta, tb, N=None):
 
         def rec(i, trial, used):
             if i == len(a_list):
-                if _constants_match(ta, tb, trial, degree, N):
+                if _verify_transition(ta, tb, {a: {b: 1} for a, b in trial.items()}, degree):
                     return extend(trial, degree + 1)
                 return None
             a = a_list[i]
@@ -536,27 +537,6 @@ def check_isomorphism_by_constants(ta, tb, N=None):
         return assign_degree(degree, mapping)
 
     return extend({}, 0)
-
-
-def _constants_match(ta, tb, mapping, degree, N):
-    """Check all constants fully determined by classes of degree <= degree."""
-    known = set(mapping)
-
-    def mapped(vec):
-        return {mapping[k]: v for k, v in vec.items()}
-
-    for (a, b), out in ta.product.items():
-        if a in known and b in known and all(w in known for w in out):
-            db = tb.product.get((mapping[a], mapping[b]))
-            if db is None or _clean(mapped(out)) != _clean(db):
-                return False
-    for a, cop in ta.coproduct.items():
-        if a in known and all(x in known and y in known for x, y in cop):
-            db = tb.coproduct.get(mapping[a])
-            target = {(mapping[x], mapping[y]): c for (x, y), c in cop.items()}
-            if db is None or _clean(target) != _clean(db):
-                return False
-    return True
 
 
 def _reduced_echelon(equations):

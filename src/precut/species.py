@@ -508,49 +508,41 @@ def _three_block_failure(split, ground, i, j):
     """The coassociativity or associativity failure of one degree that comes
     first in (block assignment, element, which) order, or None.
 
-    For each element and each projection, the blocks (A, B) on which the left
-    side is defined are the cuts X of π(s) with the cuts A of π(s|X) (B = X − A);
-    those on which the right side is defined are the cuts A of π(s) with the
-    cuts B of π(s|rest).  A pair in only one set fails; a pair in both fails
-    when the two restriction triples differ.  Every restriction is read from
-    the degree's split sides: the left triple is the side of s|X split by A
-    with s|(full − X), the right one s|A with the side of s|(full − A) split
-    by B.
+    The assignments (A, B, C) are walked in `_block_assignments` order and
+    read from the degree's split sides.  The right side is defined on the
+    elements s of the side split by A whose s|B∪C is split by B, the left
+    side on those of the side split by A∪B whose s|A∪B is split by A.  A law
+    fails when only one side is defined or when the restriction triples
+    differ; the failing element with the least index is reported, and the
+    element index is built only then.
     """
     inst = split.inst
     full = frozenset(ground)
-    best = None  # ((assignment, element index, which index), (stage, witness))
-    for k, s in enumerate(inst.elements(ground)):
-        for w, (which, stage) in enumerate(((i, STAGE_COASSOC), (j, STAGE_ASSOC))):
-            downs = [cut.down for cut in preorder_cuts(inst.pi(which, s))]
-            left = {}
-            for X in downs:
-                ab, c = split(which, full, X)[s]
-                for cut in preorder_cuts(inst.pi(which, ab)):
-                    left[(cut.down, X - cut.down)] = split.of(which, X, cut.down, ab) + (c,)
+    for A, B, C in _block_assignments(ground, 3):
+        AB, BC = A | B, B | C
+        failed = {}  # element -> position in (i, j) of its first failing law
+        for w, which in enumerate((i, j)):
             right = {}
-            for A in downs:
-                a, bc = split(which, full, A)[s]
-                for cut in preorder_cuts(inst.pi(which, bc)):
-                    right[(A, cut.down)] = (a,) + split.of(which, full - A, cut.down, bc)
-            for A, B in left.keys() | right.keys():
-                order = (tuple(0 if x in A else 1 if x in B else 2 for x in ground), k, w)
-                if best is not None and order >= best[0]:
-                    continue
-                if (A, B) in left and left[(A, B)] == right.get((A, B)):
-                    continue
-                best = (
-                    order,
-                    (
-                        stage,
-                        {
-                            "element": inst.serialize(s),
-                            "blocks": [sorted(A), sorted(B), sorted(full - A - B)],
-                            "which": which,
-                        },
-                    ),
-                )
-    return None if best is None else best[1]
+            for s, (a, bc) in split(which, full, A).items():
+                pair = split.of(which, BC, B, bc)
+                if pair is not None:
+                    right[s] = (a,) + pair
+            for s, (ab, c) in split(which, full, AB).items():
+                pair = split.of(which, AB, A, ab)
+                if pair is not None and right.pop(s, None) != pair + (c,):
+                    failed.setdefault(s, w)
+            for s in right:
+                failed.setdefault(s, w)
+        if failed:
+            index = {s: k for k, s in enumerate(inst.elements(ground))}
+            s, w = min(failed.items(), key=lambda item: (index[item[0]], item[1]))
+            witness = {
+                "element": inst.serialize(s),
+                "blocks": [sorted(A), sorted(B), sorted(C)],
+                "which": (i, j)[w],
+            }
+            return (STAGE_COASSOC, STAGE_ASSOC)[w], witness
+    return None
 
 
 def check_bimonoid(inst: SpeciesInstance, coproduct_index, nmax) -> VerificationReport:
@@ -561,22 +553,24 @@ def check_bimonoid(inst: SpeciesInstance, coproduct_index, nmax) -> Verification
     transpose of the second), and the product/coproduct compatibility square
     as an exact count comparison.
 
-    What is enumerated: for the three-block laws, each element's own
-    defined blocks, from the cuts of its projection and of its restrictions
-    (`_three_block_failure`); for the square, the doubly-cut incidences of
-    π_i and π_j, walked as in `check_intertwined` (`_diagrams`), with the
-    delta-then-mu side counted per corner datum.  Both read their
-    restrictions from one table of split sides per degree, built before the
-    three-block pass and reused by the square.  A failure is the one a scan
-    of every block assignment against every element finds first.  A
-    Compatibility witness names the least differing key, comparing the
-    serializations of its corners on A∪C, B∪D, A∪B and C∪D in that order.
+    Every stage reads one table of split sides per degree (`_Sides`), made at
+    the top of the degree.  What is enumerated, in this order: the elements,
+    each with its counit pairs in the sides of the full ground split by itself
+    and by ∅, and with μ_j(unit, s) and μ_j(s, unit), its inverse images in
+    π_j's two such sides; the three-block assignments, in block-assignment
+    order (`_three_block_failure`); the four-block diagrams with the
+    doubly-cut incidences of π_i and π_j, walked as in `check_intertwined`
+    (`_diagrams`), with the delta-then-mu side counted per corner datum.  A
+    failure is the one a scan of every block assignment against every
+    element finds first.  A Compatibility witness names the least differing
+    key, comparing the serializations of its corners on A∪C, B∪D, A∪B and
+    C∪D in that order.
 
     `stats` holds per degree the elements, the incidences of the square, its
     delta-then-mu terms (completions) and the split sides built, as in
     `check_intertwined`.  `sides` counts every side the degree built, the
-    three-block pass's included, so a failing square may report more than
-    it reached; a degree whose three-block laws fail has no entry.
+    earlier stages' included, so a failing square may report more than it
+    reached; a degree whose unit or three-block laws fail has no entry.
     """
     i = coproduct_index
     j = 2 if i == 1 else 1
@@ -586,25 +580,28 @@ def check_bimonoid(inst: SpeciesInstance, coproduct_index, nmax) -> Verification
     stats = []
     for n in range(nmax + 1):
         ground = tuple(range(1, n + 1))
-        full = frozenset(ground)
+        full, empty = frozenset(ground), frozenset()
+        split = _Sides(inst)
+        # pair -> its inverse image in π_j's side split by ∅, by full; on the
+        # empty ground both are the counit's side, so the unit law follows
+        products = ({}, {})
+        for image, down in zip(products, (empty, full)):
+            for x, pair in split(j, full, down).items():
+                image.setdefault(pair, []).append(x)
         for s in inst.elements(ground):
             for which in (i, j):
-                if (
-                    delta(inst, which, s, full, frozenset()) != (s, unit)
-                    or delta(inst, which, s, frozenset(), full) != (unit, s)
-                ):
+                counit = split(which, full, full).get(s), split(which, full, empty).get(s)
+                if counit != ((s, unit), (unit, s)):
                     return VerificationReport(
                         False,
                         STAGE_COUNIT,
                         {"element": inst.serialize(s), "which": which},
                         tuple(stats),
                     )
-            if n:
-                if mu(inst, j, unit, s) != (s,) or mu(inst, j, s, unit) != (s,):
-                    return VerificationReport(
-                        False, STAGE_UNIT, {"element": inst.serialize(s)}, tuple(stats)
-                    )
-        split = _Sides(inst)
+            if products[0].get((unit, s)) != [s] or products[1].get((s, unit)) != [s]:
+                return VerificationReport(
+                    False, STAGE_UNIT, {"element": inst.serialize(s)}, tuple(stats)
+                )
         failure = _three_block_failure(split, ground, i, j)
         if failure is not None:
             return VerificationReport(False, *failure, tuple(stats))

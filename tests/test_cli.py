@@ -295,7 +295,7 @@ def test_failing_precondition_stats(capsys):
     "name,counts,sides",
     [
         ("nn", [(1, 1, 1), (1, 4, 4), (8, 60, 60), (85, 1204, 206)], 54),
-        ("broken_dc", [(1, 1, 1), (2, 8, 8), (4, 32, 12)], 16),
+        ("broken_dc", [(1, 1, 1), (2, 8, 8), (4, 32, 12)], 17),
     ],
 )
 def test_failing_bimonoid_stats(capsys, name, counts, sides):
@@ -305,7 +305,7 @@ def test_failing_bimonoid_stats(capsys, name, counts, sides):
     assert code == 1 and data["stage"] == "Compatibility"
     stats = data["stats"]
     assert [(d["elements"], d["incidences"], d["completions"]) for d in stats] == counts
-    # the failing degree counts every side it built, the three-block pass's too
+    # the failing degree counts every side it built, the earlier stages' too
     assert [d["sides"] for d in stats] == [2 * 3**n for n in range(len(stats) - 1)] + [sides]
 
 
@@ -486,6 +486,22 @@ def test_unhashable_square_labels_are_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(square)))
     assert main(["check-square"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("case", ["directory", "non-utf8", "cache-dir-file", "out-directory"])
+def test_unreadable_input_is_input_error(capsys, tmp_path, case):
+    # each of these used to end in an OSError or UnicodeDecodeError traceback with exit 1
+    blob = tmp_path / "blob"
+    blob.write_bytes(b"\xff\xfe{")
+    argv = {
+        "directory": ["check-square", "--file", str(tmp_path)],
+        "non-utf8": ["check-square", "--file", str(blob)],
+        "cache-dir-file": ["fock", "--instance", "graphs", "--N", "2", "--cache-dir", str(blob)],
+        "out-directory": ["fock", "--instance", "graphs", "--N", "2", "--out", str(tmp_path)],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err
 
 
 def test_closed_stdout_ends_quietly():

@@ -283,6 +283,17 @@ def test_isomorphism_finds_class_relabeling(table_f3):
     assert out == rename
 
 
+def test_isomorphism_refuses_one_changed_product_constant(perm_f, table_f3):
+    # a product of two distinct classes is in no fingerprint and in no
+    # coproduct, so only the check of each completed degree sees the change
+    a, b = cid_of_word(perm_f, table_f3, (1,)), cid_of_word(perm_f, table_f3, (2, 1))
+    product = {key: dict(out) for key, out in table_f3.product.items()}
+    c = min(product[(a, b)])
+    product[(a, b)][c] += 1
+    copy = dataclasses.replace(table_f3, product=product)
+    assert check_isomorphism_by_constants(table_f3, copy) is None
+
+
 def test_isomorphism_dimension_mismatch(table_f3):
     colored = fock_tables(build_instance("colored", palette=1), 1, 2, 2)
     assert check_isomorphism_by_constants(table_f3, colored, 2) is None

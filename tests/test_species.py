@@ -308,6 +308,19 @@ class FlippedColors(ColoredSets):
         return r
 
 
+class FlippedPastThree(ColoredSets):
+    """Restriction that drops exactly three points, one of them of color 1,
+    also flips every color: the first law to fail is a three-block one of
+    degree 4, on the third element."""
+
+    def restrict(self, s, sub):
+        r = super().restrict(s, sub)
+        dropped = [c for x, c in s.colors if x not in sub]
+        if len(dropped) == 3 and 1 in dropped:
+            r = Coloring(tuple((x, 1 - c) for x, c in r.colors))
+        return r
+
+
 class OffPalette(ColoredSets):
     """Restriction from three points onto one paints that point color 7,
     a value the one-point ground does not enumerate."""
@@ -363,6 +376,22 @@ def test_verifiers_match_scan_oracles(name):
 )
 def test_verifiers_match_scan_oracles_on_broken_wrappers(make, stages):
     assert _assert_matches_oracles(make) == stages
+
+
+@pytest.mark.parametrize("i", [1, 2])
+def test_three_block_witness_past_the_first_element_matches_scan_oracle(i):
+    got = check_bimonoid(FlippedPastThree(), i, 4)
+    assert got.stage == "Coassociativity"
+    assert got.witness["element"] == ("colored", ((1, 0), (2, 0), (3, 1), (4, 0)))
+    assert got.witness["blocks"] == [[1, 2], [3], [4]]
+    assert got.to_json() == brute_check_bimonoid(FlippedPastThree(), i, 4).to_json()
+
+
+def test_bimonoid_check_leaves_no_products_on_the_instance():
+    # the unit law reads inverse images from the degree's sides, not from `mu`
+    inst = ColoredSets()
+    assert check_bimonoid(inst, 1, 3).passed
+    assert inst._mu_cache == {}
 
 
 def test_cut_validity_matches_scan_oracle(monkeypatch):
