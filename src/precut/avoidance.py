@@ -4,9 +4,11 @@ sub/quotient bimonoid structure."""
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import IrreducibilityNotVerified
+from .fock import _ClassRegistry
 from .preorder import cuts as preorder_cuts
 from .species import SpeciesInstance, VerificationReport
 
@@ -15,9 +17,12 @@ from .species import SpeciesInstance, VerificationReport
 class AvoidanceSet:
     """Relabel-invariant predicate selecting the forbidden sub-elements.
 
-    `sizes` limits the subset scan to grounds of those sizes (None scans
-    all).  `monotone` declares that membership of a restriction implies
-    membership of the element itself, collapsing has_part to membership.
+    Invariance is load-bearing: with restriction natural, it makes has_part
+    constant on each orbit class, and `is_irreducible` checks one
+    representative per class.  `sizes` limits the subset scan to grounds of
+    those sizes (None scans all).  `monotone` declares that membership of a
+    restriction implies membership of the element itself, collapsing
+    has_part to membership.
     """
 
     name: str
@@ -97,27 +102,60 @@ def avoiding_instance(parent: SpeciesInstance, aset: AvoidanceSet) -> AvoidingIn
     return AvoidingInstance(parent, aset)
 
 
+def _lost_cut(inst, which, aset, s, stat):
+    """The first cut of π_which(s) after which neither side keeps a part of
+    s, or None (also when s has no part); counts into stat."""
+    if not has_part(inst, aset, s):
+        return None
+    stat["with_part"] += 1
+    for cut in preorder_cuts(inst.pi(which, s)):
+        stat["cuts"] += 1
+        left, right = inst.restrict(s, cut.down), inst.restrict(s, cut.up)
+        if not (has_part(inst, aset, left) or has_part(inst, aset, right)):
+            return cut
+    return None
+
+
 def is_irreducible(inst: SpeciesInstance, which, aset: AvoidanceSet, nmax) -> VerificationReport:
     """Whenever an element with a part splits across a nonzero cut, one side
-    must keep a part."""
+    must keep a part.
+
+    `inst` is the parent species, not its avoiding instance, and `which`
+    selects the coproduct.  Each degree is checked on one representative
+    per orbit class, from a class registry local to the call.  This is
+    sound because the check is natural: for a relabeling σ, has_part(σs) =
+    has_part(s), since the avoidance set is relabel-invariant and restriction
+    commutes with relabeling; the cuts of π(σs) are σ of the cuts of π(s);
+    and (σs)|σD = σ(s|D).  So (s, D) fails exactly when (σs, σD) fails.  The
+    last two are the naturality of relabeling that `SpeciesInstance` asks of
+    every species and that the Fock tables rest on too; no verifier checks
+    it at run time yet.  When a class fails in degree n, the labeled
+    elements of degree n are walked in order and the first failure is the
+    witness, the one the walk over every labeled element returns: every
+    earlier degree passed.
+
+    `stats` holds per degree the `elements`, the orbit `classes`, the
+    classes `with_part` and the `cuts` checked on them, up to the failure.
+    """
+    registry = _ClassRegistry(inst)
+    stats = []
     for n in range(nmax + 1):
         ground = tuple(range(1, n + 1))
+        classes = registry.classes_of_degree(n)
+        stat = dict(degree=n, elements=len(inst.elements(ground)), classes=len(classes), with_part=0, cuts=0)
+        stats.append(stat)
+        if all(_lost_cut(inst, which, aset, c.rep, stat) is None for c in classes):
+            continue
         for s in inst.elements(ground):
-            if not has_part(inst, aset, s):
-                continue
-            for cut in preorder_cuts(inst.pi(which, s)):
-                left, right = inst.restrict(s, cut.down), inst.restrict(s, cut.up)
-                if not (has_part(inst, aset, left) or has_part(inst, aset, right)):
-                    return VerificationReport(
-                        False,
-                        "Irreducibility",
-                        {
-                            "element": inst.serialize(s),
-                            "cut_down": sorted(cut.down),
-                            "which": which,
-                        },
-                    )
-    return VerificationReport(True)
+            cut = _lost_cut(inst, which, aset, s, Counter())
+            if cut is not None:
+                return VerificationReport(
+                    False,
+                    "Irreducibility",
+                    {"element": inst.serialize(s), "cut_down": sorted(cut.down), "which": which},
+                    tuple(stats),
+                )
+    return VerificationReport(True, stats=tuple(stats))
 
 
 def quotient_or_sub_bimonoid(inst: SpeciesInstance, aset: AvoidanceSet, irreducible_index, nmax):

@@ -151,6 +151,7 @@ def cmd_avoid(args):
         parent = build_instance(parent_name)
         report = is_irreducible(parent, args.check_irreducible, aset, args.nmax)
         out["irreducible"] = report.to_json()
+        out["stats"] = list(report.stats)
         _emit(out, args.json)
         return 0 if report.passed else 1
     out["dimensions"] = fock.graded_dimensions(inst, args.nmax)

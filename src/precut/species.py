@@ -52,12 +52,14 @@ class SpeciesInstance:
     `serialize` and `ground_of`; there are no optional hooks.  Elements must
     be hashable values, each listed once; relabeling and restriction must
     stay among the elements, and relabeling must be natural, commuting with
-    restriction and with π1, π2 (`preorder.relabel`): the Fock tables rest
-    on it, and no verifier checks it yet.  `elements` results are cached per
-    ground set and returned in serialization order.  Each instance owns its
-    caches, with the intertwining and avoidance verdicts that `fock` and
-    `avoidance` store here, so two instances never share a result.  Orbit
-    classes are not cached here: each `fock` registry holds its own.
+    restriction and with π1, π2 (`preorder.relabel`): the Fock tables and
+    `avoidance.is_irreducible` rest on it, and no verifier checks it yet.
+    `elements` results are cached per ground set and returned in
+    serialization order.  Each instance owns its caches, with the
+    intertwining and avoidance verdicts that `fock` and `avoidance` store
+    here, so two instances never share a result.  Orbit classes are not
+    cached here: each `fock` registry holds its own, and so does each
+    `is_irreducible` call.
     """
 
     name = "abstract"

@@ -15,8 +15,11 @@ degree <= N that matches each standard split against representatives
 placed side by side.  `brute_check_natural` checks, for every relabeling
 and every subset, that relabeling stays among the elements and commutes
 with both projections and with restriction: the naturality that the class
-registry and the product formula assume.  `cached_canonical_form` and
-`CachedClassRegistry` are the class registry as it was while each instance
+registry and the product formula assume.  `labeled_is_irreducible` is the
+irreducibility check as it was before it walked one representative per
+orbit class: every labeled element of every degree, in order.
+`cached_canonical_form` and `CachedClassRegistry` are the class registry
+as it was while each instance
 cached a canonical form and a witness for every labeled element, with
 orbit sizes counted by `orbit_size`; the registry's classes, orbit sizes
 and tables are pinned against them.  The two verifier oracles at the end
@@ -43,6 +46,7 @@ import itertools
 from math import factorial
 
 from precut import species
+from precut.avoidance import has_part
 from precut.errors import NotExhaustive, NotNested
 from precut.fock import OrbitClass, _add, _class_id, _ClassRegistry, _clean, _scale
 from precut.instances.perm import word_of
@@ -344,6 +348,29 @@ def brute_check_natural(inst, nmax):
                     on_sub = {x: sigma[x] for x in sub}
                     if inst.restrict(t, frozenset(on_sub.values())) != inst.relabel(part, on_sub):
                         return VerificationReport(False, "Restrict", dict(witness, subset=sorted(sub)))
+    return VerificationReport(True)
+
+
+def labeled_is_irreducible(inst, which, aset, nmax):
+    """Whenever an element with a part splits across a nonzero cut, one side
+    must keep a part."""
+    for n in range(nmax + 1):
+        ground = tuple(range(1, n + 1))
+        for s in inst.elements(ground):
+            if not has_part(inst, aset, s):
+                continue
+            for cut in preorder_cuts(inst.pi(which, s)):
+                left, right = inst.restrict(s, cut.down), inst.restrict(s, cut.up)
+                if not (has_part(inst, aset, left) or has_part(inst, aset, right)):
+                    return VerificationReport(
+                        False,
+                        "Irreducibility",
+                        {
+                            "element": inst.serialize(s),
+                            "cut_down": sorted(cut.down),
+                            "which": which,
+                        },
+                    )
     return VerificationReport(True)
 
 

@@ -12,11 +12,19 @@ from precut.avoidance import (
 )
 from precut.errors import IrreducibilityNotVerified
 from precut.fock import fock_tables, graded_dimensions, verify_hopf_axioms
-from precut.instances import CHERRY, PARKING_SECOND, build_instance, build_preset, pattern_set
+from precut.instances import (
+    AVOIDANCE_PRESETS,
+    CHERRY,
+    CHERRY_V,
+    PARKING_SECOND,
+    build_instance,
+    build_preset,
+    pattern_set,
+)
 from precut.instances.perm import pair_from_word
 from precut.species import check_intertwined, mu
 
-from oracles import count_avoiders
+from oracles import contains_pattern, count_avoiders, labeled_is_irreducible
 
 
 def test_has_part_examples():
@@ -103,6 +111,19 @@ def test_parking_second_total_irreducible():
     assert is_irreducible(inst, 2, PARKING_SECOND, 3).passed
 
 
+@pytest.mark.parametrize("preset", [name for name, (_, aset, _) in AVOIDANCE_PRESETS.items() if aset is not None])
+def test_has_part_is_relabel_invariant(preset):
+    # is_irreducible reads each orbit class off one representative, which needs this
+    parent_name, aset, _ = AVOIDANCE_PRESETS[preset]
+    parent = build_instance(parent_name)
+    for n in range(5):
+        ground = tuple(range(1, n + 1))
+        sigmas = [dict(zip(ground, image)) for image in itertools.permutations(ground)]
+        for s in parent.elements(ground):
+            verdict = has_part(parent, aset, s)
+            assert all(has_part(parent, aset, parent.relabel(s, sigma)) == verdict for sigma in sigmas)
+
+
 def test_quotient_or_sub_roles():
     inst = build_instance("perm_m")
     sub, roles = quotient_or_sub_bimonoid(inst, pattern_set((2, 1, 3)), 1, 3)
@@ -179,3 +200,33 @@ def test_census_dimensions_count_avoiders():
 def test_census_quotient_tables_pass_hopf_axioms(word):
     inst = avoiding_instance(build_instance("perm_m"), pattern_set(word))
     assert verify_hopf_axioms(fock_tables(inst, 1, 2, 3)).passed
+
+
+def test_irreducible_reports_equal_the_labeled_walk():
+    # every witness is the first failing labeled element, as before classes were walked
+    cases = [(p, pattern_set(w)) for p in ("perm_m", "perm_f") for w in PATTERNS]
+    cases += [(p, aset) for p in ("posets", "preorders") for aset in (CHERRY, CHERRY_V)]
+    cases += [("parking", PARKING_SECOND)]
+    parents = {name: build_instance(name) for name in ("perm_m", "perm_f", "posets", "preorders", "parking")}
+    reports = []
+    for parent, aset in cases:
+        for which in (1, 2):
+            got = is_irreducible(parents[parent], which, aset, 4)
+            want = labeled_is_irreducible(parents[parent], which, aset, 4)
+            assert got.to_json() == want.to_json(), (parent, aset.name, which)
+            reports.append(got)
+    assert len(reports) == 130 and sum(not r.passed for r in reports) == 109
+
+
+def minimal_members(words):
+    """The words that contain no other word of the set as a pattern."""
+    return [w for w in words if not any(v != w and contains_pattern(w, v) for v in words)]
+
+
+def test_census_pairs_irreducible_exactly_when_minimal_members_lack_global_descents():
+    # also holds at n <= 5 (126 pairs), kept out of the suite for time
+    perm_m = build_instance("perm_m")
+    pairs = list(itertools.combinations(PATTERNS, 2))
+    verdicts = {pair: is_irreducible(perm_m, 1, pattern_set(*pair), 4).passed for pair in pairs}
+    assert verdicts == {pair: not any(map(has_global_descent, minimal_members(pair))) for pair in pairs}
+    assert len(pairs) == 435 and sum(verdicts.values()) == 126

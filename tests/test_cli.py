@@ -9,6 +9,7 @@ import pytest
 import precut
 from precut.cli import main
 from precut.instances import build_instance
+from precut.instances.perm import pair_from_word
 from precut.preorder import cuts
 
 
@@ -68,7 +69,23 @@ def test_avoid_check_irreducible(capsys):
     code, data = run_json(
         capsys, "avoid", "--preset", "213", "--check-irreducible", "1", "--nmax", "3"
     )
-    assert code == 0 and data["irreducible"]["passed"]
+    assert code == 0 and data["irreducible"] == {"passed": True, "stage": None, "witness": None}
+    # perm_m has n! orbit classes of (n!)^2 elements; only the class of 213 has a part
+    assert [(d["degree"], d["elements"], d["classes"], d["with_part"]) for d in data["stats"]] == [
+        (0, 1, 1, 0),
+        (1, 1, 1, 0),
+        (2, 4, 2, 0),
+        (3, 36, 6, 1),
+    ]
+    assert data["stats"][3]["cuts"] == len(cuts(build_instance("perm_m").pi1(pair_from_word((2, 1, 3)))))
+
+
+def test_avoid_check_irreducible_without_a_single_claim_is_usage_error(capsys):
+    # mr-in-parking stacks two avoidance sets, so no one coproduct is claimed irreducible
+    assert main(["avoid", "--preset", "mr-in-parking", "--check-irreducible", "2", "--nmax", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "no single irreducibility claim" in captured.err
 
 
 def test_fock_summary_and_export(tmp_path, capsys):
