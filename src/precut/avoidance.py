@@ -4,7 +4,6 @@ sub/quotient bimonoid structure."""
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import IrreducibilityNotVerified
@@ -129,10 +128,12 @@ def is_irreducible(inst: SpeciesInstance, which, aset: AvoidanceSet, nmax) -> Ve
     and (σs)|σD = σ(s|D).  So (s, D) fails exactly when (σs, σD) fails.  The
     last two are the naturality of relabeling that `SpeciesInstance` asks of
     every species and that the Fock tables rest on too; no verifier checks
-    it at run time yet.  When a class fails in degree n, the labeled
-    elements of degree n are walked in order and the first failure is the
-    witness, the one the walk over every labeled element returns: every
-    earlier degree passed.
+    it at run time yet.  The witness is the first failing labeled
+    element, the one a walk over every labeled element returns: every
+    earlier degree passed, elements are listed by serialization, each
+    representative is the least member of its orbit in that order, and
+    classes come sorted by it, so the first failing class's representative
+    is the least failing element of the degree.
 
     `stats` holds per degree the `elements`, the orbit `classes`, the
     classes `with_part` and the `cuts` checked on them, up to the failure.
@@ -144,15 +145,13 @@ def is_irreducible(inst: SpeciesInstance, which, aset: AvoidanceSet, nmax) -> Ve
         classes = registry.classes_of_degree(n)
         stat = dict(degree=n, elements=len(inst.elements(ground)), classes=len(classes), with_part=0, cuts=0)
         stats.append(stat)
-        if all(_lost_cut(inst, which, aset, c.rep, stat) is None for c in classes):
-            continue
-        for s in inst.elements(ground):
-            cut = _lost_cut(inst, which, aset, s, Counter())
+        for c in classes:
+            cut = _lost_cut(inst, which, aset, c.rep, stat)
             if cut is not None:
                 return VerificationReport(
                     False,
                     "Irreducibility",
-                    {"element": inst.serialize(s), "cut_down": sorted(cut.down), "which": which},
+                    {"element": inst.serialize(c.rep), "cut_down": sorted(cut.down), "which": which},
                     tuple(stats),
                 )
     return VerificationReport(True, stats=tuple(stats))
