@@ -7,9 +7,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import IrreducibilityNotVerified
-from .fock import _ClassRegistry
 from .preorder import cuts as preorder_cuts
-from .species import SpeciesInstance, VerificationReport
+from .species import ClassRegistry, SpeciesInstance, VerificationReport
 
 
 @dataclass(frozen=True)
@@ -31,28 +30,18 @@ class AvoidanceSet:
 
 
 def has_part(inst: SpeciesInstance, aset: AvoidanceSet, s) -> bool:
-    """Whether some restriction of s lies in the avoidance set; the verdict
-    is cached on inst."""
+    """Whether some restriction of s lies in the avoidance set."""
     if aset.monotone:
         return bool(aset.membership(s))
-    key = (aset, s)
-    hit = inst._part_cache.get(key)
-    if hit is not None:
-        return hit
     ground = tuple(sorted(inst.ground_of(s)))
     sizes = range(len(ground) + 1) if aset.sizes is None else sorted(aset.sizes)
-    found = False
     for r in sizes:
         if r > len(ground):
             continue
         for sub in itertools.combinations(ground, r):
             if aset.membership(inst.restrict(s, frozenset(sub))):
-                found = True
-                break
-        if found:
-            break
-    inst._part_cache[key] = found
-    return found
+                return True
+    return False
 
 
 class AvoidingInstance(SpeciesInstance):
@@ -97,10 +86,6 @@ class AvoidingInstance(SpeciesInstance):
         return self.parent.serialize(s)
 
 
-def avoiding_instance(parent: SpeciesInstance, aset: AvoidanceSet) -> AvoidingInstance:
-    return AvoidingInstance(parent, aset)
-
-
 def _lost_cut(inst, which, aset, s, stat):
     """The first cut of π_which(s) after which neither side keeps a part of
     s, or None (also when s has no part); counts into stat."""
@@ -138,7 +123,7 @@ def is_irreducible(inst: SpeciesInstance, which, aset: AvoidanceSet, nmax) -> Ve
     `stats` holds per degree the `elements`, the orbit `classes`, the
     classes `with_part` and the `cuts` checked on them, up to the failure.
     """
-    registry = _ClassRegistry(inst)
+    registry = ClassRegistry(inst)
     stats = []
     for n in range(nmax + 1):
         ground = tuple(range(1, n + 1))
@@ -172,4 +157,4 @@ def quotient_or_sub_bimonoid(inst: SpeciesInstance, aset: AvoidanceSet, irreduci
         # dualizing the irreducible one multiplies through the quotient map
         f"bimonoid_{irreducible_index}": "quotient bimonoid of the parent",
     }
-    return avoiding_instance(inst, aset), roles
+    return AvoidingInstance(inst, aset), roles

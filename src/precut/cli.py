@@ -45,7 +45,7 @@ from .preorder import (
 )
 from .avoidance import is_irreducible
 from .setn import check_dual_commutation, check_partial_pullback, square_from_json
-from .species import check_bimonoid, check_intertwined, check_species_over_preorders
+from .species import ClassRegistry, _jsonify, check_bimonoid, check_intertwined, check_species_over_preorders
 
 
 def _emit(data, as_json):
@@ -112,13 +112,13 @@ def cmd_enum(args):
     _check_degree(inst, args.n)
     if args.classes:
         listing = [
-            {"id": c.cid, "repr": fock._jsonify(c.key)}
-            for c in fock._ClassRegistry(inst).classes_of_degree(args.n)
+            {"id": c.cid, "repr": _jsonify(c.key)}
+            for c in ClassRegistry(inst).classes_of_degree(args.n)
         ]
         _emit({"instance": inst.name, "degree": args.n, "classes": listing}, args.json)
     else:
         ground = tuple(range(1, args.n + 1))
-        listing = [fock._jsonify(inst.serialize(s)) for s in inst.elements(ground)]
+        listing = [_jsonify(inst.serialize(s)) for s in inst.elements(ground)]
         _emit({"instance": inst.name, "degree": args.n, "elements": listing}, args.json)
     return 0
 

@@ -1,58 +1,43 @@
 """Graded Hopf algebra tables from a species bimonoid.
 
 Basis elements are orbit classes of labeled elements under relabeling, named
-by one registry that walks each orbit once per degree and keeps, per labeled
-element, only its class, and per class its orbit size.  Both tables are read
-off the cuts of one representative per class, which is sound for a natural
-species (`SpeciesInstance`); a fractional product constant is refused.  Both
-are exact integer tables, verified against the bialgebra axioms by degree.
+by the species' `ClassRegistry`, which walks each orbit once per degree and
+keeps, per labeled element, only its class, and per class its orbit size.
+Both tables are read off the cuts of one representative per class, which is
+sound for a natural species (`SpeciesInstance`); a fractional product
+constant is refused.  Both are exact integer tables, verified against the
+bialgebra axioms by degree.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import os
 import tempfile
 from dataclasses import dataclass
 from math import factorial
 
-from .errors import CapExceeded, InvalidStructure, NotIntertwined, PrecutError
+from .errors import InvalidStructure, NotIntertwined, PrecutError
 from .preorder import cuts as preorder_cuts
-from .species import SpeciesInstance, VerificationReport, check_intertwined
 from .species import (
     STAGE_ASSOC,
     STAGE_COASSOC,
     STAGE_COMPAT,
     STAGE_COUNIT,
     STAGE_UNIT,
+    ClassRegistry,
+    OrbitClass,
+    SpeciesInstance,
+    VerificationReport,
+    _jsonify,
+    _orbit,
+    check_intertwined,
 )
 
 CODE_VERSION = "0.1.0"
 VERIFY_DEPTH_CAP = 4
-
-
-def _jsonify(x):
-    if isinstance(x, (list, tuple)):
-        return [_jsonify(v) for v in x]
-    if isinstance(x, frozenset):
-        return sorted(_jsonify(v) for v in x)
-    return x
-
-
-def _orbit(inst, s):
-    """The distinct relabelings of s onto 1..n, each with the image along the
-    sorted ground of the first bijection giving it: the one orbit walk."""
-    ground = sorted(inst.ground_of(s))
-    n = len(ground)
-    if n > inst.cap:
-        raise CapExceeded(f"{inst.name}: canonical form at size {n} above cap {inst.cap}")
-    members = {}
-    for image in itertools.permutations(range(1, n + 1)):
-        members.setdefault(inst.relabel(s, dict(zip(ground, image))), image)
-    return ground, members
 
 
 def canonical_form(inst: SpeciesInstance, s):
@@ -61,15 +46,6 @@ def canonical_form(inst: SpeciesInstance, s):
     ground, members = _orbit(inst, s)
     rep = min(members, key=inst.serialize)
     return rep, dict(zip(ground, members[rep]))
-
-
-@dataclass(frozen=True)
-class OrbitClass:
-    instance: str
-    degree: int
-    rep: object
-    key: object
-    cid: str
 
 
 @dataclass
@@ -157,64 +133,6 @@ def _tupleize(x):
     return x
 
 
-def _class_id(instance, degree, key):
-    blob = json.dumps([instance, degree, _jsonify(key)], sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-class _ClassRegistry:
-    """The orbit classes of one instance, each degree built once, on first use.
-
-    Building degree n walks, n! relabelings each, the orbits of the elements
-    on 1..n that no earlier walk met.  The orbit's least serialization is the
-    representative; each member is filed under its class in one dict over the
-    degree's elements, and no relabeled copy or witness outlives its walk.
-    It also records each orbit's size, for the product (see `fock_tables`).
-    """
-
-    def __init__(self, inst):
-        self.inst = inst
-        self.degrees = {}  # n -> ({element on 1..n: its class}, classes by key)
-        self.orbits = {}  # cid -> orbit size
-
-    def class_of(self, s):
-        """The class of s on any ground: s relabeled in order onto 1..k, looked up."""
-        inst = self.inst
-        ground = sorted(inst.ground_of(s))
-        k = len(ground)
-        if ground != list(range(1, k + 1)):
-            s = inst.relabel(s, dict(zip(ground, range(1, k + 1))))
-        self.classes_of_degree(k)
-        cls = self.degrees[k][0].get(s)
-        if cls is None:
-            raise InvalidStructure(f"{inst.name}: {inst.serialize(s)} is not an element of degree {k}")
-        return cls
-
-    def classes_of_degree(self, n):
-        """The orbit classes of the elements on 1..n, sorted by key."""
-        if n not in self.degrees:
-            inst = self.inst
-            els = inst.elements(tuple(range(1, n + 1)))
-            of, classes = dict.fromkeys(els), []
-            for s in els:
-                if of[s] is None:
-                    _, members = _orbit(inst, s)
-                    rep = min(members, key=inst.serialize)
-                    key = inst.serialize(rep)
-                    cls = OrbitClass(inst.name, n, rep, key, _class_id(inst.name, n, key))
-                    of.update(dict.fromkeys(members, cls))
-                    if len(of) > len(els):
-                        raise InvalidStructure(f"{inst.name}: relabeling {inst.serialize(s)} leaves degree {n}")
-                    self.orbits[cls.cid] = len(members)
-                    classes.append(cls)
-            self.degrees[n] = (of, sorted(classes, key=lambda c: c.key))
-        return self.degrees[n][1]
-
-    def orbit_size(self, cls):
-        """The number of distinct relabelings of cls's representative onto 1..n."""
-        return self.orbits[cls.cid]
-
-
 def _ensure_intertwined(inst, N, verify):
     if verify == "force":
         return
@@ -262,7 +180,7 @@ def fock_tables(
             return cached
     _ensure_intertwined(inst, N, verify)
 
-    registry = _ClassRegistry(inst)
+    registry = ClassRegistry(inst)
     classes = tuple(c for n in range(N + 1) for c in registry.classes_of_degree(n))
     aut = {c.cid: factorial(c.degree) // registry.orbit_size(c) for c in classes}
 
@@ -437,108 +355,6 @@ def verify_hopf_axioms(table: StructureConstantTable, N=None) -> VerificationRep
     return VerificationReport(True)
 
 
-def graded_dual(table: StructureConstantTable) -> StructureConstantTable:
-    """Transpose the pairing: dual products are coproduct constants and
-    vice versa."""
-    product = {}
-    coproduct = {cid: {} for cid in (c.cid for c in table.classes)}
-    deg = {c.cid: c.degree for c in table.classes}
-    for w, cop in table.coproduct.items():
-        for (x, y), c in cop.items():
-            product.setdefault((x, y), {})[w] = c
-    for (x, y), out in table.product.items():
-        for w, c in out.items():
-            coproduct[w][(x, y)] = c
-    # dual product cells absent from any coproduct are zero maps
-    for a in table.classes:
-        for b in table.classes:
-            if a.degree + b.degree <= table.N:
-                product.setdefault((a.cid, b.cid), {})
-    return StructureConstantTable(
-        table.instance + "^dual",
-        table.which_mu,
-        table.which_delta,
-        table.N,
-        table.classes,
-        product,
-        {cid: _clean(v) for cid, v in coproduct.items()},
-    )
-
-
-# -- isomorphism search -----------------------------------------------------
-
-
-def _class_fingerprint(table, cls):
-    """Cheap isomorphism invariant: degree patterns of the class's coproduct
-    and of its products with itself."""
-    deg = {c.cid: c.degree for c in table.classes}
-    cop = sorted(
-        (deg[x], deg[y], c) for (x, y), c in table.coproduct[cls.cid].items()
-    )
-    square = table.product.get((cls.cid, cls.cid), {})
-    prod = sorted(square.values())
-    return (cls.degree, tuple(cop), tuple(prod))
-
-
-def check_isomorphism_by_constants(ta, tb, N=None):
-    """Degree-respecting class bijection matching all constants, or None.
-
-    Backtracks one class at a time; a candidate image must share the degree
-    fingerprint and reproduce the class's full coproduct, which is already
-    determined at assignment time (all its terms lie in lower degrees or
-    involve the class itself).  Each completed degree must then carry every
-    product and coproduct constant within it (`_verify_transition`).
-    """
-    N = min(ta.N, tb.N) if N is None else N
-    if ta.dims(N) != tb.dims(N):
-        return None
-    per_a = {n: sorted((c for c in ta.classes if c.degree == n), key=lambda c: c.key) for n in range(N + 1)}
-    per_b = {n: sorted((c for c in tb.classes if c.degree == n), key=lambda c: c.key) for n in range(N + 1)}
-    fp_a = {c.cid: _class_fingerprint(ta, c) for c in ta.classes}
-    fp_b = {c.cid: _class_fingerprint(tb, c) for c in tb.classes}
-
-    def coproduct_matches(a_cid, b_cid, trial):
-        image = dict(trial)
-        image[a_cid] = b_cid
-        want = {}
-        for (x, y), c in ta.coproduct[a_cid].items():
-            want[(image[x], image[y])] = want.get((image[x], image[y]), 0) + c
-        return _clean(want) == _clean(tb.coproduct[b_cid])
-
-    def assign_degree(degree, mapping):
-        a_list = per_a[degree]
-        b_list = per_b[degree]
-
-        def rec(i, trial, used):
-            if i == len(a_list):
-                if _verify_transition(ta, tb, {a: {b: 1} for a, b in trial.items()}, degree):
-                    return extend(trial, degree + 1)
-                return None
-            a = a_list[i]
-            for b in b_list:
-                if b.cid in used or fp_b[b.cid] != fp_a[a.cid]:
-                    continue
-                if not coproduct_matches(a.cid, b.cid, trial):
-                    continue
-                trial[a.cid] = b.cid
-                used.add(b.cid)
-                out = rec(i + 1, trial, used)
-                if out is not None:
-                    return out
-                del trial[a.cid]
-                used.discard(b.cid)
-            return None
-
-        return rec(0, dict(mapping), set())
-
-    def extend(mapping, degree):
-        if degree > N:
-            return mapping
-        return assign_degree(degree, mapping)
-
-    return extend({}, 0)
-
-
 def _reduced_echelon(equations):
     """Sparse exact reduced row echelon form of affine equations, or None.
 
@@ -697,6 +513,6 @@ def _verify_transition(ta, tb, phi, N):
 
 def graded_dimensions(inst: SpeciesInstance, N):
     """Orbit-class counts per degree, without building structure constants."""
-    registry = _ClassRegistry(inst)
+    registry = ClassRegistry(inst)
     return [len(registry.classes_of_degree(n)) for n in range(N + 1)]
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..avoidance import AvoidanceSet, avoiding_instance
+from ..avoidance import AvoidanceSet, AvoidingInstance
 from ..errors import UnknownInstance
 from .colored import BrokenCoarseSecond, BrokenCutEquality, BrokenMonotonicity, ColoredSets
 from .graphs import Graphs
@@ -97,15 +97,15 @@ def build_preset(preset):
     if preset not in AVOIDANCE_PRESETS:
         raise UnknownInstance(f"unknown avoidance preset {preset!r}")
     if preset == "mr-in-parking":
-        inner = avoiding_instance(build_instance("parking"), PARKING_SECOND)
+        inner = AvoidingInstance(build_instance("parking"), PARKING_SECOND)
         first_not_total = AvoidanceSet(
             "first-total",
             lambda s: any(len(part) > i + 1 for i, part in enumerate(s.first)),
             monotone=True,
         )
-        return avoiding_instance(inner, first_not_total)
+        return AvoidingInstance(inner, first_not_total)
     parent_name, aset, _ = AVOIDANCE_PRESETS[preset]
-    return avoiding_instance(build_instance(parent_name), aset)
+    return AvoidingInstance(build_instance(parent_name), aset)
 
 
 # (instance name, which_delta, which_mu, N) for every table the package ships;

@@ -1,5 +1,6 @@
-"""Restriction species over preorders: cut coproducts, dual products, and
-the exhaustive verifiers for the comonoid, intertwining and bimonoid laws.
+"""Restriction species over preorders: orbit classes under relabeling, cut
+coproducts, dual products, and the exhaustive verifiers for the comonoid,
+intertwining and bimonoid laws.
 
 A species instance bundles enumeration, restriction, relabeling and two
 preorder projections.  The coproduct of an element at a decomposition
@@ -10,11 +11,13 @@ coproduct returns the given pair.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import BadDecomposition, CapExceeded
+from .errors import BadDecomposition, CapExceeded, InvalidStructure
 from .preorder import Preorder, is_cut
 from .preorder import cuts as preorder_cuts
 from .preorder import restrict as preorder_restrict
@@ -52,14 +55,13 @@ class SpeciesInstance:
     `serialize` and `ground_of`; there are no optional hooks.  Elements must
     be hashable values, each listed once; relabeling and restriction must
     stay among the elements, and relabeling must be natural, commuting with
-    restriction and with π1, π2 (`preorder.relabel`): the Fock tables and
-    `avoidance.is_irreducible` rest on it, and no verifier checks it yet.
-    `elements` results are cached per ground set and returned in
-    serialization order.  Each instance owns its caches, with the
-    intertwining and avoidance verdicts that `fock` and `avoidance` store
-    here, so two instances never share a result.  Orbit classes are not
-    cached here: each `fock` registry holds its own, and so does each
-    `is_irreducible` call.
+    restriction and with π1, π2 (`preorder.relabel`): the orbit classes of
+    `ClassRegistry` and everything read off their representatives rest on
+    it, and no verifier checks it yet.  `elements` results are cached per
+    ground set and returned in serialization order.  Each instance owns its
+    caches, with the intertwining verdicts that `fock` stores here, so two
+    instances never share a result.  Orbit classes are not cached here:
+    each `ClassRegistry` holds its own.
     """
 
     name = "abstract"
@@ -70,7 +72,6 @@ class SpeciesInstance:
         self._mu_cache = {}
         self._pi_cache = {}
         self._verified = {}  # depth -> intertwining report
-        self._part_cache = {}  # (avoidance set, element) -> has_part
 
     # -- required per species ------------------------------------------
 
@@ -121,6 +122,101 @@ class SpeciesInstance:
             p = self.pi1(s) if which == 1 else self.pi2(s)
             self._pi_cache[key] = p
         return p
+
+
+# -- orbit classes -------------------------------------------------------------
+
+
+def _jsonify(x):
+    if isinstance(x, (list, tuple)):
+        return [_jsonify(v) for v in x]
+    if isinstance(x, frozenset):
+        return sorted(_jsonify(v) for v in x)
+    return x
+
+
+def _orbit(inst, s):
+    """The distinct relabelings of s onto 1..n, each with the image along the
+    sorted ground of the first bijection giving it: the one orbit walk."""
+    ground = sorted(inst.ground_of(s))
+    n = len(ground)
+    if n > inst.cap:
+        raise CapExceeded(f"{inst.name}: canonical form at size {n} above cap {inst.cap}")
+    members = {}
+    for image in itertools.permutations(range(1, n + 1)):
+        members.setdefault(inst.relabel(s, dict(zip(ground, image))), image)
+    return ground, members
+
+
+@dataclass(frozen=True)
+class OrbitClass:
+    instance: str
+    degree: int
+    rep: object
+    key: object
+    cid: str
+
+
+def _class_id(instance, degree, key):
+    blob = json.dumps([instance, degree, _jsonify(key)], sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+class ClassRegistry:
+    """The orbit classes of one instance, each degree built once, on first use.
+
+    A class is an orbit of the elements on 1..n under relabeling: the
+    species' coinvariants.  Building degree n walks, n! relabelings each, the
+    orbits of the elements that no earlier walk met.  The orbit's least
+    serialization is the representative; each member is filed under its
+    class in one dict over the degree's elements, and no relabeled copy or
+    witness outlives its walk.  It also records each orbit's size, for the
+    Fock product.  A relabeling that leaves the degree's elements raises
+    InvalidStructure.  Whatever a caller reads off a representative holds
+    for its whole class only when relabeling is natural (`SpeciesInstance`).
+    """
+
+    def __init__(self, inst):
+        self.inst = inst
+        self.degrees = {}  # n -> ({element on 1..n: its class}, classes by key)
+        self.orbits = {}  # cid -> orbit size
+
+    def class_of(self, s):
+        """The class of s on any ground: s relabeled in order onto 1..k, looked up."""
+        inst = self.inst
+        ground = sorted(inst.ground_of(s))
+        k = len(ground)
+        if ground != list(range(1, k + 1)):
+            s = inst.relabel(s, dict(zip(ground, range(1, k + 1))))
+        self.classes_of_degree(k)
+        cls = self.degrees[k][0].get(s)
+        if cls is None:
+            raise InvalidStructure(f"{inst.name}: {inst.serialize(s)} is not an element of degree {k}")
+        return cls
+
+    def classes_of_degree(self, n):
+        """The orbit classes of the elements on 1..n, sorted by key."""
+        if n not in self.degrees:
+            inst = self.inst
+            els = inst.elements(tuple(range(1, n + 1)))
+            of, classes = dict.fromkeys(els), []
+            for s in els:
+                if of[s] is None:
+                    _, members = _orbit(inst, s)
+                    rep = min(members, key=inst.serialize)
+                    key = inst.serialize(rep)
+                    cls = OrbitClass(inst.name, n, rep, key, _class_id(inst.name, n, key))
+                    of.update(dict.fromkeys(members, cls))
+                    if len(of) > len(els):
+                        raise InvalidStructure(f"{inst.name}: relabeling {inst.serialize(s)} leaves degree {n}")
+                    self.orbits[cls.cid] = len(members)
+                    classes.append(cls)
+            self.degrees[n] = (of, sorted(classes, key=lambda c: c.key))
+        return self.degrees[n][1]
+
+    def orbit_size(self, cls):
+        """The number of distinct relabelings of cls's representative onto 1..n."""
+        return self.orbits[cls.cid]
 
 
 ELEMENT_BOUND = 518_400  # (6!)^2, perm pairs at their cap: the largest shipped degree

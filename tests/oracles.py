@@ -30,11 +30,15 @@ product, as the verifiers did before they started from each element's cuts.
 restricted projections: every restriction and projection is recomputed
 where it is used.  `brute_verify_hopf_axioms` is the Hopf-axiom check as it
 was before its loops were bounded by degree: full triple and double loops
-over all classes that skip cells above the degree bound.  The last two
-oracles serve the F -> M change of basis: `weak_order_zeta` is the
-Aguiar-Sottile closed form, read from the permutation words only, and
-`dense_solve_affine` is the dense column-by-column Gaussian elimination
-that the sparse reduced echelon form replaced.  The oracles at the very end
+over all classes that skip cells above the degree bound.  `graded_dual`
+transposes a table, and `check_isomorphism_by_constants` searches for a
+degree-respecting class bijection that carries every constant, pruned by
+the `_class_fingerprint` invariant: the tests compare tables with them, and
+the package has no other use for either.  The last two oracles serve the
+F -> M change of basis: `weak_order_zeta` is the Aguiar-Sottile closed
+form, read from the permutation words only, and `dense_solve_affine` is
+the dense column-by-column Gaussian elimination that the sparse reduced
+echelon form replaced.  The oracles at the very end
 build preorders and parking chains as the package did before it had one way
 to build each: `brute_enumerate_preorders` tests every relation for
 transitivity, `closure_relabel` relabels through the Warshall closure, and
@@ -48,14 +52,14 @@ from math import factorial
 from precut import species
 from precut.avoidance import has_part
 from precut.errors import NotExhaustive, NotNested
-from precut.fock import OrbitClass, _add, _class_id, _ClassRegistry, _clean, _scale
+from precut.fock import StructureConstantTable, _add, _clean, _scale, _verify_transition
 from precut.instances.perm import word_of
 from precut.preorder import Preorder, _is_transitive, closure, total_preorder_from_blocks
 from precut.preorder import cuts as preorder_cuts
 from precut.preorder import is_cut
 from precut.preorder import relabel as preorder_relabel
 from precut.preorder import restrict as preorder_restrict
-from precut.species import VerificationReport, delta, mu, mu_bucket
+from precut.species import ClassRegistry, OrbitClass, VerificationReport, _class_id, delta, mu, mu_bucket
 
 
 def contains_pattern(word, pattern):
@@ -170,7 +174,7 @@ def orbit_size(inst, s):
 def coproduct_via_orbit_standard_splits(inst, which, cls):
     """Oracle for the class coproduct: orbit totals of standard splits,
     renormalized by |stab| / (k! (n-k)!); asserts exact integrality."""
-    registry = _ClassRegistry(inst)
+    registry = ClassRegistry(inst)
     n = cls.degree
     ground = tuple(range(1, n + 1))
     stab = factorial(n) // orbit_size(inst, cls.rep)
@@ -294,7 +298,7 @@ def labeled_product(inst, which_mu, table):
     every element of degree <= N whose standard split (1..p, p+1..n) is a cut
     of its mu-projection, with a representative on 1..p and a representative
     shifted by p on p+1..n, counted by the pair and by its own class."""
-    registry = _ClassRegistry(inst)
+    registry = ClassRegistry(inst)
     N = table.N
     # every representative and its copies shifted onto p+1..p+k: the side of
     # a standard split on 1..p can only match a representative, the side on
@@ -713,6 +717,105 @@ def brute_verify_hopf_axioms(table, N=None):
                     },
                 )
     return VerificationReport(True)
+
+
+def graded_dual(table: StructureConstantTable) -> StructureConstantTable:
+    """Transpose the pairing: dual products are coproduct constants and
+    vice versa."""
+    product = {}
+    coproduct = {cid: {} for cid in (c.cid for c in table.classes)}
+    deg = {c.cid: c.degree for c in table.classes}
+    for w, cop in table.coproduct.items():
+        for (x, y), c in cop.items():
+            product.setdefault((x, y), {})[w] = c
+    for (x, y), out in table.product.items():
+        for w, c in out.items():
+            coproduct[w][(x, y)] = c
+    # dual product cells absent from any coproduct are zero maps
+    for a in table.classes:
+        for b in table.classes:
+            if a.degree + b.degree <= table.N:
+                product.setdefault((a.cid, b.cid), {})
+    return StructureConstantTable(
+        table.instance + "^dual",
+        table.which_mu,
+        table.which_delta,
+        table.N,
+        table.classes,
+        product,
+        {cid: _clean(v) for cid, v in coproduct.items()},
+    )
+
+
+def _class_fingerprint(table, cls):
+    """Cheap isomorphism invariant: degree patterns of the class's coproduct
+    and of its products with itself."""
+    deg = {c.cid: c.degree for c in table.classes}
+    cop = sorted(
+        (deg[x], deg[y], c) for (x, y), c in table.coproduct[cls.cid].items()
+    )
+    square = table.product.get((cls.cid, cls.cid), {})
+    prod = sorted(square.values())
+    return (cls.degree, tuple(cop), tuple(prod))
+
+
+def check_isomorphism_by_constants(ta, tb, N=None):
+    """Degree-respecting class bijection matching all constants, or None.
+
+    Backtracks one class at a time; a candidate image must share the degree
+    fingerprint and reproduce the class's full coproduct, which is already
+    determined at assignment time (all its terms lie in lower degrees or
+    involve the class itself).  Each completed degree must then carry every
+    product and coproduct constant within it (`_verify_transition`).
+    """
+    N = min(ta.N, tb.N) if N is None else N
+    if ta.dims(N) != tb.dims(N):
+        return None
+    per_a = {n: sorted((c for c in ta.classes if c.degree == n), key=lambda c: c.key) for n in range(N + 1)}
+    per_b = {n: sorted((c for c in tb.classes if c.degree == n), key=lambda c: c.key) for n in range(N + 1)}
+    fp_a = {c.cid: _class_fingerprint(ta, c) for c in ta.classes}
+    fp_b = {c.cid: _class_fingerprint(tb, c) for c in tb.classes}
+
+    def coproduct_matches(a_cid, b_cid, trial):
+        image = dict(trial)
+        image[a_cid] = b_cid
+        want = {}
+        for (x, y), c in ta.coproduct[a_cid].items():
+            want[(image[x], image[y])] = want.get((image[x], image[y]), 0) + c
+        return _clean(want) == _clean(tb.coproduct[b_cid])
+
+    def assign_degree(degree, mapping):
+        a_list = per_a[degree]
+        b_list = per_b[degree]
+
+        def rec(i, trial, used):
+            if i == len(a_list):
+                if _verify_transition(ta, tb, {a: {b: 1} for a, b in trial.items()}, degree):
+                    return extend(trial, degree + 1)
+                return None
+            a = a_list[i]
+            for b in b_list:
+                if b.cid in used or fp_b[b.cid] != fp_a[a.cid]:
+                    continue
+                if not coproduct_matches(a.cid, b.cid, trial):
+                    continue
+                trial[a.cid] = b.cid
+                used.add(b.cid)
+                out = rec(i + 1, trial, used)
+                if out is not None:
+                    return out
+                del trial[a.cid]
+                used.discard(b.cid)
+            return None
+
+        return rec(0, dict(mapping), set())
+
+    def extend(mapping, degree):
+        if degree > N:
+            return mapping
+        return assign_degree(degree, mapping)
+
+    return extend({}, 0)
 
 
 def weak_order_zeta(table_f, table_m, n, order_key):

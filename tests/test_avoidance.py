@@ -5,7 +5,7 @@ import pytest
 
 from precut.avoidance import (
     AvoidanceSet,
-    avoiding_instance,
+    AvoidingInstance,
     has_part,
     is_irreducible,
     quotient_or_sub_bimonoid,
@@ -55,20 +55,20 @@ def test_has_part_leaves_the_avoidance_set_unchanged():
 
 
 def test_avoiding_instance_counts():
-    inst = avoiding_instance(build_instance("perm_m"), pattern_set((2, 1, 3)))
+    inst = AvoidingInstance(build_instance("perm_m"), pattern_set((2, 1, 3)))
     assert len(inst.elements((1, 2, 3))) == 30  # 6 relabelings of 5 avoiding words
 
 
 def test_empty_avoidance_changes_nothing():
     parent = build_instance("graphs")
-    inst = avoiding_instance(parent, AvoidanceSet("empty", lambda s: False))
+    inst = AvoidingInstance(parent, AvoidanceSet("empty", lambda s: False))
     for n in range(4):
         ground = tuple(range(1, n + 1))
         assert inst.elements(ground) == parent.elements(ground)
 
 
 def test_cherry_avoiders_have_forest_hasse_diagrams():
-    inst = avoiding_instance(build_instance("posets"), CHERRY)
+    inst = AvoidingInstance(build_instance("posets"), CHERRY)
     ground = (1, 2, 3, 4)
     for s in inst.elements(ground):
         for z in ground:
@@ -84,7 +84,7 @@ def test_cherry_avoiders_have_forest_hasse_diagrams():
 def test_avoiders_closed_under_restriction():
     parent = build_instance("perm_m")
     aset = pattern_set((2, 1, 3))
-    inst = avoiding_instance(parent, aset)
+    inst = AvoidingInstance(parent, aset)
     ground = (1, 2, 3, 4)
     for s in inst.elements(ground):
         for r in range(5):
@@ -146,7 +146,7 @@ def test_quotient_multiplication_drops_non_avoiders():
     # q∘mu_parent = mu_quotient on avoiders, for the irreducible-side dual
     parent = build_instance("perm_m")
     aset = pattern_set((2, 1, 3))
-    inst = avoiding_instance(parent, aset)
+    inst = AvoidingInstance(parent, aset)
     u = pair_from_word((2, 1), ground=(1, 2))
     v = pair_from_word((1,), ground=(3,))
     parent_out = mu(parent, 2, u, v)
@@ -190,7 +190,7 @@ def test_census_irreducible_exactly_without_global_descent():
 def test_census_dimensions_count_avoiders():
     perm_m = build_instance("perm_m")
     for w in PATTERNS:
-        inst = avoiding_instance(perm_m, pattern_set(w))
+        inst = AvoidingInstance(perm_m, pattern_set(w))
         assert graded_dimensions(inst, 4) == [count_avoiders(n, [w]) for n in range(5)], w
 
 
@@ -198,7 +198,7 @@ def test_census_dimensions_count_avoiders():
     "word", [w for w in PATTERNS if not has_global_descent(w)], ids=lambda w: "".join(map(str, w))
 )
 def test_census_quotient_tables_pass_hopf_axioms(word):
-    inst = avoiding_instance(build_instance("perm_m"), pattern_set(word))
+    inst = AvoidingInstance(build_instance("perm_m"), pattern_set(word))
     assert verify_hopf_axioms(fock_tables(inst, 1, 2, 3)).passed
 
 

@@ -16,10 +16,8 @@ from precut.fock import (
     _reduced_echelon,
     canonical_form,
     check_isomorphism_by_change_of_basis,
-    check_isomorphism_by_constants,
     fock_tables,
     graded_dimensions,
-    graded_dual,
     table_from_json,
     verify_hopf_axioms,
 )
@@ -27,15 +25,17 @@ from precut.instances import SHIPPED_TABLES, build_instance, build_preset
 from precut.instances.colored import ColoredSets
 from precut.instances.perm import PermPairs, pair_from_word, word_of
 from precut.preorder import chain
-from precut.species import check_species_over_preorders
+from precut.species import ClassRegistry, check_species_over_preorders
 
 from oracles import (
     CachedClassRegistry,
     brute_canonical_form,
     brute_check_natural,
     brute_verify_hopf_axioms,
+    check_isomorphism_by_constants,
     coproduct_via_orbit_standard_splits,
     dense_solve_affine,
+    graded_dual,
     labeled_product,
     product_via_mu,
     weak_order_zeta,
@@ -573,14 +573,14 @@ def test_registry_matches_cached_oracle(monkeypatch, name, which_delta, which_mu
     # forced, so that the controls build too; a forced table is the same
     # table.  The product is pinned against the labeled pass as well.
     monkeypatch.delenv("PRECUT_CACHE_DIR", raising=False)
-    registries = fock._ClassRegistry, CachedClassRegistry
+    registries = ClassRegistry, CachedClassRegistry
     new, old = (registry(build_instance(name)) for registry in registries)
     classes = classes_upto(new, N)
     assert classes == classes_upto(old, N)
     assert [new.orbit_size(c) for c in classes] == [old.orbit_size(c) for c in classes]
 
     def build(registry):
-        monkeypatch.setattr(fock, "_ClassRegistry", registry)
+        monkeypatch.setattr(fock, "ClassRegistry", registry)
         return fock_tables(build_instance(name), which_delta, which_mu, N, verify="force")
 
     if name == "broken_cut":
@@ -603,7 +603,7 @@ def test_degree_build_walks_each_orbit_once(monkeypatch, name, n, classes):
     calls = []
     relabel = inst.relabel
     monkeypatch.setattr(inst, "relabel", lambda s, mapping: calls.append(s) or relabel(s, mapping))
-    registry = fock._ClassRegistry(inst)
+    registry = ClassRegistry(inst)
     assert len(registry.classes_of_degree(n)) == classes
     assert len(calls) == classes * factorial(n)
     registry.classes_of_degree(n)  # built once
@@ -616,7 +616,7 @@ def test_registry_keeps_no_orbit_copies():
     inst.elements((1, 2, 3, 4))
     tracemalloc.start()
     try:
-        classes = fock._ClassRegistry(inst).classes_of_degree(4)
+        classes = ClassRegistry(inst).classes_of_degree(4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,9 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
 from oracles import brute_check_bimonoid, brute_check_intertwined, brute_check_species
-from precut import species
+from precut import fock, species
 from precut.errors import BadDecomposition
 from precut.instances import SHIPPED_TABLES, build_instance
 from precut.instances.colored import ColoredSets, Coloring
@@ -498,3 +501,15 @@ def test_verifiers_leave_no_state_on_the_instance(name):
         got, want = _cache_keys(inst), _cache_keys(ref)
         assert got.keys() == want.keys()
         assert all(got[attr] <= want[attr] for attr in got)
+
+
+def test_orbit_classes_live_in_the_species_layer():
+    # species, their avoiding subspecies and the shipped instances reach the
+    # orbit classes without loading the Fock tables, which share the registry
+    src = os.path.dirname(os.path.dirname(os.path.abspath(species.__file__)))
+    code = "import sys, precut.species, precut.avoidance, precut.instances; print('precut.fock' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+    assert fock.ClassRegistry is species.ClassRegistry
