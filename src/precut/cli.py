@@ -85,22 +85,6 @@ def _inline(v):
     return v
 
 
-def _load_instance(args):
-    name = args.instance
-    if getattr(args, "avoid", None):
-        preset = args.avoid
-        if preset not in AVOIDANCE_PRESETS:
-            raise PrecutError(f"unknown avoidance preset {preset!r}")
-        parent, _, _ = AVOIDANCE_PRESETS[preset]
-        if name != parent:
-            raise PrecutError(f"preset {preset!r} applies to {parent!r}, not {name!r}")
-        return build_preset(preset)
-    params = {}
-    if getattr(args, "palette", None) is not None:
-        params["palette"] = args.palette
-    return build_instance(name, **params)
-
-
 def _check_degree(inst, degree):
     """Refuse a degree outside 0..cap before any enumeration."""
     if not 0 <= degree <= inst.cap:
@@ -108,7 +92,7 @@ def _check_degree(inst, degree):
 
 
 def cmd_enum(args):
-    inst = _load_instance(args)
+    inst = build_instance(args.instance, avoid=args.avoid, palette=args.palette)
     _check_degree(inst, args.n)
     if args.classes:
         listing = [
@@ -124,7 +108,7 @@ def cmd_enum(args):
 
 
 def cmd_verify(args):
-    inst = _load_instance(args)
+    inst = build_instance(args.instance, avoid=args.avoid, palette=args.palette)
     _check_degree(inst, args.nmax)
     if args.check == "preorders":
         report = check_species_over_preorders(inst, args.nmax)
@@ -139,8 +123,6 @@ def cmd_verify(args):
 
 
 def cmd_avoid(args):
-    if args.preset not in AVOIDANCE_PRESETS:
-        raise PrecutError(f"unknown avoidance preset {args.preset!r}")
     inst = build_preset(args.preset)
     _check_degree(inst, args.nmax)
     out = {"preset": args.preset, "instance": inst.name}
@@ -160,7 +142,7 @@ def cmd_avoid(args):
 
 
 def cmd_fock(args):
-    inst = _load_instance(args)
+    inst = build_instance(args.instance, avoid=args.avoid, palette=args.palette)
     _check_degree(inst, args.N)
     table = fock.fock_tables(
         inst,
@@ -355,23 +337,21 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="precut")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON output")
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--instance", required=True)
+    instance.add_argument("--avoid")
+    instance.add_argument("--palette", type=int)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enum", parents=[common], help="list elements or orbit classes per degree")
-    p.add_argument("--instance", required=True)
+    p = sub.add_parser("enum", parents=[common, instance], help="list elements or orbit classes per degree")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--classes", action="store_true")
-    p.add_argument("--avoid")
-    p.add_argument("--palette", type=int)
     p.set_defaults(func=cmd_enum)
 
-    p = sub.add_parser("verify", parents=[common], help="run a species verification sweep")
-    p.add_argument("--instance", required=True)
+    p = sub.add_parser("verify", parents=[common, instance], help="run a species verification sweep")
     p.add_argument("--check", choices=("preorders", "intertwined", "bimonoid"), required=True)
     p.add_argument("--nmax", type=int, default=3)
     p.add_argument("--coproduct", type=int, choices=(1, 2), default=1)
-    p.add_argument("--avoid")
-    p.add_argument("--palette", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("avoid", parents=[common], help="avoidance presets and irreducibility checks")
@@ -380,17 +360,14 @@ def build_parser():
     p.add_argument("--nmax", type=int, default=3)
     p.set_defaults(func=cmd_avoid)
 
-    p = sub.add_parser("fock", parents=[common], help="compute graded structure constants")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--avoid")
-    p.add_argument("--palette", type=int)
+    p = sub.add_parser("fock", parents=[common, instance], help="compute graded structure constants")
     p.add_argument("--delta", type=int, choices=(1, 2), default=1)
     p.add_argument("--mu", type=int, choices=(1, 2), default=2)
     p.add_argument("--N", type=int, default=3)
     p.add_argument("--out")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--cache-dir", default=os.environ.get("PRECUT_CACHE_DIR"))
+    p.add_argument("--cache-dir")
     p.set_defaults(func=cmd_fock)
 
     p = sub.add_parser("check-square", parents=[common], help="partial pullback / dual commutation")

@@ -2,38 +2,37 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..avoidance import AvoidanceSet, AvoidingInstance
-from ..errors import UnknownInstance
+from ..errors import PrecutError, UnknownInstance
 from .colored import BrokenCoarseSecond, BrokenCutEquality, BrokenMonotonicity, ColoredSets
 from .graphs import Graphs
 from .orders import OrderSpecies
 from .pairs import PackedWords, PreorderPairs, cc_matrix, generate_pair, packed_word_of
 from .parking import ParkingPairs
 from .perm import PermPairs, pair_from_word, word_of
+from .tensor import TensorWords
 
 _BUILDERS = {
-    "colored": lambda params: ColoredSets(palette=int(params.get("palette", 2))),
-    "tensor": lambda params: _tensor(params),
-    "graphs": lambda params: Graphs(),
-    "posets": lambda params: OrderSpecies(posets_only=True),
-    "preorders": lambda params: OrderSpecies(posets_only=False),
-    "perm_f": lambda params: PermPairs("f"),
-    "perm_m": lambda params: PermPairs("m"),
-    "parking": lambda params: ParkingPairs(),
-    "cc": lambda params: PreorderPairs("cc"),
-    "nc": lambda params: PreorderPairs("nc"),
-    "nn": lambda params: PreorderPairs("nn"),
-    "packed_words": lambda params: PackedWords(),
-    "broken_dc": lambda params: BrokenCoarseSecond(palette=int(params.get("palette", 2))),
-    "broken_monotone": lambda params: BrokenMonotonicity(palette=int(params.get("palette", 2))),
-    "broken_cut": lambda params: BrokenCutEquality(palette=int(params.get("palette", 2))),
+    "colored": ColoredSets,
+    "tensor": TensorWords,
+    "graphs": Graphs,
+    "posets": partial(OrderSpecies, posets_only=True),
+    "preorders": partial(OrderSpecies, posets_only=False),
+    "perm_f": partial(PermPairs, "f"),
+    "perm_m": partial(PermPairs, "m"),
+    "parking": ParkingPairs,
+    "cc": partial(PreorderPairs, "cc"),
+    "nc": partial(PreorderPairs, "nc"),
+    "nn": partial(PreorderPairs, "nn"),
+    "packed_words": PackedWords,
+    "broken_dc": BrokenCoarseSecond,
+    "broken_monotone": BrokenMonotonicity,
+    "broken_cut": BrokenCutEquality,
 }
-
-
-def _tensor(params):
-    from .tensor import TensorWords
-
-    return TensorWords(palette=int(params.get("palette", 2)))
+# the species whose constructor takes a palette
+_PALETTE_SPECIES = ("colored", "tensor", "broken_dc", "broken_monotone", "broken_cut")
 
 
 def pattern_set(*words):
@@ -130,19 +129,21 @@ SHIPPED_TABLES = (
 )
 
 
-def build_instance(name, **params):
-    """Instance registry; composite names like perm_m/213 apply a preset."""
-    if "/" in name:
-        parent, preset = name.split("/", 1)
-        if preset in AVOIDANCE_PRESETS and AVOIDANCE_PRESETS[preset][0] == parent:
-            inst = build_preset(preset)
-        else:
-            raise UnknownInstance(f"unknown preset {preset!r} for instance {parent!r}")
-    elif name in _BUILDERS:
-        inst = _BUILDERS[name](params)
-    else:
+def build_instance(name, avoid=None, palette=None):
+    """The one resolver of instance names: a registry name, with an avoidance
+    preset of that parent (avoid=..., or the composite name parent/preset) or
+    with a palette for the species that take one."""
+    if avoid is None and "/" in name:
+        name, avoid = name.split("/", 1)
+    if name not in _BUILDERS:
         raise UnknownInstance(f"unknown instance {name!r}")
-    return inst
+    if avoid is not None and AVOIDANCE_PRESETS.get(avoid, (None,))[0] != name:
+        raise UnknownInstance(f"unknown preset {avoid!r} for instance {name!r}")
+    if palette is None:
+        return build_preset(avoid) if avoid is not None else _BUILDERS[name]()
+    if avoid is not None or name not in _PALETTE_SPECIES:
+        raise PrecutError(f"instance {name!r} takes no palette")
+    return _BUILDERS[name](palette=palette)
 
 
 __all__ = [

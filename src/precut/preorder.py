@@ -2,8 +2,8 @@
 
 Relations are stored as bitmask rows over the sorted ground tuple, so meet is
 bitwise AND, join is a Warshall closure of bitwise OR, and the opposite is a
-transpose.  Cuts, bubbles, refinements, the minimal total refinement and the
-global-descent analysis of pairs of total orders all live here.
+transpose.  Cuts, bubbles and components, restriction, the minimal total
+refinement and exhaustive enumeration live here.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import CapExceeded, GroundMismatch, InvalidStructure, UnknownLabel
+from .errors import CapExceeded, GroundMismatch, InvalidStructure, NotTotalPreorder, UnknownLabel
 
 
 def _closed_rows(n, rows):
@@ -263,8 +263,6 @@ def total_blocks(p: Preorder):
 
     Raises NotTotalPreorder when some pair is incomparable.
     """
-    from .errors import NotTotalPreorder
-
     if not is_total_preorder(p):
         raise NotTotalPreorder(f"not a total preorder on {p.ground!r}")
     ranked = sorted(
@@ -344,31 +342,7 @@ def relabel(p: Preorder, mapping) -> Preorder:
     return Preorder(ground, tuple(rows))
 
 
-# -- refinements -----------------------------------------------------------
-
-
-def is_refinement(p: Preorder, q: Preorder) -> bool:
-    """p refines q: p-bubbles sit inside q-bubbles and strict parts agree
-    across distinct q-bubbles."""
-    _check_same_ground(p, q)
-    for x, y in itertools.combinations(p.ground, 2):
-        if p.same_bubble(x, y) and not q.same_bubble(x, y):
-            return False
-        if not q.same_bubble(x, y):
-            if q.lt(x, y) != p.lt(x, y) or q.lt(y, x) != p.lt(y, x):
-                return False
-    return True
-
-
-def is_bubble_refinement(p: Preorder, q: Preorder) -> bool:
-    """Refinement whose strict part agrees with q everywhere."""
-    _check_same_ground(p, q)
-    for x, y in itertools.combinations(p.ground, 2):
-        if p.same_bubble(x, y) and not q.same_bubble(x, y):
-            return False
-        if q.lt(x, y) != p.lt(x, y) or q.lt(y, x) != p.lt(y, x):
-            return False
-    return True
+# -- the minimal total refinement -----------------------------------------
 
 
 def minimal_total_refinement(p: Preorder) -> Preorder:
@@ -481,51 +455,3 @@ def _ordered_set_partitions(items):
             yield blocks[:i] + [(first,) + blocks[i]] + blocks[i + 1 :]
         for i in range(len(blocks) + 1):
             yield blocks[:i] + [(first,)] + blocks[i:]
-
-
-# -- pairs of total orders and global descents ----------------------------
-
-
-@dataclass(frozen=True)
-class TotalOrderPair:
-    t1: Preorder
-    t2: Preorder
-
-    def __post_init__(self):
-        _check_same_ground(self.t1, self.t2)
-        if not (is_total_order(self.t1) and is_total_order(self.t2)):
-            raise ValueError("both components must be total orders")
-
-
-def order_sequence(t: Preorder):
-    """Elements of a total order listed smallest first."""
-    n = len(t.ground)
-    return tuple(
-        sorted(t.ground, key=lambda x: bin(t.rows[t.index(x)]).count("1"), reverse=True)
-    )
-
-
-def permutation_of_pair(pair: TotalOrderPair):
-    """One-line word: t2-ranks read in t1 order."""
-    seq1 = order_sequence(pair.t1)
-    seq2 = order_sequence(pair.t2)
-    rank2 = {x: i + 1 for i, x in enumerate(seq2)}
-    return tuple(rank2[x] for x in seq1)
-
-
-def global_descents(pair: TotalOrderPair):
-    """Positions k in 1..n-1 where the word's first k values are its k largest."""
-    word = permutation_of_pair(pair)
-    n = len(word)
-    out = set()
-    seen = set()
-    for k in range(1, n):
-        seen.add(word[k - 1])
-        if seen == set(range(n - k + 1, n + 1)):
-            out.add(k)
-    return out
-
-
-def descent_preorder(pair: TotalOrderPair) -> Preorder:
-    """T1 ∨ T2-opposite: total preorder whose nontrivial cuts are the global descents."""
-    return join(pair.t1, opposite(pair.t2))

@@ -8,7 +8,7 @@ import pytest
 
 import precut
 from precut.cli import main
-from precut.instances import build_instance
+from precut.instances import _BUILDERS, AVOIDANCE_PRESETS, build_instance
 from precut.instances.perm import pair_from_word
 from precut.preorder import cuts
 
@@ -157,6 +157,14 @@ def test_fock_cache_determinism(tmp_path, capsys):
     )
 
 
+def test_fock_cache_dir_from_the_environment(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PRECUT_CACHE_DIR", str(tmp_path))
+    code, data = run_json(capsys, "fock", "--instance", "colored", "--palette", "1", "--N", "2")
+    assert code == 0 and data["axioms_pass"]
+    (table,) = tmp_path.iterdir()
+    assert table.suffix == ".json"
+
+
 def test_fock_refuses_unverified_instance(tmp_path, capsys):
     code = main(["fock", "--instance", "cc", "--N", "3"])
     assert code == 2
@@ -238,6 +246,25 @@ def test_palette_below_one_is_usage_error(capsys, argv):
     # an empty palette makes an empty species, which passes every check vacuously
     assert main(argv) == 2
     assert "palette" in capsys.readouterr().err
+
+
+PALETTE_SPECIES = ("colored", "tensor", "broken_dc", "broken_monotone", "broken_cut")
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [("--instance", name) for name in _BUILDERS]
+    + [("--instance", parent, "--avoid", preset) for preset, (parent, _, _) in AVOIDANCE_PRESETS.items()],
+    ids=lambda instance: "/".join(instance[1::2]),
+)
+def test_palette_is_refused_where_it_would_be_ignored(capsys, instance):
+    code = main(["enum", *instance, "--palette", "2", "--n", "1"])
+    err = capsys.readouterr().err
+    if len(instance) == 2 and instance[1] in PALETTE_SPECIES:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2
+        assert err.startswith("error: ") and repr(instance[1]) in err and "palette" in err
 
 
 @pytest.mark.parametrize("name,incidences", [("perm_f", 14400), ("perm_m", 14472)])
@@ -537,3 +564,21 @@ def test_closed_stdout_ends_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+def test_benchmark_tracer_finds_what_it_wraps(tmp_path):
+    # the benchmark's tracer looks up every layer it wraps by module and
+    # name, so a traced job fails or prints otherwise once one is moved
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    child = os.path.join(root, "perfbench", "child.py")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    job = ["cli", "enum", "--instance", "perm_f", "--n", "2", "--json"]
+    trace = tmp_path / "trace.json"
+    traced = subprocess.run(
+        [sys.executable, child, "--trace", str(trace), *job], capture_output=True, env=env, timeout=60
+    )
+    plain = subprocess.run([sys.executable, child, *job], capture_output=True, env=env, timeout=60)
+    assert traced.returncode == 0, traced.stderr.decode()
+    assert plain.returncode == 0, plain.stderr.decode()
+    assert traced.stdout == plain.stdout
+    assert json.loads(trace.read_text())["stats"]

@@ -4,8 +4,19 @@ import pytest
 
 from precut.errors import CapExceeded, UnknownInstance
 from precut.instances import build_instance
-from precut.instances.perm import pair_from_word, word_of
-from precut.preorder import chain, discrete, is_cut
+from precut.instances.perm import PermPair, PermPairs, pair_from_word, word_of
+from precut.preorder import (
+    bubble_partition,
+    chain,
+    coarse,
+    component_partition,
+    cuts,
+    discrete,
+    is_coarse,
+    is_cut,
+    is_total_order,
+    is_total_preorder,
+)
 
 
 def test_registry_unknown():
@@ -68,28 +79,80 @@ def test_perm_word_roundtrip():
         assert word_of(pair_from_word(word)) == word
 
 
+PERM_M = PermPairs("m")
+
+
+def descents_oracle(word):
+    n = len(word)
+    return {
+        k
+        for k in range(1, n)
+        if set(word[:k]) == set(range(n - k + 1, n + 1))
+    }
+
+
+def global_descents(s):
+    """Sizes of the nontrivial cuts of perm_m's first projection."""
+    n = len(s.t1)
+    return {len(c.down) for c in cuts(PERM_M.pi1(s)) if 0 < len(c.down) < n}
+
+
 def test_perm_m_projections_match_descent_structure():
     # the first projection of the descent basis is coarse exactly when the
     # word has no global descents
-    from precut.preorder import is_coarse
-
     m = build_instance("perm_m")
     for word in itertools.permutations((1, 2, 3)):
         s = pair_from_word(word)
-        n = len(word)
-        descents = {
-            k
-            for k in range(1, n)
-            if set(word[:k]) == set(range(n - k + 1, n + 1))
-        }
+        descents = descents_oracle(word)
         assert is_coarse(m.pi1(s)) == (not descents)
         # nontrivial cuts of pi1 correspond to global descents
-        nontrivial = {
-            len(c.down)
-            for c in __import__("precut.preorder", fromlist=["cuts"]).cuts(m.pi1(s))
-            if 0 < len(c.down) < n
-        }
-        assert nontrivial == descents
+        assert global_descents(s) == descents
+
+
+def test_permutation_of_pair_roundtrip():
+    for n in range(5):
+        for word in itertools.permutations(range(1, n + 1)):
+            assert word_of(pair_from_word(word)) == word
+
+
+def test_pair_swap_gives_inverse_permutation():
+    for word in itertools.permutations((1, 2, 3, 4)):
+        p = pair_from_word(word)
+        swapped = PermPair(p.t2, p.t1)
+        inv = tuple(word.index(v) + 1 for v in range(1, len(word) + 1))
+        assert word_of(swapped) == inv
+
+
+def test_descent_preorder_examples():
+    assert PERM_M.pi1(pair_from_word((3, 1, 2, 4))) == coarse((1, 2, 3, 4))
+    assert global_descents(pair_from_word((3, 1, 2, 4))) == set()
+    assert PERM_M.pi1(pair_from_word((1, 2, 3))) == coarse((1, 2, 3))
+    rev = pair_from_word((4, 3, 2, 1))
+    assert global_descents(rev) == {1, 2, 3}
+    assert is_total_order(PERM_M.pi1(rev))
+
+
+def test_descent_preorder_cuts_match_global_descents_over_s4():
+    for word in itertools.permutations((1, 2, 3, 4)):
+        p = pair_from_word(word)
+        t = PERM_M.pi1(p)
+        assert is_total_preorder(t)
+        # each nontrivial cut is a t1-prefix whose size is a global descent
+        for c in cuts(t):
+            if 0 < len(c.down) < len(word):
+                assert set(p.t1[: len(c.down)]) == c.down
+        assert global_descents(p) == descents_oracle(word)
+        assert global_descents(p) == descents_oracle(word_of(p))
+
+
+def test_no_global_descents_iff_meet_connected_over_s4():
+    # the meet of the pair is connected exactly when the join with the
+    # opposite is coarse (bubble/component comparison of the two lattices)
+    for word in itertools.permutations((1, 2, 3, 4)):
+        p = pair_from_word(word)
+        s = PERM_M.pi2(p)
+        t = PERM_M.pi1(p)
+        assert component_partition(s) == bubble_partition(t)
 
 
 def test_perm_m_singleton_projections():

@@ -22,7 +22,7 @@ from precut.instances.parking import (
     slice_above,
     slice_below,
 )
-from precut.preorder import total_preorder_from_blocks
+from precut.preorder import restrict, total_preorder_from_blocks
 
 ABC = ("a", "b", "c")
 
@@ -116,9 +116,7 @@ def test_slices_at_break_points():
             low = frozenset(chain[b - 1]) if b else frozenset()
             assert below == restrict_filtration(chain, low)
             assert above == restrict_filtration(chain, frozenset(ground) - low)
-            assert filtration_preorder(below, low) == __import__(
-                "precut.preorder", fromlist=["restrict"]
-            ).restrict(filtration_preorder(chain, ground), low)
+            assert filtration_preorder(below, low) == restrict(filtration_preorder(chain, ground), low)
         for b in set(range(len(ground) + 1)) - set(bps):
             with pytest.raises(NotBreakPoint):
                 slice_below(chain, b)

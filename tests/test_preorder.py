@@ -5,7 +5,6 @@ import pytest
 from oracles import brute_enumerate_preorders, closure_relabel
 from precut.errors import CapExceeded, GroundMismatch, InvalidStructure, UnknownLabel
 from precut.preorder import (
-    TotalOrderPair,
     bubble_partition,
     bubbles,
     chain,
@@ -13,26 +12,20 @@ from precut.preorder import (
     coarse,
     component_partition,
     cuts,
-    descent_preorder,
     discrete,
     enumerate_preorders,
-    global_descents,
-    is_bubble_refinement,
     is_coarse,
     is_cut,
     is_discrete,
     is_partition_order,
     is_poset,
-    is_refinement,
     is_total_order,
     is_total_preorder,
     join,
     meet,
     minimal_total_refinement,
     opposite,
-    order_sequence,
     partition_order,
-    permutation_of_pair,
     preorder_from_json,
     relabel,
     restrict,
@@ -153,13 +146,6 @@ def test_restrict_join_on_cut_sides_exhaustive():
                 assert restrict(j, side) == join(restrict(p, side), restrict(q, side))
 
 
-def test_refinement_reflexive_and_discrete_refines_partitions():
-    for p in all_preorders(ABC):
-        assert is_refinement(p, p)
-        if is_partition_order(p):
-            assert is_refinement(discrete(ABC), p)
-
-
 def ref_oracle(p, q):
     ok = True
     for x, y in itertools.combinations(p.ground, 2):
@@ -169,21 +155,6 @@ def ref_oracle(p, q):
             if (q.lt(x, y) != p.lt(x, y)) or (q.lt(y, x) != p.lt(y, x)):
                 ok = False
     return ok
-
-
-def bubble_ref_oracle(p, q):
-    if not ref_oracle(p, q):
-        return False
-    return all(
-        is_partition_order(restrict(p, b)) for b in bubbles(q)
-    )
-
-
-def test_refinement_agrees_with_condition_oracle():
-    ps = all_preorders(ABC)
-    for p, q in itertools.product(ps, repeat=2):
-        assert is_refinement(p, q) == ref_oracle(p, q)
-        assert is_bubble_refinement(p, q) == bubble_ref_oracle(p, q)
 
 
 def test_minimal_total_refinement_simple_cases():
@@ -199,13 +170,13 @@ def test_minimal_total_refinement_against_meet_oracle():
     totals = list(total_preorders(ground))
     for p in enumerate_preorders(4):
         fast = minimal_total_refinement(p)
-        candidates = [t for t in totals if is_refinement(p, t)]
+        candidates = [t for t in totals if ref_oracle(p, t)]
         oracle = candidates[0]
         for t in candidates[1:]:
             oracle = meet(oracle, t)
         assert fast == oracle
         assert is_total_preorder(fast)
-        assert is_refinement(p, fast)
+        assert ref_oracle(p, fast)
 
 
 def test_predicates_on_extremes():
@@ -285,73 +256,6 @@ def test_lattice_laws_exhaustive():
         assert meet(p, join(p, q)) == p
 
 
-def pair_from_word(word):
-    ground = tuple(range(1, len(word) + 1))
-    t1 = chain(ground)
-    position = sorted(range(len(word)), key=lambda i: word[i])
-    t2 = chain(tuple(ground[i] for i in position))
-    return TotalOrderPair(t1, t2)
-
-
-def test_permutation_of_pair_roundtrip():
-    for n in range(5):
-        for word in itertools.permutations(range(1, n + 1)):
-            assert permutation_of_pair(pair_from_word(word)) == word
-
-
-def test_pair_swap_gives_inverse_permutation():
-    for word in itertools.permutations((1, 2, 3, 4)):
-        p = pair_from_word(word)
-        swapped = TotalOrderPair(p.t2, p.t1)
-        inv = tuple(word.index(v) + 1 for v in range(1, len(word) + 1))
-        assert permutation_of_pair(swapped) == inv
-
-
-def test_descent_preorder_examples():
-    assert descent_preorder(pair_from_word((3, 1, 2, 4))) == coarse((1, 2, 3, 4))
-    assert global_descents(pair_from_word((3, 1, 2, 4))) == set()
-    assert descent_preorder(pair_from_word((1, 2, 3))) == coarse((1, 2, 3))
-    rev = pair_from_word((4, 3, 2, 1))
-    assert global_descents(rev) == {1, 2, 3}
-    assert is_total_order(descent_preorder(rev))
-
-
-def descents_oracle(word):
-    n = len(word)
-    return {
-        k
-        for k in range(1, n)
-        if set(word[:k]) == set(range(n - k + 1, n + 1))
-    }
-
-
-def test_descent_preorder_cuts_match_global_descents_over_s4():
-    for word in itertools.permutations((1, 2, 3, 4)):
-        p = pair_from_word(word)
-        t = descent_preorder(p)
-        assert is_total_preorder(t)
-        seq = order_sequence(p.t1)
-        nontrivial = {
-            len(c.down) for c in cuts(t) if 0 < len(c.down) < len(word)
-        }
-        # each nontrivial cut is a t1-prefix whose size is a global descent
-        for c in cuts(t):
-            if 0 < len(c.down) < len(word):
-                assert set(seq[: len(c.down)]) == c.down
-        assert nontrivial == descents_oracle(word)
-        assert global_descents(p) == descents_oracle(word)
-
-
-def test_no_global_descents_iff_meet_connected_over_s4():
-    # the meet of the pair is connected exactly when the join with the
-    # opposite is coarse (bubble/component comparison of the two lattices)
-    for word in itertools.permutations((1, 2, 3, 4)):
-        p = pair_from_word(word)
-        s = meet(p.t1, p.t2)
-        t = descent_preorder(p)
-        assert component_partition(s) == bubble_partition(t)
-
-
 def test_preorder_json_roundtrip():
     p = closure(ABC, [("a", "b")])
     assert preorder_from_json(p.to_json()) == p
@@ -361,4 +265,4 @@ def test_minimal_total_refinement_on_all_outputs_valid():
     for p in enumerate_preorders(4):
         t = minimal_total_refinement(p)
         assert is_total_preorder(t)
-        assert is_refinement(p, t)
+        assert ref_oracle(p, t)
