@@ -1,12 +1,10 @@
-"""Avoiding subspecies, irreducibility of a coproduct, and the resulting
-sub/quotient bimonoid structure."""
+"""Avoiding subspecies and irreducibility of a coproduct."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .errors import IrreducibilityNotVerified
 from .preorder import cuts as preorder_cuts
 from .species import ClassRegistry, SpeciesInstance, VerificationReport
 
@@ -104,6 +102,11 @@ def is_irreducible(inst: SpeciesInstance, which, aset: AvoidanceSet, nmax) -> Ve
     """Whenever an element with a part splits across a nonzero cut, one side
     must keep a part.
 
+    When Δ^which passes, the avoiding instance carries both bimonoids of
+    the parent: dualizing Δ^which, the irreducible coproduct, multiplies
+    through the quotient map and gives the quotient bimonoid; dualizing the
+    other coproduct keeps every product inside and gives the sub-bimonoid.
+
     `inst` is the parent species, not its avoiding instance, and `which`
     selects the coproduct.  Each degree is checked on one representative
     per orbit class, from a class registry local to the call.  This is
@@ -141,20 +144,3 @@ def is_irreducible(inst: SpeciesInstance, which, aset: AvoidanceSet, nmax) -> Ve
                 )
     return VerificationReport(True, stats=tuple(stats))
 
-
-def quotient_or_sub_bimonoid(inst: SpeciesInstance, aset: AvoidanceSet, irreducible_index, nmax):
-    """Avoiding instance plus its bimonoid roles, after verifying
-    irreducibility of the stated coproduct at nmax."""
-    report = is_irreducible(inst, irreducible_index, aset, nmax)
-    if not report.passed:
-        raise IrreducibilityNotVerified(
-            f"delta^{irreducible_index} is not {aset.name}-irreducible: {report.witness}"
-        )
-    other = 2 if irreducible_index == 1 else 1
-    roles = {
-        # dualizing the non-irreducible coproduct keeps all products inside
-        f"bimonoid_{other}": "sub-bimonoid of the parent",
-        # dualizing the irreducible one multiplies through the quotient map
-        f"bimonoid_{irreducible_index}": "quotient bimonoid of the parent",
-    }
-    return AvoidingInstance(inst, aset), roles

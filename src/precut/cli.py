@@ -127,8 +127,8 @@ def cmd_avoid(args):
     _check_degree(inst, args.nmax)
     out = {"preset": args.preset, "instance": inst.name}
     if args.check_irreducible:
-        parent_name, aset, _ = AVOIDANCE_PRESETS[args.preset]
-        if aset is None:
+        parent_name, aset, claimed = AVOIDANCE_PRESETS[args.preset]
+        if claimed is None:
             raise PrecutError(f"preset {args.preset!r} has no single irreducibility claim")
         parent = build_instance(parent_name)
         report = is_irreducible(parent, args.check_irreducible, aset, args.nmax)
@@ -142,6 +142,8 @@ def cmd_avoid(args):
 
 
 def cmd_fock(args):
+    if args.format is not None and not args.out:
+        raise PrecutError("--format needs --out")
     inst = build_instance(args.instance, avoid=args.avoid, palette=args.palette)
     _check_degree(inst, args.N)
     table = fock.fock_tables(
@@ -303,16 +305,14 @@ def cmd_parking(args):
 
 def cmd_pairs(args):
     data = _payload(args.data)
-    if args.op == "membership":
+    if args.op in ("membership", "matrix"):
         p = preorder_from_json(data["p"])
         q = preorder_from_json(data["q"])
-        out = {kind: member(p, q) for kind, member in MEMBERSHIP.items()}
+        if args.op == "membership":
+            out = {kind: member(p, q) for kind, member in MEMBERSHIP.items()}
+        else:
+            out = [list(row) for row in cc_matrix(p, q)]
         _emit(out, args.json)
-        return 0
-    if args.op == "matrix":
-        p = preorder_from_json(data["p"])
-        q = preorder_from_json(data["q"])
-        _emit([list(row) for row in cc_matrix(p, q)], args.json)
         return 0
     if args.op == "generate":
         f1 = preorder_from_json(data["frame1"])
@@ -365,7 +365,7 @@ def build_parser():
     p.add_argument("--mu", type=int, choices=(1, 2), default=2)
     p.add_argument("--N", type=int, default=3)
     p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", choices=("json", "csv"))
     p.add_argument("--force", action="store_true")
     p.add_argument("--cache-dir")
     p.set_defaults(func=cmd_fock)

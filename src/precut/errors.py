@@ -49,10 +49,6 @@ class NotNested(PrecutError):
     pass
 
 
-class NotBreakPoint(PrecutError):
-    pass
-
-
 class NotTotalPreorder(PrecutError):
     pass
 
@@ -62,10 +58,6 @@ class FrameViolation(PrecutError):
 
 
 class NotARefinement(PrecutError):
-    pass
-
-
-class IrreducibilityNotVerified(PrecutError):
     pass
 
 

@@ -9,9 +9,9 @@ from ..errors import PrecutError, UnknownInstance
 from .colored import BrokenCoarseSecond, BrokenCutEquality, BrokenMonotonicity, ColoredSets
 from .graphs import Graphs
 from .orders import OrderSpecies
-from .pairs import PackedWords, PreorderPairs, cc_matrix, generate_pair, packed_word_of
+from .pairs import PackedWords, PreorderPairs, cc_matrix, generate_pair
 from .parking import ParkingPairs
-from .perm import PermPairs, pair_from_word, word_of
+from .perm import PermPairs, word_of
 from .tensor import TensorWords
 
 _BUILDERS = {
@@ -72,12 +72,12 @@ CHERRY_V = AvoidanceSet(
 )
 
 
-def _second_not_total(s):
-    # some level of the second filtration strictly exceeds its index
-    return any(len(part) > i + 1 for i, part in enumerate(s.second))
+def _not_total(chain):
+    # some level of the filtration strictly exceeds its index
+    return any(len(part) > i + 1 for i, part in enumerate(chain))
 
 
-PARKING_SECOND = AvoidanceSet("nondecreasing-parking", _second_not_total, monotone=True)
+PARKING_SECOND = AvoidanceSet("nondecreasing-parking", lambda s: _not_total(s.second), monotone=True)
 
 # preset -> (parent instance name, avoidance set, index whose coproduct is irreducible)
 AVOIDANCE_PRESETS = {
@@ -88,45 +88,25 @@ AVOIDANCE_PRESETS = {
     "cherry": ("posets", CHERRY, 2),
     "cherry+V": ("posets", CHERRY_V, 2),
     "nondecreasing-parking": ("parking", PARKING_SECOND, 2),
-    "mr-in-parking": ("parking", None, None),  # built by stacked avoidance
+    # both filtrations total, so pairs of permutations; a union of monotone
+    # predicates is monotone.  No one coproduct is claimed irreducible.
+    "mr-in-parking": (
+        "parking",
+        AvoidanceSet(
+            "nondecreasing-parking/first-total",
+            lambda s: _not_total(s.second) or _not_total(s.first),
+            monotone=True,
+        ),
+        None,
+    ),
 }
 
 
 def build_preset(preset):
     if preset not in AVOIDANCE_PRESETS:
         raise UnknownInstance(f"unknown avoidance preset {preset!r}")
-    if preset == "mr-in-parking":
-        inner = AvoidingInstance(build_instance("parking"), PARKING_SECOND)
-        first_not_total = AvoidanceSet(
-            "first-total",
-            lambda s: any(len(part) > i + 1 for i, part in enumerate(s.first)),
-            monotone=True,
-        )
-        return AvoidingInstance(inner, first_not_total)
     parent_name, aset, _ = AVOIDANCE_PRESETS[preset]
     return AvoidingInstance(build_instance(parent_name), aset)
-
-
-# (instance name, which_delta, which_mu, N) for every table the package ships;
-# instances that fail the intertwining precondition are not shippable
-SHIPPED_TABLES = (
-    ("perm_f", 1, 2, 4),
-    ("perm_m", 1, 2, 4),
-    ("colored", 1, 2, 3),
-    ("tensor", 1, 2, 3),
-    ("graphs", 1, 2, 3),
-    ("posets", 1, 2, 3),
-    ("preorders", 1, 2, 3),
-    ("parking", 1, 2, 3),
-    ("packed_words", 1, 2, 3),
-    ("perm_m/213", 1, 2, 3),
-    ("perm_m/132+213", 1, 2, 3),
-    ("perm_m/12", 1, 2, 3),
-    ("perm_m/3142+2413", 1, 2, 3),
-    ("posets/cherry", 1, 2, 3),
-    ("posets/cherry+V", 1, 2, 3),
-    ("parking/nondecreasing-parking", 1, 2, 3),
-)
 
 
 def build_instance(name, avoid=None, palette=None):
@@ -151,13 +131,10 @@ __all__ = [
     "CHERRY",
     "CHERRY_V",
     "PARKING_SECOND",
-    "SHIPPED_TABLES",
     "build_instance",
     "build_preset",
     "cc_matrix",
     "generate_pair",
-    "packed_word_of",
-    "pair_from_word",
     "pattern_set",
     "word_of",
 ]

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from ..errors import FrameViolation, NotARefinement, NotTotalPreorder
 from ..preorder import (
     Preorder,
+    _check_same_ground,
     bubbles,
     closure,
     enumerate_preorders,
@@ -33,6 +34,7 @@ def _pointwise(p: Preorder, q: Preorder, forward, backward):
     """forward: strict p-comparison forces same q-bubble;
     backward: p-incomparability forces same q-bubble.  Returns the predicate
     'for all pairs, the selected implications hold' for (p, q) in this order."""
+    _check_same_ground(p, q)
     for x, y in itertools.combinations(p.ground, 2):
         if forward and (p.lt(x, y) or p.lt(y, x)) and not q.same_bubble(x, y):
             return False
@@ -113,16 +115,6 @@ class PackedWords(PreorderPairs):
         ]
 
 
-def packed_word_of(s: PreorderPair):
-    """Word of second-component block ranks read along the first order."""
-    seq = [x for block in total_blocks(s.p) for x in block]
-    rank = {}
-    for i, block in enumerate(total_blocks(s.q), start=1):
-        for x in block:
-            rank[x] = i
-    return tuple(rank[x] for x in seq)
-
-
 # -- generators from frames ------------------------------------------------
 
 
@@ -196,6 +188,7 @@ def cc_matrix(p: Preorder, q: Preorder):
     """Block-intersection matrix of two total preorders; entries sum to |X|."""
     if not (is_total_preorder(p) and is_total_preorder(q)):
         raise NotTotalPreorder("both components must be total preorders")
+    _check_same_ground(p, q)
     rows = total_blocks(p)
     cols = total_blocks(q)
     return tuple(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ..errors import CapExceeded, InvalidStructure, NotBreakPoint, NotExhaustive, NotNested
+from ..errors import CapExceeded, InvalidStructure, NotExhaustive, NotNested
 from ..preorder import Preorder, total_preorder_from_blocks
 from ..species import SpeciesInstance
 
@@ -90,27 +90,6 @@ def filtration_preorder(raw, ground) -> Preorder:
     """Total preorder whose bubbles are the gaps between successive break
     points, earlier gaps smaller."""
     return _filtration_preorder(parkize(raw, ground))
-
-
-def restrict_filtration(chain, sub):
-    """Parkization of the intersected chain."""
-    sub = frozenset(sub)
-    return parkize([frozenset(part) & sub for part in chain], sub)
-
-
-def slice_below(chain, b):
-    """Truncation at a break point: a parking chain on X_b."""
-    if b not in break_points(chain, chain[-1] if chain else ()):
-        raise NotBreakPoint(f"{b} is not a break point")
-    return tuple(chain[:b])
-
-
-def slice_above(chain, b):
-    """Difference chain past a break point: a parking chain on X \\ X_b."""
-    if b not in break_points(chain, chain[-1] if chain else ()):
-        raise NotBreakPoint(f"{b} is not a break point")
-    low = frozenset(chain[b - 1]) if b else frozenset()
-    return tuple(tuple(sorted(frozenset(part) - low)) for part in chain[b:])
 
 
 PARKING_ENUM_CAP = 7  # n^n candidate tuples: 823 543 at 7, a few seconds

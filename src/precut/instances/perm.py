@@ -27,17 +27,6 @@ def word_of(s: PermPair):
     return tuple(rank2[x] for x in s.t1)
 
 
-def pair_from_word(word, ground=None):
-    """Pair on ground (default 1..n) whose pattern is the given word."""
-    n = len(word)
-    ground = tuple(sorted(ground)) if ground is not None else tuple(range(1, n + 1))
-    assert sorted(word) == list(range(1, n + 1))
-    t1 = ground
-    positions = sorted(range(n), key=lambda i: word[i])
-    t2 = tuple(ground[i] for i in positions)
-    return PermPair(t1, t2)
-
-
 class PermPairs(SpeciesInstance):
     """basis="f": projections are the orders themselves.
     basis="m": first projection join(t1, t2-opposite), second meet(t1, t2)."""

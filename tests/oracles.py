@@ -43,7 +43,10 @@ build preorders and parking chains as the package did before it had one way
 to build each: `brute_enumerate_preorders` tests every relation for
 transitivity, `closure_relabel` relabels through the Warshall closure, and
 the `brute_*` parking functions validate and parkize their input anew at
-every step.
+every step, and `brute_restrict_filtration` is the oracle of the species'
+parking restriction.  The fixtures at the top are not oracles: words to
+permutation pairs, packed words of preorder pairs, and the tables the tests
+verify.
 """
 
 import itertools
@@ -53,13 +56,52 @@ from precut import species
 from precut.avoidance import has_part
 from precut.errors import NotExhaustive, NotNested
 from precut.fock import StructureConstantTable, _add, _clean, _scale, _verify_transition
-from precut.instances.perm import word_of
-from precut.preorder import Preorder, _is_transitive, closure, total_preorder_from_blocks
+from precut.instances.perm import PermPair, word_of
+from precut.preorder import Preorder, _is_transitive, closure, total_blocks, total_preorder_from_blocks
 from precut.preorder import cuts as preorder_cuts
 from precut.preorder import is_cut
 from precut.preorder import relabel as preorder_relabel
 from precut.preorder import restrict as preorder_restrict
 from precut.species import ClassRegistry, OrbitClass, VerificationReport, _class_id, delta, mu, mu_bucket
+
+# -- fixtures ----------------------------------------------------------------
+
+# (instance name, which_delta, which_mu, N) for every table the tests verify;
+# instances that fail the intertwining precondition have no table
+SHIPPED_TABLES = (
+    ("perm_f", 1, 2, 4),
+    ("perm_m", 1, 2, 4),
+    ("colored", 1, 2, 3),
+    ("tensor", 1, 2, 3),
+    ("graphs", 1, 2, 3),
+    ("posets", 1, 2, 3),
+    ("preorders", 1, 2, 3),
+    ("parking", 1, 2, 3),
+    ("packed_words", 1, 2, 3),
+    ("perm_m/213", 1, 2, 3),
+    ("perm_m/132+213", 1, 2, 3),
+    ("perm_m/12", 1, 2, 3),
+    ("perm_m/3142+2413", 1, 2, 3),
+    ("posets/cherry", 1, 2, 3),
+    ("posets/cherry+V", 1, 2, 3),
+    ("parking/nondecreasing-parking", 1, 2, 3),
+)
+
+
+def pair_from_word(word, ground=None):
+    """Pair on ground (default 1..n) whose pattern is the given word."""
+    n = len(word)
+    ground = tuple(sorted(ground)) if ground is not None else tuple(range(1, n + 1))
+    assert sorted(word) == list(range(1, n + 1))
+    positions = sorted(range(n), key=lambda i: word[i])
+    return PermPair(ground, tuple(ground[i] for i in positions))
+
+
+def packed_word_of(s):
+    """Word of second-component block ranks read along the first order."""
+    seq = [x for block in total_blocks(s.p) for x in block]
+    rank = {x: i for i, block in enumerate(total_blocks(s.q), start=1) for x in block}
+    return tuple(rank[x] for x in seq)
 
 
 def contains_pattern(word, pattern):

@@ -15,12 +15,14 @@ from math import factorial
 import pytest
 
 from oracles import (
+    SHIPPED_TABLES,
     count_avoiders,
     count_packed_words,
     count_parking_functions,
     count_preorders,
     count_unlabeled_graphs,
     exhaustive_chains,
+    pair_from_word,
 )
 from precut.avoidance import is_irreducible
 from precut.errors import NotIntertwined
@@ -33,19 +35,13 @@ from precut.fock import (
 )
 from precut.instances import (
     PARKING_SECOND,
-    SHIPPED_TABLES,
     build_instance,
     build_preset,
     pattern_set,
 )
-from precut.instances.parking import (
-    break_points,
-    dilation_sequence,
-    parkize,
-    restrict_filtration,
-)
+from precut.instances.parking import _restrict, break_points, dilation_sequence, parkize
 from precut.instances.pairs import MEMBERSHIP, generate_pair
-from precut.instances.perm import pair_from_word, word_of
+from precut.instances.perm import word_of
 from precut.species import check_intertwined
 
 
@@ -247,7 +243,7 @@ def test_criterion_07_parking_lemmas():
                 images = {
                     parkize([set(part) & sub for part in raw], sub) for raw in raws
                 }
-                if images != {restrict_filtration(parked, sub)}:
+                if images != {_restrict(parked, sub)}:
                     violations += 1
     elapsed = time.time() - start
     report(7, violations == 0, f"zero violations across all chains in {elapsed:.1f}s")

@@ -8,9 +8,7 @@ from precut.avoidance import (
     AvoidingInstance,
     has_part,
     is_irreducible,
-    quotient_or_sub_bimonoid,
 )
-from precut.errors import IrreducibilityNotVerified
 from precut.fock import fock_tables, graded_dimensions, verify_hopf_axioms
 from precut.instances import (
     AVOIDANCE_PRESETS,
@@ -21,10 +19,9 @@ from precut.instances import (
     build_preset,
     pattern_set,
 )
-from precut.instances.perm import pair_from_word
 from precut.species import check_intertwined, mu
 
-from oracles import contains_pattern, count_avoiders, labeled_is_irreducible
+from oracles import contains_pattern, count_avoiders, labeled_is_irreducible, pair_from_word
 
 
 def test_has_part_examples():
@@ -38,16 +35,18 @@ def test_has_part_examples():
 
 
 def test_has_part_matches_naive_scan():
-    # size-restricted scan against the unrestricted one
-    inst = build_instance("perm_m")
-    sized = pattern_set((2, 1, 3))
-    naive = AvoidanceSet("naive", sized.membership)
-    for s in inst.elements((1, 2, 3, 4))[:200]:
-        assert has_part(inst, sized, s) == has_part(inst, naive, s)
+    # each preset's fast path (the scan of the listed sizes only, or the
+    # membership of a monotone set alone) against the scan of every subset
+    for preset, (parent_name, aset, _) in AVOIDANCE_PRESETS.items():
+        parent = build_instance(parent_name)
+        naive = AvoidanceSet(aset.name, aset.membership)
+        for n in range(4 if parent_name == "parking" else 5):
+            for s in parent.elements(tuple(range(1, n + 1))):
+                assert has_part(parent, aset, s) == has_part(parent, naive, s), (preset, s)
 
 
 def test_has_part_leaves_the_avoidance_set_unchanged():
-    # verdicts are cached on the instance, never on a module-level preset
+    # has_part keeps no state, so it never writes to a module-level preset
     before = copy.deepcopy(vars(CHERRY))
     inst = build_instance("posets")
     assert any(has_part(inst, CHERRY, s) for s in inst.elements((1, 2, 3)))
@@ -111,7 +110,7 @@ def test_parking_second_total_irreducible():
     assert is_irreducible(inst, 2, PARKING_SECOND, 3).passed
 
 
-@pytest.mark.parametrize("preset", [name for name, (_, aset, _) in AVOIDANCE_PRESETS.items() if aset is not None])
+@pytest.mark.parametrize("preset", [name for name, (*_, claimed) in AVOIDANCE_PRESETS.items() if claimed is not None])
 def test_has_part_is_relabel_invariant(preset):
     # is_irreducible reads each orbit class off one representative, which needs this
     parent_name, aset, _ = AVOIDANCE_PRESETS[preset]
@@ -124,17 +123,12 @@ def test_has_part_is_relabel_invariant(preset):
             assert all(has_part(parent, aset, parent.relabel(s, sigma)) == verdict for sigma in sigmas)
 
 
-def test_quotient_or_sub_roles():
-    inst = build_instance("perm_m")
-    sub, roles = quotient_or_sub_bimonoid(inst, pattern_set((2, 1, 3)), 1, 3)
-    assert roles["bimonoid_2"] == "sub-bimonoid of the parent"
-    assert roles["bimonoid_1"] == "quotient bimonoid of the parent"
-    assert len(sub.elements((1, 2, 3))) == 30
-
-
-def test_quotient_requires_verified_irreducibility():
-    with pytest.raises(IrreducibilityNotVerified):
-        quotient_or_sub_bimonoid(build_instance("perm_f"), pattern_set((2, 1, 3)), 1, 3)
+def test_quotient_requires_an_irreducible_coproduct():
+    # dualizing perm_m's 213-irreducible Δ^1 gives the quotient bimonoid on
+    # the 213-avoiders; perm_f's Δ^1, deconcatenation, is not irreducible
+    aset = pattern_set((2, 1, 3))
+    assert is_irreducible(build_instance("perm_m"), 1, aset, 3).passed
+    assert not is_irreducible(build_instance("perm_f"), 1, aset, 3).passed
 
 
 def test_avoiding_instances_stay_intertwined():

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -9,8 +10,9 @@ import pytest
 import precut
 from precut.cli import main
 from precut.instances import _BUILDERS, AVOIDANCE_PRESETS, build_instance
-from precut.instances.perm import pair_from_word
 from precut.preorder import cuts
+
+from oracles import pair_from_word
 
 
 def run(capsys, *argv):
@@ -81,7 +83,7 @@ def test_avoid_check_irreducible(capsys):
 
 
 def test_avoid_check_irreducible_without_a_single_claim_is_usage_error(capsys):
-    # mr-in-parking stacks two avoidance sets, so no one coproduct is claimed irreducible
+    # mr-in-parking removes pairs by both filtrations and claims no coproduct irreducible
     assert main(["avoid", "--preset", "mr-in-parking", "--check-irreducible", "2", "--nmax", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -127,6 +129,13 @@ def test_fock_csv_export(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "kind,a,b,left,right,c,coeff"
     assert len(lines) > 5
+
+
+def test_fock_format_without_out_is_usage_error(capsys):
+    # only a table written with --out has a format; without it csv was dropped silently
+    assert main(["fock", "--instance", "colored", "--palette", "1", "--N", "2", "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and "--out" in captured.err
 
 
 def test_fock_cache_determinism(tmp_path, capsys):
@@ -375,6 +384,42 @@ def test_pairs_calculator(capsys):
     code, data = run_json(capsys, "pairs", "--op", "generate", "--data", json.dumps(payload))
     assert code == 0
     assert data["p"] == d
+
+
+@pytest.mark.parametrize(
+    "op,grounds", [("membership", ([1], [2])), ("matrix", ([1, 2], [3, 4]))], ids=["membership", "matrix"]
+)
+def test_pairs_on_different_grounds_is_usage_error(capsys, op, grounds):
+    # p and q must share a ground, as for meet and join; the matrix used to be all zero
+    p, q = ({"ground": g, "rel": [[True] * len(g)] * len(g)} for g in grounds)
+    assert main(["pairs", "--op", op, "--data", json.dumps({"p": p, "q": q})]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def _readme_examples():
+    """The `precut ...` commands of README.md, backslash continuations joined."""
+    text = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    return [
+        line.strip()
+        for line in text.replace("\\\n", " ").splitlines()
+        if line.startswith("precut ")
+    ]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # each example runs as written from a directory that holds the square.json it names
+    ident = {"source": [1], "target": [1], "coeff": [[1]]}
+    (tmp_path / "square.json").write_text(json.dumps(dict.fromkeys(("alpha", "beta", "gamma", "delta"), ident)))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PRECUT_CACHE_DIR", raising=False)
+    examples = _readme_examples()
+    assert len(examples) == 15
+    codes = {}
+    for example in examples:
+        codes[example] = main(shlex.split(example, comments=True)[1:])
+        capsys.readouterr()
+    assert codes == {example: 1 if "broken_dc" in example else 0 for example in examples}
 
 
 def test_bad_json_is_usage_error(capsys):

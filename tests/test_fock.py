@@ -21,13 +21,14 @@ from precut.fock import (
     table_from_json,
     verify_hopf_axioms,
 )
-from precut.instances import SHIPPED_TABLES, build_instance, build_preset
+from precut.instances import build_instance, build_preset
 from precut.instances.colored import ColoredSets
-from precut.instances.perm import PermPairs, pair_from_word, word_of
+from precut.instances.perm import PermPairs, word_of
 from precut.preorder import chain
 from precut.species import ClassRegistry, check_species_over_preorders
 
 from oracles import (
+    SHIPPED_TABLES,
     CachedClassRegistry,
     brute_canonical_form,
     brute_check_natural,
@@ -37,6 +38,7 @@ from oracles import (
     dense_solve_affine,
     graded_dual,
     labeled_product,
+    pair_from_word,
     product_via_mu,
     weak_order_zeta,
 )

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from precut.errors import FrameViolation, NotARefinement, NotTotalPreorder
+from precut.errors import FrameViolation, GroundMismatch, NotARefinement, NotTotalPreorder
 from precut.instances import build_instance
 from precut.instances.pairs import (
     MEMBERSHIP,
@@ -12,7 +12,6 @@ from precut.instances.pairs import (
     is_cc,
     is_nc,
     is_nn,
-    packed_word_of,
     refine_along,
 )
 from precut.preorder import (
@@ -27,6 +26,8 @@ from precut.preorder import (
     total_preorder_from_blocks,
 )
 from precut.species import delta, mu
+
+from oracles import packed_word_of
 
 
 def all_pairs(kind, ground):
@@ -187,6 +188,14 @@ def test_cc_matrix_examples():
     assert cc_matrix(c, c) == ((4,),)
     with pytest.raises(NotTotalPreorder):
         cc_matrix(discrete((1, 2)), c)
+
+
+def test_pairs_on_different_grounds_are_refused():
+    with pytest.raises(GroundMismatch):
+        cc_matrix(coarse((1, 2)), coarse((3, 4)))
+    for member in MEMBERSHIP.values():
+        with pytest.raises(GroundMismatch):
+            member(discrete((1,)), discrete((2,)))
 
 
 def test_cc_matrix_is_isomorphism_invariant():

@@ -10,19 +10,17 @@ from oracles import (
     brute_restrict_filtration,
     exhaustive_chains,
 )
-from precut.errors import InvalidStructure, NotBreakPoint, NotExhaustive, NotNested
+from precut.errors import InvalidStructure, NotExhaustive, NotNested
 from precut.instances.parking import (
     ParkingPairs,
+    _restrict,
     break_points,
     dilation_sequence,
     filtration_preorder,
     parking_chains,
     parkize,
-    restrict_filtration,
-    slice_above,
-    slice_below,
 )
-from precut.preorder import restrict, total_preorder_from_blocks
+from precut.preorder import cuts, restrict, total_preorder_from_blocks
 
 ABC = ("a", "b", "c")
 
@@ -101,25 +99,24 @@ def test_restriction_respects_equivalence_exhaustive():
                 parkize([set(part) & sub for part in raw], sub) for raw in raws
             }
             assert len(images) == 1
-            assert images == {restrict_filtration(parked, sub)}
+            assert images == {_restrict(parked, sub)}
 
 
 def test_slices_at_break_points():
+    # the cuts of the filtration preorder are the levels at break points, and
+    # restricting to either side of one truncates the chain or takes the
+    # difference chain past it
     ground = (1, 2, 3, 4)
     for chain in parking_chains(ground):
         bps = break_points(chain, ground)
-        assert slice_below(chain, len(ground)) == chain
-        assert slice_above(chain, 0) == chain
-        for b in bps:
-            below = slice_below(chain, b)
-            above = slice_above(chain, b)
-            low = frozenset(chain[b - 1]) if b else frozenset()
-            assert below == restrict_filtration(chain, low)
-            assert above == restrict_filtration(chain, frozenset(ground) - low)
+        levels = [frozenset(chain[b - 1]) if b else frozenset() for b in bps]
+        assert [c.down for c in cuts(filtration_preorder(chain, ground))] == levels
+        for b, low in zip(bps, levels):
+            below = _restrict(chain, low)
+            assert below == chain[:b]
+            above = _restrict(chain, frozenset(ground) - low)
+            assert above == tuple(tuple(sorted(frozenset(part) - low)) for part in chain[b:])
             assert filtration_preorder(below, low) == restrict(filtration_preorder(chain, ground), low)
-        for b in set(range(len(ground) + 1)) - set(bps):
-            with pytest.raises(NotBreakPoint):
-                slice_below(chain, b)
 
 
 def test_parking_chain_counts():
@@ -143,7 +140,7 @@ def test_helpers_equal_brute_oracles():
         ground = tuple(range(1, n + 1))
         for chain in parking_chains(ground):
             for sub in _subsets(ground):
-                assert restrict_filtration(chain, sub) == brute_restrict_filtration(chain, sub)
+                assert _restrict(chain, sub) == brute_restrict_filtration(chain, sub)
     for n in range(5):
         ground = tuple(range(1, n + 1))
         for raw in list(parking_chains(ground)) + exhaustive_chains(ground, 5):

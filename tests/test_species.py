@@ -5,12 +5,18 @@ import sys
 
 import pytest
 
-from oracles import brute_check_bimonoid, brute_check_intertwined, brute_check_species
+from oracles import (
+    SHIPPED_TABLES,
+    brute_check_bimonoid,
+    brute_check_intertwined,
+    brute_check_species,
+    pair_from_word,
+)
 from precut import fock, species
 from precut.errors import BadDecomposition
-from precut.instances import SHIPPED_TABLES, build_instance
+from precut.instances import build_instance
 from precut.instances.colored import ColoredSets, Coloring
-from precut.instances.perm import PermPairs, pair_from_word
+from precut.instances.perm import PermPairs
 from precut.preorder import chain, is_cut
 from precut.species import (
     VerificationReport,
