@@ -132,7 +132,7 @@ def test_fock_csv_export(tmp_path, capsys):
 
 
 def test_fock_format_without_out_is_usage_error(capsys):
-    # only a table written with --out has a format; without it csv was dropped silently
+    # only a table written with --out has a format, so a --format alone would be ignored
     assert main(["fock", "--instance", "colored", "--palette", "1", "--N", "2", "--format", "csv"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ") and "--out" in captured.err
@@ -390,7 +390,7 @@ def test_pairs_calculator(capsys):
     "op,grounds", [("membership", ([1], [2])), ("matrix", ([1, 2], [3, 4]))], ids=["membership", "matrix"]
 )
 def test_pairs_on_different_grounds_is_usage_error(capsys, op, grounds):
-    # p and q must share a ground, as for meet and join; the matrix used to be all zero
+    # p and q must share a ground, as for meet and join: no pair type or matrix is defined otherwise
     p, q = ({"ground": g, "rel": [[True] * len(g)] * len(g)} for g in grounds)
     assert main(["pairs", "--op", op, "--data", json.dumps({"p": p, "q": q})]) == 2
     captured = capsys.readouterr()
