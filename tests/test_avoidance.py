@@ -123,9 +123,31 @@ def test_has_part_is_relabel_invariant(preset):
             assert all(has_part(parent, aset, parent.relabel(s, sigma)) == verdict for sigma in sigmas)
 
 
-def test_quotient_requires_an_irreducible_coproduct():
-    # dualizing perm_m's 213-irreducible Δ^1 gives the quotient bimonoid on
-    # the 213-avoiders; perm_f's Δ^1, deconcatenation, is not irreducible
+def test_quotient_or_sub_roles():
+    # perm_m's Δ^1 is 213-irreducible, so on the 213-avoiders the product
+    # dual to Δ^2 (bimonoid 1) goes through the quotient map, while the
+    # product dual to Δ^1 (bimonoid 2) keeps every product inside
+    parent = build_instance("perm_m")
+    aset = pattern_set((2, 1, 3))
+    assert is_irreducible(parent, 1, aset, 3).passed
+    inst = AvoidingInstance(parent, aset)
+    assert len(inst.elements((1, 2, 3))) == 30
+    left_by_mu2 = False
+    for a, b in itertools.product(range(4), repeat=2):
+        if a + b > 3:
+            continue
+        A, B = tuple(range(1, a + 1)), tuple(range(a + 1, a + b + 1))
+        for u, v in itertools.product(inst.elements(A), inst.elements(B)):
+            assert not any(has_part(parent, aset, s) for s in mu(parent, 1, u, v)), (u, v)
+            parent_out = mu(parent, 2, u, v)
+            assert set(mu(inst, 2, u, v)) == {s for s in parent_out if not has_part(parent, aset, s)}
+            left_by_mu2 |= any(has_part(parent, aset, s) for s in parent_out)
+    assert left_by_mu2
+
+
+def test_quotient_requires_verified_irreducibility():
+    # the quotient on the 213-avoiders needs Δ^1 to be irreducible: it is
+    # for perm_m, and not for perm_f, whose Δ^1 is deconcatenation
     aset = pattern_set((2, 1, 3))
     assert is_irreducible(build_instance("perm_m"), 1, aset, 3).passed
     assert not is_irreducible(build_instance("perm_f"), 1, aset, 3).passed
