@@ -172,7 +172,7 @@ def chain(sequence) -> Preorder:
     seq = tuple(sequence)
     g = tuple(sorted(seq))
     if len(set(seq)) != len(seq) or set(seq) != set(g):
-        raise ValueError("chain sequence must list each ground element once")
+        raise InvalidStructure("chain sequence must list each ground element once")
     idx = {x: i for i, x in enumerate(g)}
     rows = [0] * len(g)
     for pos, x in enumerate(seq):
@@ -187,7 +187,7 @@ def total_preorder_from_blocks(blocks) -> Preorder:
     flat = [x for b in blocks for x in b]
     g = tuple(sorted(flat))
     if len(set(flat)) != len(flat):
-        raise ValueError("blocks overlap")
+        raise InvalidStructure("blocks overlap")
     idx = {x: i for i, x in enumerate(g)}
     rows = [0] * len(g)
     for bi, block in enumerate(blocks):
@@ -204,7 +204,7 @@ def partition_order(blocks) -> Preorder:
     flat = [x for b in blocks for x in b]
     g = tuple(sorted(flat))
     if len(set(flat)) != len(flat):
-        raise ValueError("blocks overlap")
+        raise InvalidStructure("blocks overlap")
     idx = {x: i for i, x in enumerate(g)}
     rows = [0] * len(g)
     for block in blocks:

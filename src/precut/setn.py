@@ -48,7 +48,7 @@ class Multimap:
     coeff: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.coeff)
+        rows = tuple(tuple(row) for row in self.coeff)
         object.__setattr__(self, "coeff", rows)
         if len(rows) != len(self.source):
             raise DimensionMismatch(
@@ -59,7 +59,7 @@ class Multimap:
                 raise DimensionMismatch(
                     f"row of length {len(row)} for target of size {len(self.target)}"
                 )
-            if any(v < 0 for v in row):
+            if any(type(v) is not int or v < 0 for v in row):
                 raise InvalidStructure("multimap entries must be naturals")
 
     def entry(self, x, y):

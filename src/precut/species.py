@@ -345,22 +345,6 @@ def check_species_over_preorders(inst: SpeciesInstance, nmax) -> VerificationRep
     return VerificationReport(True, stats=tuple(stats))
 
 
-def _incidences(inst, els, i, j):
-    """Doubly-cut incidences of one degree: (AB, AC) -> ascending indices into
-    `els` of the elements s with AB a cut of π_i(s) and AC a cut of π_j(s).
-
-    Each key names one four-block diagram: A = AB ∩ AC, B = AB − AC,
-    C = AC − AB and D the rest.
-    """
-    out = {}
-    for k, s in enumerate(els):
-        downs = [cut.down for cut in preorder_cuts(inst.pi(j, s))]
-        for cut in preorder_cuts(inst.pi(i, s)):
-            for down in downs:
-                out.setdefault((cut.down, down), []).append(k)
-    return out
-
-
 class _Sides:
     """The split sides of one degree, each built once on first use:
     (which, ground, down) -> {x: (x|down, x|ground − down)} over the elements
@@ -409,23 +393,31 @@ class _Sides:
 
 
 def _diagrams(split, ground, i, j, stats):
-    """The four-block diagrams of one degree, in block-assignment order, each
-    as (blocks, corner sides, incidences).  The incidences are the elements s
-    with A∪B a cut of π_i(s) and A∪C a cut of π_j(s), in element order, each
-    with its corners (u, v, p, q) = (s|A∪C, s|B∪D, s|A∪B, s|C∪D), read from
-    the two sides on the full ground.
+    """The four-block diagrams of one degree that break the square law, in
+    block-assignment order, as (blocks, corner sides, incidences, counts,
+    quadruples): the one place where the law is decided.
 
-    Appends the degree's entry to `stats` and keeps its `sides` current; the
-    caller adds the completions of each diagram it gets through.
+    The compatibility square of (Δ_i, μ_j) and the intertwining square of
+    (Δ¹, Δ²) are one law: a diagram passes exactly when its doubly-cut
+    elements hit every corner-compatible quadruple once and nothing else.
+    The incidences are the elements s in both full-ground sides, split by
+    A∪B for π_i and by A∪C for π_j, in element order, each with its corners
+    (u, v, p, q) = (s|A∪C, s|B∪D, s|A∪B, s|C∪D); `counts` is their Counter
+    and `quadruples` maps each quadruple, in `_quadruples` order, to 1.
+
+    Appends the degree's entry to `stats`: `incidences` is the whole degree's
+    Σ #cuts(π_i(s))·#cuts(π_j(s)), `completions` adds each diagram's
+    quadruples through the failing one, and `sides` is kept current.
     """
     inst = split.inst
     full = frozenset(ground)
     els = inst.elements(ground)
-    incidences = _incidences(inst, els, i, j)
     stat = {
         "degree": len(ground),
         "elements": len(els),
-        "incidences": sum(map(len, incidences.values())),
+        "incidences": sum(
+            len(preorder_cuts(inst.pi(i, s))) * len(preorder_cuts(inst.pi(j, s))) for s in els
+        ),
         "completions": 0,
         "sides": 0,
     }
@@ -435,31 +427,13 @@ def _diagrams(split, ground, i, j, stats):
         sides = split.corners(i, j, A, B, C, D)
         on_AB, on_AC = split(i, full, A | B), split(j, full, A | C)
         stat["sides"] = len(split.table)
-        doubly_cut = (els[k] for k in incidences.get((A | B, A | C), ()))
-        yield blocks, sides, [(s, on_AC[s] + on_AB[s]) for s in doubly_cut]
-
-
-def _count_quadruples(sides):
-    """Corner-compatible quadruples (u, v, p, q), those with p = (a, b) and
-    q = (c, d) where u = (a, c) and v = (b, d), counted without listing them:
-    Σ |U(a, c)|·|V(b, d)|·|P(a, b)|·|Q(c, d)| over the corner data."""
-    cu, cv, cp, cq = (Counter(side.values()) for side in sides)
-    return sum(
-        nu * nv * cp.get((a, b), 0) * cq.get((c, d), 0)
-        for (a, c), nu in cu.items()
-        for (b, d), nv in cv.items()
-    )
-
-
-def _single_quadruples(sides, counts):
-    """How many corner-compatible quadruples occur exactly once in `counts`."""
-    U, V, P, Q = sides
-    hits = 0
-    for (u, v, p, q), count in counts.items():
-        if count == 1 and u in U and v in V:
-            (a, c), (b, d) = U[u], V[v]
-            hits += P.get(p) == (a, b) and Q.get(q) == (c, d)
-    return hits
+        small, big = sorted((on_AB, on_AC), key=len)  # both in element order
+        incidences = [(s, on_AC[s] + on_AB[s]) for s in small if s in big]
+        counts = Counter(key for _, key in incidences)
+        quadruples = dict.fromkeys(_quadruples(sides), 1)
+        stat["completions"] += len(quadruples)
+        if counts != quadruples:
+            yield blocks, sides, incidences, counts, quadruples
 
 
 def _quadruples(sides):
@@ -494,29 +468,23 @@ def check_intertwined(inst: SpeciesInstance, nmax) -> VerificationReport:
     cuts, the two restriction paths agree, and every corner-compatible
     quadruple has exactly one completion carrying both big cuts.
 
-    What is enumerated: the doubly-cut incidences, each element s with each
-    cut X of π1(s) and each cut Y of π2(s), filed under the diagram with
-    A∪B = X and A∪C = Y.  The diagrams are then walked in block-assignment
-    order (`_diagrams`, which the bimonoid square walks too), and each runs
-    the per-element checks on its own incidences in element order, so the
-    first failure is the one a scan of every assignment against every
-    element finds.  The corner side is counted as products of
-    multiplicities per corner datum; only a failing diagram lists its
-    quadruples, in u × v × p × q order, to name the first bad one.  Each
-    split side is built once per degree (`_Sides`), and an incidence's four
-    restrictions are read from the two sides on the full ground: s is in the
-    side of π1 split by A∪B and in the side of π2 split by A∪C.
+    That is the square law that `_diagrams` decides, for this check and the
+    bimonoid square alike, reading the incidences from the two full-ground
+    sides (`_Sides`, built once per degree).  Only a diagram that breaks it
+    is walked for a witness: its incidences in element order, then its
+    quadruples in u × v × p × q order, so the first failure is the one a
+    scan of every assignment against every element finds.
 
     CutValidity cannot fail once the precondition passes: monotonicity,
     π(s|S) ⊆ π(s)|S, carries each cut of π(s) down to s|S, so every small
     cut holds.  The stage is kept as a defence and fires only when the
     precondition is bypassed.
 
-    `stats` holds per degree the elements, the incidences visited, the
-    corner-compatible quadruples (completions) counted and the split sides
-    built.  On a passing run incidences and completions agree and the sides
-    number 2·3ⁿ; on a failure the last entry is the failing degree, with
-    completions and sides counted up to the failing diagram.
+    `stats` holds per degree the elements, the incidences of the whole
+    degree, the corner-compatible quadruples (completions) and the split
+    sides built.  On a passing run incidences and completions agree and the
+    sides number 2·3ⁿ; on a failure the last entry is the failing degree,
+    with completions and sides counted through the failing diagram.
     """
     pre = check_species_over_preorders(inst, nmax)
     if not pre.passed:
@@ -525,14 +493,12 @@ def check_intertwined(inst: SpeciesInstance, nmax) -> VerificationReport:
     for n in range(nmax + 1):
         ground = tuple(range(1, n + 1))
         split = _Sides(inst)
-        for blocks, sides, incidences in _diagrams(split, ground, 1, 2, stats):
+        for blocks, sides, incidences, counts, quadruples in _diagrams(split, ground, 1, 2, stats):
             A, B, C, D = blocks
             AB, CD, AC, BD = A | B, C | D, A | C, B | D
             witness_base = {"blocks": [sorted(block) for block in blocks]}
-            completions = {}
             U, V, P, Q = sides
-            for s, key in incidences:
-                u, v, p, q = key
+            for s, (u, v, p, q) in incidences:
                 # a corner side holds every enumerated element its small cut
                 # cuts; `of` settles the rest
                 pairs = (
@@ -556,22 +522,15 @@ def check_intertwined(inst: SpeciesInstance, nmax) -> VerificationReport:
                         dict(witness_base, element=inst.serialize(s)),
                         tuple(stats),
                     )
-                completions[key] = completions.get(key, 0) + 1
-
-            total = _count_quadruples(sides)
-            stats[-1]["completions"] += total
-            if _single_quadruples(sides, completions) == total:
-                continue
-            for quadruple in _quadruples(sides):
-                count = completions.get(quadruple, 0)
-                if count != 1:
+            for quadruple in quadruples:
+                if counts[quadruple] != 1:
                     return VerificationReport(
                         False,
                         STAGE_EXTENSION,
                         dict(
                             witness_base,
                             corners=_corners_json(inst, quadruple),
-                            completions=count,
+                            completions=counts[quadruple],
                             near_misses=_near_misses(inst, blocks, quadruple),
                         ),
                         tuple(stats),
@@ -656,19 +615,23 @@ def check_bimonoid(inst: SpeciesInstance, coproduct_index, nmax) -> Verification
     each with its counit pairs in the sides of the full ground split by itself
     and by ∅, and with μ_j(unit, s) and μ_j(s, unit), its inverse images in
     π_j's two such sides; the three-block assignments, in block-assignment
-    order (`_three_block_failure`); the four-block diagrams with the
-    doubly-cut incidences of π_i and π_j, walked as in `check_intertwined`
-    (`_diagrams`), with the delta-then-mu side counted per corner datum.  A
+    order (`_three_block_failure`); the four-block diagrams of π_i and π_j,
+    in block-assignment order.  The square is the law that
+    `check_intertwined` checks, decided once in `_diagrams`: the
+    mu-then-delta side counts the corners of the doubly-cut elements, read
+    from the two sides on the full ground, and the delta-then-mu side holds
+    one term per corner-compatible quadruple; they must be equal.  A
     failure is the one a scan of every block assignment against every
     element finds first.  A Compatibility witness names the least differing
     key, comparing the serializations of its corners on A∪C, B∪D, A∪B and
     C∪D in that order.
 
     `stats` holds per degree the elements, the incidences of the square, its
-    delta-then-mu terms (completions) and the split sides built, as in
-    `check_intertwined`.  `sides` counts every side the degree built, the
-    earlier stages' included, so a failing square may report more than it
-    reached; a degree whose unit or three-block laws fail has no entry.
+    delta-then-mu terms (completions, counted through the failing diagram)
+    and the split sides built, as in `check_intertwined`.  `sides` counts
+    every side the degree built, the earlier stages' included, so a failing
+    square may report more than it reached; a degree whose unit or
+    three-block laws fail has no entry.
     """
     i = coproduct_index
     j = 2 if i == 1 else 1
@@ -703,15 +666,9 @@ def check_bimonoid(inst: SpeciesInstance, coproduct_index, nmax) -> Verification
         failure = _three_block_failure(split, ground, i, j)
         if failure is not None:
             return VerificationReport(False, *failure, tuple(stats))
-        for blocks, sides, incidences in _diagrams(split, ground, i, j, stats):
-            path1 = Counter(key for _, key in incidences)
-            total = _count_quadruples(sides)
-            stats[-1]["completions"] += total
-            if len(path1) == total == _single_quadruples(sides, path1):
-                continue
-            path2 = dict.fromkeys(_quadruples(sides), 1)
+        for blocks, _, _, path1, path2 in _diagrams(split, ground, i, j, stats):
             bad = min(
-                (k for k in path1.keys() | path2.keys() if path1.get(k, 0) != path2.get(k, 0)),
+                (k for k in path1.keys() | path2.keys() if path1[k] != path2.get(k, 0)),
                 key=lambda k: tuple(map(inst.serialize, k)),
             )
             return VerificationReport(
@@ -720,7 +677,7 @@ def check_bimonoid(inst: SpeciesInstance, coproduct_index, nmax) -> Verification
                 {
                     "blocks": [sorted(block) for block in blocks],
                     "corners": _corners_json(inst, bad),
-                    "mu_then_delta": path1.get(bad, 0),
+                    "mu_then_delta": path1[bad],
                     "delta_then_mu": path2.get(bad, 0),
                 },
                 tuple(stats),

@@ -235,6 +235,21 @@ def test_bad_labels_are_invalid_structure():
         closure([1], [([1], 1)])
 
 
+def test_chain_refuses_repeated_labels():
+    with pytest.raises(InvalidStructure):
+        chain(("a", "b", "a"))
+
+
+def test_total_preorder_from_blocks_refuses_overlapping_blocks():
+    with pytest.raises(InvalidStructure):
+        total_preorder_from_blocks([("a", "b"), ("b", "c")])
+
+
+def test_partition_order_refuses_overlapping_blocks():
+    with pytest.raises(InvalidStructure):
+        partition_order([("a",), ("a", "b")])
+
+
 def test_enumerate_preorders_cap():
     with pytest.raises(CapExceeded):
         list(enumerate_preorders(6))

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from precut.errors import DimensionMismatch, NotPartialMap, NotPromap
+from precut.errors import DimensionMismatch, InvalidStructure, NotPartialMap, NotPromap
 from precut.setn import (
     CheckResult,
     FiniteSet,
@@ -208,6 +208,13 @@ def test_partial_pullback_agrees_with_dual_commutation():
 def test_multimap_json_roundtrip():
     f = mm(AB, C1, [[2], [0]])
     assert multimap_from_json(f.to_json()) == f
+
+
+@pytest.mark.parametrize("entry", [1.7, "2", True])
+def test_multimap_refuses_entries_that_are_not_ints(entry):
+    # an entry is kept as given, never truncated or parsed into a natural
+    with pytest.raises(InvalidStructure):
+        Multimap(FiniteSet((1,)), FiniteSet(("a",)), ((entry,),))
 
 
 def test_check_result_truthiness():

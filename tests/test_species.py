@@ -280,6 +280,19 @@ def test_intertwined_implies_both_bimonoids(name, nmax):
     assert check_bimonoid(inst, 2, nmax).passed
 
 
+@pytest.mark.parametrize(
+    "name,nmax", [("broken_dc", 3), ("cc", 3), ("nc", 3), ("nn", 3), ("nn", 4)]
+)
+def test_square_law_fails_both_verifiers_on_the_same_diagram(name, nmax):
+    # the compatibility square of (Δ1, μ2) and the intertwining square are one
+    # law, so both checks stop at the same degree and the same blocks
+    intertwined = check_intertwined(build_instance(name), nmax)
+    bimonoid = check_bimonoid(build_instance(name), 1, nmax)
+    assert (intertwined.stage, bimonoid.stage) == ("ExtensionUniqueness", "Compatibility")
+    assert intertwined.stats[-1]["degree"] == bimonoid.stats[-1]["degree"]
+    assert intertwined.witness["blocks"] == bimonoid.witness["blocks"]
+
+
 def test_relabel_commutes_with_restriction():
     inst = build_instance("perm_m")
     mapping = {1: "b", 2: "a", 3: "c"}
@@ -373,6 +386,17 @@ CONTROLS = sorted(
 @pytest.mark.parametrize("name", CONTROLS)
 def test_verifiers_match_scan_oracles(name):
     _assert_matches_oracles(lambda: build_instance(name))
+
+
+@pytest.mark.parametrize("name", CONTROLS)
+def test_four_block_counts_agree_across_verifiers(name):
+    def counts(report):
+        return [(d["elements"], d["incidences"], d["completions"]) for d in report.stats]
+
+    intertwined = counts(check_intertwined(build_instance(name), 3))
+    bimonoid = counts(check_bimonoid(build_instance(name), 1, 3))
+    reached = min(len(intertwined), len(bimonoid))
+    assert intertwined[:reached] == bimonoid[:reached]
 
 
 @pytest.mark.parametrize(
