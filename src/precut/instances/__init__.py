@@ -46,29 +46,16 @@ def pattern_set(*words):
     )
 
 
-def _strict_pairs(s):
-    return [(x, y) for x in s.ground for y in s.ground if s.lt(x, y)]
+def _two_relations(s, shared):
+    """Three points and two strict relations sharing their top (shared=1, a
+    cherry) or their bottom (shared=0, a V)."""
+    strict = [(x, y) for x in s.ground for y in s.ground if s.lt(x, y)]
+    return len(s.ground) == 3 and len(strict) == 2 and strict[0][shared] == strict[1][shared]
 
 
-def _is_cherry(s):
-    strict = _strict_pairs(s)
-    if len(s.ground) != 3 or len(strict) != 2:
-        return False
-    (a, b), (c, d) = strict
-    return b == d and a != c
-
-
-def _is_vee(s):
-    strict = _strict_pairs(s)
-    if len(s.ground) != 3 or len(strict) != 2:
-        return False
-    (a, b), (c, d) = strict
-    return a == c and b != d
-
-
-CHERRY = AvoidanceSet("cherry", _is_cherry, sizes=frozenset({3}))
+CHERRY = AvoidanceSet("cherry", lambda s: _two_relations(s, 1), sizes=frozenset({3}))
 CHERRY_V = AvoidanceSet(
-    "cherry+V", lambda s: _is_cherry(s) or _is_vee(s), sizes=frozenset({3})
+    "cherry+V", lambda s: _two_relations(s, 1) or _two_relations(s, 0), sizes=frozenset({3})
 )
 
 

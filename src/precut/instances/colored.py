@@ -20,13 +20,14 @@ class ColoredSets(SpeciesInstance):
     """Functions from the ground set to a palette of f colors."""
 
     cap = 10
+    label = "colored"  # the name, before the palette
 
     def __init__(self, palette=2):
         super().__init__()
         if palette < 1:
             raise PrecutError(f"palette {palette} below 1: the species would be empty")
         self.palette = palette
-        self.name = f"colored[{palette}]"
+        self.name = f"{self.label}[{palette}]"
 
     def _elements(self, ground):
         check_element_count(self, len(ground), self.palette ** len(ground))
@@ -63,9 +64,7 @@ class BrokenCoarseSecond(ColoredSets):
     nontrivial cut the diagram demands.
     """
 
-    def __init__(self, palette=2):
-        super().__init__(palette)
-        self.name = f"broken_dc[{palette}]"
+    label = "broken_dc"
 
     def pi2(self, s):
         return coarse(self.ground_of(s))
@@ -76,9 +75,7 @@ class BrokenMonotonicity(ColoredSets):
     odd ground to an even subset coarsens the projection, violating
     monotonicity."""
 
-    def __init__(self, palette=2):
-        super().__init__(palette)
-        self.name = f"broken_monotone[{palette}]"
+    label = "broken_monotone"
 
     def pi2(self, s):
         ground = self.ground_of(s)
@@ -91,9 +88,7 @@ class BrokenCutEquality(ColoredSets):
     2-element cut side of a 3-element chain loses the comparison that the
     restricted chain keeps, so cut equality fails."""
 
-    def __init__(self, palette=2):
-        super().__init__(palette)
-        self.name = f"broken_cut[{palette}]"
+    label = "broken_cut"
 
     def pi2(self, s):
         ground = self.ground_of(s)

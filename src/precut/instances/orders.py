@@ -5,12 +5,12 @@ from __future__ import annotations
 from ..preorder import (
     Preorder,
     component_partition,
-    enumerate_preorders,
     is_poset,
     relabel as relabel_preorder,
     restrict as restrict_preorder,
 )
 from ..species import SpeciesInstance
+from .pairs import PREORDERS
 
 
 class OrderSpecies(SpeciesInstance):
@@ -24,12 +24,7 @@ class OrderSpecies(SpeciesInstance):
         self.name = "posets" if posets_only else "preorders"
 
     def _elements(self, ground):
-        # 1..n onto the sorted ground preserves order, so the rows carry over
-        return [
-            Preorder(ground, p.rows)
-            for p in enumerate_preorders(len(ground))
-            if not self.posets_only or is_poset(p)
-        ]
+        return [p for p in PREORDERS.elements(ground) if not self.posets_only or is_poset(p)]
 
     def restrict(self, s: Preorder, sub):
         return restrict_preorder(s, sub)

@@ -9,18 +9,21 @@ at the boundary and parkized on ingest.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import CapExceeded, InvalidStructure, NotExhaustive, NotNested
 from ..preorder import Preorder, total_preorder_from_blocks
-from ..species import SpeciesInstance
+from .hadamard import Factor, Hadamard
 
 
 def _normalize_raw(raw, ground):
     try:
-        ground, sets = frozenset(sorted(ground)), [frozenset(part) for part in raw]
+        labels, steps = sorted(ground), [sorted(step) for step in raw]  # sortable for messages
+        ground, sets = frozenset(labels), [frozenset(step) for step in steps]
     except TypeError:
         raise InvalidStructure("a chain is a list of lists of comparable labels") from None
+    if len(ground) != len(labels) or any(len(s) != len(t) for s, t in zip(steps, sets)):
+        raise InvalidStructure("duplicate labels in the ground or a chain step")
     prev = frozenset()
     for part in sets:
         if not prev <= part:
@@ -68,6 +71,10 @@ def _restrict(chain, sub):
     return _parkize([frozenset(part) & sub for part in chain], sub)
 
 
+def _relabel(chain, mapping):
+    return tuple(tuple(sorted(mapping[x] for x in part)) for part in chain)
+
+
 def dilation_sequence(raw, ground):
     """Strictly increasing reindexing p(0..n): p(t) is the first level past
     p(t-1) holding at least t elements.  Levels beyond the listed chain are
@@ -113,40 +120,24 @@ def parking_chains(ground):
     return out
 
 
-@dataclass(frozen=True)
-class ParkingPair:
+# parking chains, each projected to its break-point preorder
+PARKING = Factor(
+    parking_chains, _restrict, _relabel, _filtration_preorder, lambda c: frozenset(c[-1] if c else ())
+)
+
+
+class ParkingPair(NamedTuple):
     first: tuple
     second: tuple
 
 
-class ParkingPairs(SpeciesInstance):
+class ParkingPairs(Hadamard):
     """Pairs of parking filtrations; projections are the break-point preorders."""
 
     name = "parking"
     cap = 4
+    pair = ParkingPair
+    tag = "parking"
 
-    def _elements(self, ground):
-        chains = parking_chains(ground)
-        return [ParkingPair(a, b) for a in chains for b in chains]
-
-    def restrict(self, s, sub):
-        sub = frozenset(sub)
-        return ParkingPair(_restrict(s.first, sub), _restrict(s.second, sub))
-
-    def relabel(self, s, mapping):
-        remap = lambda chain: tuple(
-            tuple(sorted(mapping[x] for x in part)) for part in chain
-        )
-        return ParkingPair(remap(s.first), remap(s.second))
-
-    def pi1(self, s):
-        return _filtration_preorder(s.first)
-
-    def pi2(self, s):
-        return _filtration_preorder(s.second)
-
-    def ground_of(self, s):
-        return frozenset(s.first[-1]) if s.first else frozenset()
-
-    def serialize(self, s):
-        return ("parking", s.first, s.second)
+    def __init__(self):
+        super().__init__(PARKING, PARKING)

@@ -9,11 +9,10 @@ classical bases of the same Hopf algebra of permutations.
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 from ..preorder import chain, join, meet, opposite
-from ..species import SpeciesInstance
+from .hadamard import LINEAR, Hadamard
 
 
 class PermPair(NamedTuple):
@@ -27,50 +26,22 @@ def word_of(s: PermPair):
     return tuple(rank2[x] for x in s.t1)
 
 
-class PermPairs(SpeciesInstance):
-    """basis="f": projections are the orders themselves.
+class PermPairs(Hadamard):
+    """L × L.  basis="f": projections are the orders themselves.
     basis="m": first projection join(t1, t2-opposite), second meet(t1, t2)."""
 
     cap = 6  # degree 7 is (7!)^2 = 25.4 M labeled pairs, minutes in one process
+    pair = PermPair
+    tag = "perm"
 
     def __init__(self, basis="f"):
-        super().__init__()
+        super().__init__(LINEAR, LINEAR)
         assert basis in ("f", "m")
         self.basis = basis
         self.name = f"perm_{basis}"
 
-    def _elements(self, ground):
-        out = []
-        for t1 in itertools.permutations(ground):
-            for t2 in itertools.permutations(ground):
-                out.append(PermPair(t1, t2))
-        return out
-
-    def restrict(self, s, sub):
-        sub = frozenset(sub)
-        return PermPair(
-            tuple(x for x in s.t1 if x in sub),
-            tuple(x for x in s.t2 if x in sub),
-        )
-
-    def relabel(self, s, mapping):
-        return PermPair(
-            tuple(mapping[x] for x in s.t1),
-            tuple(mapping[x] for x in s.t2),
-        )
-
     def pi1(self, s):
-        if self.basis == "f":
-            return chain(s.t1)
-        return join(chain(s.t1), opposite(chain(s.t2)))
+        return chain(s.t1) if self.basis == "f" else join(chain(s.t1), opposite(chain(s.t2)))
 
     def pi2(self, s):
-        if self.basis == "f":
-            return chain(s.t2)
-        return meet(chain(s.t1), chain(s.t2))
-
-    def ground_of(self, s):
-        return frozenset(s.t1)
-
-    def serialize(self, s):
-        return ("perm", s.t1, s.t2)
+        return chain(s.t2) if self.basis == "f" else meet(chain(s.t1), chain(s.t2))

@@ -7,8 +7,9 @@ from math import factorial
 from typing import NamedTuple
 
 from ..errors import PrecutError
-from ..preorder import chain, discrete
-from ..species import SpeciesInstance, check_element_count
+from ..preorder import discrete
+from ..species import check_element_count
+from .hadamard import LINEAR, Factor, Hadamard
 
 
 class TensorWord(NamedTuple):
@@ -16,49 +17,31 @@ class TensorWord(NamedTuple):
     order: tuple  # labels, smallest first
 
 
-class TensorWords(SpeciesInstance):
-    """Pairs (coloring, total order); first projection discrete, second the order."""
+def _colorings(palette):
+    # maps ground -> range(palette) as sorted (label, color) pairs, projected discretely
+    return Factor(
+        lambda ground: [tuple(zip(ground, v)) for v in itertools.product(range(palette), repeat=len(ground))],
+        lambda c, sub: tuple([kv for kv in c if kv[0] in sub]),
+        lambda c, mapping: tuple(sorted((mapping[x], k) for x, k in c)),
+        lambda c: discrete(x for x, _ in c),
+        lambda c: frozenset(x for x, _ in c),
+    )
+
+
+class TensorWords(Hadamard):
+    """Colorings × L; first projection discrete, second the order."""
 
     cap = 6
+    pair = TensorWord
+    tag = "tensor"
 
     def __init__(self, palette=2):
-        super().__init__()
         if palette < 1:
             raise PrecutError(f"palette {palette} below 1: the species would be empty")
+        super().__init__(_colorings(palette), LINEAR)
         self.palette = palette
         self.name = f"tensor[{palette}]"
 
     def _elements(self, ground):
-        n = len(ground)
-        check_element_count(self, n, self.palette**n * factorial(n))
-        out = []
-        for values in itertools.product(range(self.palette), repeat=len(ground)):
-            colors = tuple(zip(ground, values))
-            for order in itertools.permutations(ground):
-                out.append(TensorWord(colors, order))
-        return out
-
-    def restrict(self, s, sub):
-        sub = frozenset(sub)
-        return TensorWord(
-            tuple(kv for kv in s.colors if kv[0] in sub),
-            tuple(x for x in s.order if x in sub),
-        )
-
-    def relabel(self, s, mapping):
-        return TensorWord(
-            tuple(sorted((mapping[x], c) for x, c in s.colors)),
-            tuple(mapping[x] for x in s.order),
-        )
-
-    def pi1(self, s):
-        return discrete(self.ground_of(s))
-
-    def pi2(self, s):
-        return chain(s.order)
-
-    def ground_of(self, s):
-        return frozenset(x for x, _ in s.colors)
-
-    def serialize(self, s):
-        return ("tensor", s.colors, s.order)
+        check_element_count(self, len(ground), self.palette ** len(ground) * factorial(len(ground)))
+        return super()._elements(ground)

@@ -38,15 +38,18 @@ the package has no other use for either.  The last two oracles serve the
 F -> M change of basis: `weak_order_zeta` is the Aguiar-Sottile closed
 form, read from the permutation words only, and `dense_solve_affine` is
 the dense column-by-column Gaussian elimination that the sparse reduced
-echelon form replaced.  The oracles at the very end
+echelon form replaced.  The oracles after them
 build preorders and parking chains as the package did before it had one way
 to build each: `brute_enumerate_preorders` tests every relation for
 transitivity, `closure_relabel` relabels through the Warshall closure, and
 the `brute_*` parking functions validate and parkize their input anew at
 every step, and `brute_restrict_filtration` is the oracle of the species'
-parking restriction.  The fixtures at the top are not oracles: words to
-permutation pairs, packed words of preorder pairs, and the tables the tests
-verify.
+parking restriction.  Last come three test-only factors of Hadamard
+products (posets, posets by components, discrete sets) and
+`glues_uniquely`, which tests the gluing bijection of one factor from its
+own functions, without building a product.  The fixtures at the top are not
+oracles: words to permutation pairs, packed words of preorder pairs, and
+the tables the tests verify.
 """
 
 import itertools
@@ -56,8 +59,11 @@ from precut import species
 from precut.avoidance import has_part
 from precut.errors import NotExhaustive, NotNested
 from precut.fock import StructureConstantTable, _add, _clean, _scale, _verify_transition
+from precut.instances.hadamard import Factor
+from precut.instances.pairs import PREORDERS
 from precut.instances.perm import PermPair, word_of
 from precut.preorder import Preorder, _is_transitive, closure, total_blocks, total_preorder_from_blocks
+from precut.preorder import component_partition, discrete, is_poset
 from precut.preorder import cuts as preorder_cuts
 from precut.preorder import is_cut
 from precut.preorder import relabel as preorder_relabel
@@ -999,3 +1005,38 @@ def brute_filtration_preorder(raw, ground):
 def brute_restrict_filtration(chain, sub):
     sub = frozenset(sub)
     return brute_parkize([frozenset(part) & sub for part in chain], sub)
+
+
+# -- factors of pair products ------------------------------------------------
+
+# test-only factors for the census of Hadamard products: posets under their
+# own order, posets projected to their components, and one element per ground
+POSETS = PREORDERS._replace(elements=lambda ground: [p for p in PREORDERS.elements(ground) if is_poset(p)])
+POSETS_BY_COMPONENTS = POSETS._replace(project=component_partition)
+DISCRETE_SETS = Factor(
+    lambda ground: [ground],
+    lambda x, sub: tuple(a for a in x if a in sub),
+    lambda x, mapping: tuple(sorted(mapping[a] for a in x)),
+    discrete,
+    frozenset,
+)
+
+
+def glues_uniquely(factor, nmax):
+    """Whether, on every ground 1..n with n <= nmax and for every D with
+    complement U, x ↦ (x|D, x|U) is a bijection from the elements whose
+    projection D cuts onto F[D] × F[U].  Reads the factor's own functions
+    one at a time; no product species is built."""
+    for n in range(nmax + 1):
+        ground = tuple(range(1, n + 1))
+        for D in _subsets(ground):
+            U = frozenset(ground) - D
+            images = [
+                (factor.restrict(x, D), factor.restrict(x, U))
+                for x in factor.elements(ground)
+                if is_cut(factor.project(x), D)
+            ]
+            pieces = itertools.product(factor.elements(tuple(sorted(D))), factor.elements(tuple(sorted(U))))
+            if len(set(images)) != len(images) or set(images) != set(pieces):
+                return False
+    return True

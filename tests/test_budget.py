@@ -5,7 +5,7 @@ from pathlib import Path
 
 import precut
 
-LINE_CEILING = 3650
+LINE_CEILING = 3500
 
 
 def test_package_stays_within_its_line_budget():

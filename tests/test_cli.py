@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -228,6 +229,23 @@ def test_parking_calculator(capsys):
     assert data["dilation"] == [0, 1, 3, 4]
     assert data["break_points"] == [0, 1, 3]
     assert data["parkization"] == [["a"], ["a", "b", "c"], ["a", "b", "c"]]
+
+
+@pytest.mark.parametrize(
+    "payload", [{"ground": [1, 1], "chain": [[1]]}, {"ground": [1, 2], "chain": [[1, 2, 2]]}]
+)
+def test_parking_repeated_labels_are_usage_error(payload):
+    # both used to exit 0 with the answer for the ground [1] or the step [1, 2]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(precut.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "precut.cli", "parking", "--chain", json.dumps(payload)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: duplicate labels") and "Traceback" not in proc.stderr
 
 
 def test_parking_enumeration(capsys):
@@ -533,6 +551,7 @@ DISCRETE_2_OBJ = json.loads(DISCRETE_2)
         ["parking", "--chain", '{"ground": [1], "chain": [5]}'],
         ["parking", "--chain", '{"ground": [[1]], "chain": [[[1]]]}'],
         ["parking", "--chain", '{"ground": [1, "a"], "chain": [[1, "a"]]}'],
+        ["parking", "--chain", '{"ground": [1], "chain": [[1, "a"]]}'],
         ["parking", "--chain", "[1]"],
         ["pairs", "--op", "membership", "--data", "[1]"],
         ["pairs", "--op", "matrix", "--data", "[1]"],
@@ -627,3 +646,85 @@ def test_benchmark_tracer_finds_what_it_wraps(tmp_path):
     assert plain.returncode == 0, plain.stderr.decode()
     assert traced.stdout == plain.stdout
     assert json.loads(trace.read_text())["stats"]
+
+
+# SHA-256 of the `enum --json` listings of degrees 0..3 (packed_words 0..4),
+# then of the `enum --classes --json` ones, for every CLI instance
+ENUM_DIGESTS = {
+    "colored": (
+        "7cc7574fb3abd6e1d8d88fc7a77b81e40e521b6e7a27e7290bd2eeb9982aedee",
+        "ec262437a7a2cecb82aca0041c321f8462518a7040119f01d264c3be4644c2fc",
+    ),
+    "tensor": (
+        "3602a6ac67faab5a497a91b1b614e9f55b911efe1a201db9a0fa7df1e2a3b5f8",
+        "d523fb0781e9583f45dc02c840f81036e4d0472ca97c9c5a08ffb96f4d8ce34b",
+    ),
+    "graphs": (
+        "bf4571e3e882b5ee5a329ddf13ac91a45d23df541aed997f98e62cad4b262115",
+        "c98488c95aa330c16242a1ffa66562ed71815d0fb8d6f52f5d0d3fe776d32ed7",
+    ),
+    "posets": (
+        "b731bc99cbca09be50e53275678983fd2f21077099d595c7e7f73f938649e8d2",
+        "a1e9f328b248f67fe110a6bb99a799fb2810bb69236f47e5fe83a128cec1c71a",
+    ),
+    "preorders": (
+        "e5049081fd8a1432fe15d0c0999d6da4082b3cf9f57a3efe9216dcdaec9e129d",
+        "dd963428936a1bb0de87c16700736da45c9c42546a677312e659915d427da151",
+    ),
+    "perm_f": (
+        "8b8cc9d6bfb89bed2a4f21eae81ec99c678d63c453bb6378f767c25b7f3d2401",
+        "88d9b800516250f3553e9e22a45c277ae4b83be80e7d88c23b21d46b1f886afd",
+    ),
+    "perm_m": (
+        "95a9f49b86f0ccf1766a0819e405666f4a2f4e09c61d5db8885b1da90385fcf8",
+        "01a2f1d14084f0ca461ad33003aab52574196e8d0415c9a032d4737a6658f263",
+    ),
+    "parking": (
+        "af898a4736ae854b9b6a7c03fd8870c328c6d08f501bd185de4559902a803913",
+        "42303bb95061afc107fa65fd6f47e9bed1cc837279dcdc3af44e96aa22388906",
+    ),
+    "cc": (
+        "150056c62bf9672fdcd644086cc32698510b98e6dd7fbe9fd32766b917edc586",
+        "3825e6df5a454607de11a28ecc4fc2b27d8aae6bce31a2b46416556bfb0d79d7",
+    ),
+    "nc": (
+        "cd1b2be011cd6c4e10bc98a9c5005904328ae3091939774b71eb95c035f1a439",
+        "38d8f807337a83fa7f45ffbf631a53e4cab86d5f399eccc514cb44976536bb12",
+    ),
+    "nn": (
+        "29f4d3e84fed592e951ff0ff9f68f422959101b05529fceeafe7091d223d80ad",
+        "725293b65bdd94fee886582c17664ead0fa73d03bb2aa392fd9716607c8e48b2",
+    ),
+    "packed_words": (
+        "ee6b5b2312c0992d6a58bc74263d159fae9a05d0707909adf7be6dff367464da",
+        "fd8c62e1c18ff3f7772bcba5d8edf12fef001901dcb04926dcccf098d2c3ccf1",
+    ),
+    "broken_dc": (
+        "fe7c240706a9ca9c6256164b950a00dc6eb20c306048042faeed0bef4a460479",
+        "df4e5aeeccd9c1b29560e21e416885845503cc740466386a4a82a3ffabe5f762",
+    ),
+    "broken_monotone": (
+        "1f21689173e7d29b9c71300de77dba7237445f0fa609199a7bf150f8a748377e",
+        "4b72a1f06e83273efcc54b64ab8a8bd26be1e14cf026f67bdd71a6dc1e9f1518",
+    ),
+    "broken_cut": (
+        "48f9a2f86be44c6117f5bd7d51cc70222bebefc421dcd007019553697cc46fb3",
+        "3d82964c4e51733317a2c1f243fd047272f9665d564113f84383d7efb1b6f7c5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+def test_enum_elements_and_class_ids_are_pinned(capsys, name):
+    # the serialized elements, in order, and the class ids are the keys of
+    # every Fock table, its JSON and the witnesses, so a change to an
+    # instance must leave them byte for byte as they were
+    got = []
+    for flags in ((), ("--classes",)):
+        digest = hashlib.sha256()
+        for n in range(5 if name == "packed_words" else 4):
+            code, out = run(capsys, "enum", "--instance", name, "--n", str(n), "--json", *flags)
+            assert code == 0
+            digest.update(out.encode())
+        got.append(digest.hexdigest())
+    assert tuple(got) == ENUM_DIGESTS[name]

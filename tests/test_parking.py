@@ -44,9 +44,17 @@ def test_chain_validation_errors():
         dilation_sequence([{"a"}, {"b"}], ("a", "b"))
     with pytest.raises(NotExhaustive):
         dilation_sequence([{"a"}], ("a", "b"))
-    for raw, ground in [(5, (1,)), ([[[1]]], ([1],)), ([{1, "a"}], (1, "a"))]:
+    for raw, ground in [(5, (1,)), ([[[1]]], ([1],)), ([{1, "a"}], (1, "a")), ([[1, "a"]], (1,))]:
         with pytest.raises(InvalidStructure):
             parkize(raw, ground)
+
+
+@pytest.mark.parametrize("raw, ground", [([[1]], [1, 1]), ([[1, 2, 2]], [1, 2])])
+def test_repeated_labels_are_refused(raw, ground):
+    # these were answered as if for the ground [1] and for the step [1, 2]
+    for calculator in (dilation_sequence, parkize, break_points, filtration_preorder):
+        with pytest.raises(InvalidStructure, match="duplicate labels"):
+            calculator(raw, ground)
 
 
 def test_parkize_idempotent_exhaustive():
