@@ -45,10 +45,11 @@ def has_part(inst: SpeciesInstance, aset: AvoidanceSet, s) -> bool:
 class AvoidingInstance(SpeciesInstance):
     """The parent species filtered to avoiders.
 
-    Restriction, relabeling and projections are inherited; avoiders are
-    closed under restriction, so this is again a restriction species over
-    preorders.  The dual product automatically drops non-avoiding parent
-    products, which is the quotient multiplication.
+    Restriction, relabeling, projections, ground and serialization are the
+    parent's own bound methods; avoiders are closed under restriction, so
+    this is again a restriction species over preorders.  The dual product
+    automatically drops non-avoiding parent products, which is the quotient
+    multiplication.
     """
 
     def __init__(self, parent: SpeciesInstance, aset: AvoidanceSet):
@@ -57,31 +58,13 @@ class AvoidingInstance(SpeciesInstance):
         self.aset = aset
         self.name = f"{parent.name}/{aset.name}"
         self.cap = parent.cap
+        self.restrict, self.relabel = parent.restrict, parent.relabel
+        self.pi1, self.pi2 = parent.pi1, parent.pi2
+        self.ground_of, self.serialize = parent.ground_of, parent.serialize
 
     def _elements(self, ground):
-        return [
-            s
-            for s in self.parent.elements(ground)
-            if not has_part(self.parent, self.aset, s)
-        ]
-
-    def restrict(self, s, sub):
-        return self.parent.restrict(s, sub)
-
-    def relabel(self, s, mapping):
-        return self.parent.relabel(s, mapping)
-
-    def pi1(self, s):
-        return self.parent.pi1(s)
-
-    def pi2(self, s):
-        return self.parent.pi2(s)
-
-    def ground_of(self, s):
-        return self.parent.ground_of(s)
-
-    def serialize(self, s):
-        return self.parent.serialize(s)
+        parent = self.parent
+        return [s for s in parent.elements(ground) if not has_part(parent, self.aset, s)]
 
 
 def _lost_cut(inst, which, aset, s, stat):

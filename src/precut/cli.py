@@ -23,6 +23,7 @@ from .instances import (
     generate_pair,
 )
 from .instances.pairs import MEMBERSHIP
+from .instances.parking import break_points, dilation_sequence, filtration_preorder, parking_chains, parkize
 from .preorder import (
     bubble_partition,
     bubbles,
@@ -266,14 +267,6 @@ def cmd_preorder(args):
 
 
 def cmd_parking(args):
-    from .instances.parking import (
-        break_points,
-        dilation_sequence,
-        filtration_preorder,
-        parking_chains,
-        parkize,
-    )
-
     if args.enumerate is not None:
         if args.enumerate < 0:
             raise CapExceeded(f"--enumerate {args.enumerate} below 0")

@@ -19,6 +19,7 @@ import tempfile
 from dataclasses import dataclass
 from math import factorial
 
+from . import __version__
 from .errors import InvalidStructure, NotIntertwined, PrecutError
 from .preorder import cuts as preorder_cuts
 from .species import (
@@ -36,7 +37,6 @@ from .species import (
     check_intertwined,
 )
 
-CODE_VERSION = "0.1.0"
 VERIFY_DEPTH_CAP = 4
 
 
@@ -72,7 +72,7 @@ class StructureConstantTable:
             "which_delta": self.which_delta,
             "which_mu": self.which_mu,
             "N": self.N,
-            "code_version": CODE_VERSION,
+            "code_version": __version__,
             "classes": [
                 {"id": c.cid, "degree": c.degree, "repr": _jsonify(c.key)}
                 for c in self.classes

@@ -4,56 +4,47 @@ used as negative controls for the verification stages."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from ..errors import PrecutError
 from ..preorder import chain, coarse, discrete
-from ..species import SpeciesInstance, check_element_count
+from ..species import check_element_count
+from .hadamard import Factor, Single
 
 
-@dataclass(frozen=True)
-class Coloring:
-    colors: tuple  # ((label, color), ...) sorted by label
+def colorings(palette):
+    """The maps ground -> range(palette), as sorted (label, color) pairs,
+    projected discretely: the species of colored and the first factor of tensor."""
+    if palette < 1:
+        raise PrecutError(f"palette {palette} below 1: the species would be empty")
+    return Factor(
+        lambda ground: [tuple(zip(ground, v)) for v in itertools.product(range(palette), repeat=len(ground))],
+        lambda c, sub: tuple([kv for kv in c if kv[0] in sub]),
+        lambda c, mapping: tuple(sorted((mapping[x], k) for x, k in c)),
+        lambda c: discrete(x for x, _ in c),
+        lambda c: frozenset(x for x, _ in c),
+    )
 
 
-class ColoredSets(SpeciesInstance):
+class ColoredSets(Single):
     """Functions from the ground set to a palette of f colors."""
 
     cap = 10
     label = "colored"  # the name, before the palette
 
     def __init__(self, palette=2):
-        super().__init__()
-        if palette < 1:
-            raise PrecutError(f"palette {palette} below 1: the species would be empty")
+        super().__init__(colorings(palette))
         self.palette = palette
         self.name = f"{self.label}[{palette}]"
 
     def _elements(self, ground):
         check_element_count(self, len(ground), self.palette ** len(ground))
-        out = []
-        for values in itertools.product(range(self.palette), repeat=len(ground)):
-            out.append(Coloring(tuple(zip(ground, values))))
-        return out
-
-    def restrict(self, s, sub):
-        sub = frozenset(sub)
-        return Coloring(tuple(kv for kv in s.colors if kv[0] in sub))
-
-    def relabel(self, s, mapping):
-        return Coloring(tuple(sorted((mapping[x], c) for x, c in s.colors)))
-
-    def pi1(self, s):
-        return discrete(self.ground_of(s))
+        return super()._elements(ground)
 
     def pi2(self, s):
         return discrete(self.ground_of(s))
 
-    def ground_of(self, s):
-        return frozenset(x for x, _ in s.colors)
-
     def serialize(self, s):
-        return ("colored", s.colors)
+        return ("colored", s)
 
 
 class BrokenCoarseSecond(ColoredSets):

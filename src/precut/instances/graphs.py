@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ..preorder import discrete, partition_order
+from ..preorder import closure, discrete
 from ..species import SpeciesInstance
 
 
@@ -13,21 +13,6 @@ from ..species import SpeciesInstance
 class Graph:
     vertices: tuple  # sorted labels
     edges: tuple  # sorted pairs (x, y) with x < y
-
-
-def _components(vertices, edges):
-    comp = {x: {x} for x in vertices}
-    for x, y in edges:
-        cx, cy = comp[x], comp[y]
-        if cx is not cy:
-            cx |= cy
-            for z in cy:
-                comp[z] = cx
-    seen = []
-    for x in vertices:
-        if not any(x in c for c in seen):
-            seen.append(frozenset(comp[x]))
-    return seen
 
 
 class Graphs(SpeciesInstance):
@@ -63,7 +48,8 @@ class Graphs(SpeciesInstance):
         return discrete(s.vertices)
 
     def pi2(self, s):
-        return partition_order(_components(s.vertices, s.edges))
+        # the equivalence closure of the edges: its classes are the components
+        return closure(s.vertices, s.edges + tuple((y, x) for x, y in s.edges))
 
     def ground_of(self, s):
         return frozenset(s.vertices)

@@ -1,5 +1,6 @@
-"""The Hadamard product of two species (Aguiar–Mahajan, *Monoidal Functors,
-Species and Hopf Algebras*, 2010): perm_f and perm_m are L × L, tensor is
+"""One species as a `Factor`, and the Hadamard product of two (Aguiar–Mahajan,
+*Monoidal Functors, Species and Hopf Algebras*, 2010): colored, posets and
+preorders are single factors, perm_f and perm_m are L × L, tensor is
 colorings × L, parking is parking chains squared, and cc, nc, nn and
 packed_words are pairs of preorders."""
 
@@ -29,6 +30,31 @@ LINEAR = Factor(
     chain,
     frozenset,
 )
+
+
+class Single(SpeciesInstance):
+    """The species of one factor f: its elements, restriction, relabeling and
+    ground, with π₁ read from f's projection.  Subclasses set π₂, the
+    serialization and what is their own."""
+
+    def __init__(self, f: Factor):
+        super().__init__()
+        self.f = f
+
+    def _elements(self, ground):
+        return self.f.elements(ground)
+
+    def restrict(self, s, sub):
+        return self.f.restrict(s, frozenset(sub))
+
+    def relabel(self, s, mapping):
+        return self.f.relabel(s, mapping)
+
+    def pi1(self, s):
+        return self.f.project(s)
+
+    def ground_of(self, s):
+        return self.f.ground(s)
 
 
 class Hadamard(SpeciesInstance):

@@ -14,6 +14,7 @@ from ..preorder import (
     closure,
     enumerate_preorders,
     is_partition_order,
+    is_poset,
     is_total_preorder,
     total_blocks,
     total_orders,
@@ -45,6 +46,7 @@ def _preorder_factor(elements):
 PREORDERS = _preorder_factor(
     lambda ground: [Preorder(ground, p.rows) for p in enumerate_preorders(len(ground))]
 )
+POSETS = PREORDERS._replace(elements=lambda ground: [p for p in PREORDERS.elements(ground) if is_poset(p)])
 TOTAL_ORDERS = _preorder_factor(lambda ground: list(total_orders(ground)))
 TOTAL_PREORDERS = _preorder_factor(lambda ground: list(total_preorders(ground)))
 

@@ -52,16 +52,20 @@ class SpeciesInstance:
     """Behavioral bundle for one restriction species over preorders.
 
     Subclasses provide `_elements`, `restrict`, `relabel`, `pi1`, `pi2`,
-    `serialize` and `ground_of`; there are no optional hooks.  Elements must
-    be hashable values, each listed once; relabeling and restriction must
-    stay among the elements, and relabeling must be natural, commuting with
-    restriction and with π1, π2 (`preorder.relabel`): the orbit classes of
-    `ClassRegistry` and everything read off their representatives rest on
-    it, and no verifier checks it yet.  `elements` results are cached per
-    ground set and returned in serialization order.  Each instance owns its
-    caches, with the intertwining verdicts that `fock` stores here, so two
-    instances never share a result.  Orbit classes are not cached here:
-    each `ClassRegistry` holds its own.
+    `serialize` and `ground_of`; there are no optional hooks.  A shipped
+    instance reads all but `pi2` and `serialize` from one `Factor`
+    (`instances.hadamard.Single`), or all but `serialize` from two
+    (`Hadamard`); graphs write their own, and an avoiding instance binds its
+    parent's.  Elements must be hashable values, each listed once;
+    relabeling and restriction must stay among the elements, and relabeling
+    must be natural, commuting with restriction and with π1, π2
+    (`preorder.relabel`): the orbit classes of `ClassRegistry` and
+    everything read off their representatives rest on it, and no verifier
+    checks it yet.  `elements` results are cached per ground set and
+    returned in serialization order.  Each instance owns its caches, with
+    the intertwining verdicts that `fock` stores here, so two instances
+    never share a result.  Orbit classes are not cached here: each
+    `ClassRegistry` holds its own.
     """
 
     name = "abstract"
@@ -405,9 +409,10 @@ def _diagrams(split, ground, i, j, stats):
     (u, v, p, q) = (s|A∪C, s|B∪D, s|A∪B, s|C∪D); `counts` is their Counter
     and `quadruples` maps each quadruple, in `_quadruples` order, to 1.
 
-    Appends the degree's entry to `stats`: `incidences` is the whole degree's
-    Σ #cuts(π_i(s))·#cuts(π_j(s)), `completions` adds each diagram's
-    quadruples through the failing one, and `sides` is kept current.
+    Appends the degree's entry to `stats`: `incidences` and `completions`
+    add each diagram's incidences and quadruples through the failing one
+    (a pair of cuts of π_i(s) and π_j(s) is an incidence of one diagram),
+    and `sides` is kept current.
     """
     inst = split.inst
     full = frozenset(ground)
@@ -415,9 +420,7 @@ def _diagrams(split, ground, i, j, stats):
     stat = {
         "degree": len(ground),
         "elements": len(els),
-        "incidences": sum(
-            len(preorder_cuts(inst.pi(i, s))) * len(preorder_cuts(inst.pi(j, s))) for s in els
-        ),
+        "incidences": 0,
         "completions": 0,
         "sides": 0,
     }
@@ -429,6 +432,7 @@ def _diagrams(split, ground, i, j, stats):
         stat["sides"] = len(split.table)
         small, big = sorted((on_AB, on_AC), key=len)  # both in element order
         incidences = [(s, on_AC[s] + on_AB[s]) for s in small if s in big]
+        stat["incidences"] += len(incidences)
         counts = Counter(key for _, key in incidences)
         quadruples = dict.fromkeys(_quadruples(sides), 1)
         stat["completions"] += len(quadruples)
@@ -480,11 +484,12 @@ def check_intertwined(inst: SpeciesInstance, nmax) -> VerificationReport:
     cut holds.  The stage is kept as a defence and fires only when the
     precondition is bypassed.
 
-    `stats` holds per degree the elements, the incidences of the whole
-    degree, the corner-compatible quadruples (completions) and the split
-    sides built.  On a passing run incidences and completions agree and the
-    sides number 2·3ⁿ; on a failure the last entry is the failing degree,
-    with completions and sides counted through the failing diagram.
+    `stats` holds per degree the elements, the doubly-cut elements of the
+    diagrams walked (incidences), their corner-compatible quadruples
+    (completions) and the split sides built.  On a passing run incidences
+    and completions agree and the sides number 2·3ⁿ; on a failure the last
+    entry is the failing degree, with all three counted through the failing
+    diagram.
     """
     pre = check_species_over_preorders(inst, nmax)
     if not pre.passed:
@@ -626,9 +631,9 @@ def check_bimonoid(inst: SpeciesInstance, coproduct_index, nmax) -> Verification
     key, comparing the serializations of its corners on A∪C, B∪D, A∪B and
     C∪D in that order.
 
-    `stats` holds per degree the elements, the incidences of the square, its
-    delta-then-mu terms (completions, counted through the failing diagram)
-    and the split sides built, as in `check_intertwined`.  `sides` counts
+    `stats` holds per degree the elements, the incidences of the square and
+    its delta-then-mu terms (completions), both counted through the failing
+    diagram, and the split sides built, as in `check_intertwined`.  `sides` counts
     every side the degree built, the earlier stages' included, so a failing
     square may report more than it reached; a degree whose unit or
     three-block laws fail has no entry.

@@ -44,10 +44,12 @@ to build each: `brute_enumerate_preorders` tests every relation for
 transitivity, `closure_relabel` relabels through the Warshall closure, and
 the `brute_*` parking functions validate and parkize their input anew at
 every step, and `brute_restrict_filtration` is the oracle of the species'
-parking restriction.  Last come three test-only factors of Hadamard
-products (posets, posets by components, discrete sets) and
-`glues_uniquely`, which tests the gluing bijection of one factor from its
-own functions, without building a product.  The fixtures at the top are not
+parking restriction.  Then come two test-only factors of Hadamard
+products (posets by components, built on the package's `POSETS`, and
+discrete sets) and `glues_uniquely`, which tests the gluing bijection of
+one factor from its own functions, without building a product.  Last,
+`graph_components` finds the components of a graph by breadth-first
+search, with no preorder.  The fixtures at the top are not
 oracles: words to permutation pairs, packed words of preorder pairs, and
 the tables the tests verify.
 """
@@ -60,10 +62,10 @@ from precut.avoidance import has_part
 from precut.errors import NotExhaustive, NotNested
 from precut.fock import StructureConstantTable, _add, _clean, _scale, _verify_transition
 from precut.instances.hadamard import Factor
-from precut.instances.pairs import PREORDERS
+from precut.instances.pairs import POSETS
 from precut.instances.perm import PermPair, word_of
 from precut.preorder import Preorder, _is_transitive, closure, total_blocks, total_preorder_from_blocks
-from precut.preorder import component_partition, discrete, is_poset
+from precut.preorder import component_partition, discrete
 from precut.preorder import cuts as preorder_cuts
 from precut.preorder import is_cut
 from precut.preorder import relabel as preorder_relabel
@@ -1009,9 +1011,8 @@ def brute_restrict_filtration(chain, sub):
 
 # -- factors of pair products ------------------------------------------------
 
-# test-only factors for the census of Hadamard products: posets under their
-# own order, posets projected to their components, and one element per ground
-POSETS = PREORDERS._replace(elements=lambda ground: [p for p in PREORDERS.elements(ground) if is_poset(p)])
+# test-only factors for the census of Hadamard products: posets projected to
+# their components, and one element per ground
 POSETS_BY_COMPONENTS = POSETS._replace(project=component_partition)
 DISCRETE_SETS = Factor(
     lambda ground: [ground],
@@ -1040,3 +1041,26 @@ def glues_uniquely(factor, nmax):
             if len(set(images)) != len(images) or set(images) != set(pieces):
                 return False
     return True
+
+
+# -- graphs ------------------------------------------------------------------
+
+
+def graph_components(vertices, edges):
+    """The connected components of a graph, each a frozenset, by a
+    breadth-first search from every vertex not yet reached."""
+    neighbours = {x: set() for x in vertices}
+    for x, y in edges:
+        neighbours[x].add(y)
+        neighbours[y].add(x)
+    reached, components = set(), set()
+    for start in vertices:
+        if start in reached:
+            continue
+        component, frontier = {start}, [start]
+        while frontier:
+            frontier = [y for x in frontier for y in neighbours[x] if y not in component]
+            component.update(frontier)
+        reached |= component
+        components.add(frozenset(component))
+    return components

@@ -1,12 +1,15 @@
-"""Hadamard products of species: the shipped pair instances, and the census
-of the 49 products of seven factors at n <= 3 against the gluing rule."""
+"""Species of one factor and Hadamard products of two: the shipped single and
+pair instances, and the census of the 49 products of seven factors at n <= 3
+against the gluing rule."""
+
+import itertools
 
 import pytest
 
-from oracles import DISCRETE_SETS, POSETS, POSETS_BY_COMPONENTS, glues_uniquely
+from oracles import DISCRETE_SETS, POSETS_BY_COMPONENTS, glues_uniquely
 from precut.instances import build_instance
-from precut.instances.hadamard import LINEAR, Hadamard
-from precut.instances.pairs import PREORDERS, TOTAL_PREORDERS
+from precut.instances.hadamard import LINEAR, Hadamard, Single
+from precut.instances.pairs import POSETS, PREORDERS, TOTAL_PREORDERS
 from precut.instances.parking import PARKING
 from precut.preorder import Preorder
 from precut.species import check_intertwined
@@ -47,6 +50,26 @@ class CensusProduct(Hadamard):
 
     def serialize(self, s):
         return tuple((x.ground, x.rows) if isinstance(x, Preorder) else x for x in s)
+
+
+@pytest.mark.parametrize(
+    "name", ["colored", "broken_dc", "broken_monotone", "broken_cut", "posets", "preorders"]
+)
+def test_single_factor_instances_read_their_factor(name):
+    inst = build_instance(name)
+    assert isinstance(inst, Single)
+    f = inst.f
+    for n in range(4):
+        ground = tuple(range(1, n + 1))
+        mapping = {x: 10 - x for x in ground}  # reverses the order, onto new labels
+        assert set(inst.elements(ground)) == set(f.elements(ground))
+        for s in inst.elements(ground):
+            assert inst.pi1(s) == f.project(s)
+            assert inst.ground_of(s) == f.ground(s) == frozenset(ground)
+            assert inst.relabel(s, mapping) == f.relabel(s, mapping)
+            for r in range(n + 1):
+                for sub in itertools.combinations(ground, r):
+                    assert inst.restrict(s, sub) == f.restrict(s, frozenset(sub))
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from precut.instances import build_instance
 from precut.instances.perm import PermPair, PermPairs, word_of
 from precut.preorder import (
     bubble_partition,
+    bubbles,
     chain,
     coarse,
     component_partition,
@@ -14,11 +15,12 @@ from precut.preorder import (
     discrete,
     is_coarse,
     is_cut,
+    is_partition_order,
     is_total_order,
     is_total_preorder,
 )
 
-from oracles import pair_from_word
+from oracles import graph_components, pair_from_word
 
 
 def test_registry_unknown():
@@ -52,6 +54,26 @@ def test_tensor_counts():
 def test_graphs_counts():
     inst = build_instance("graphs")
     assert [len(inst.elements(tuple(range(1, n + 1)))) for n in range(5)] == [1, 1, 2, 8, 64]
+
+
+def test_graph_second_projection_is_the_component_partition():
+    # every graph with at most 5 vertices, against a breadth-first search
+    inst = build_instance("graphs")
+    for n in range(6):
+        for s in inst.elements(tuple(range(1, n + 1))):
+            p = inst.pi2(s)
+            assert is_partition_order(p)
+            assert set(bubbles(p)) == graph_components(s.vertices, s.edges)
+
+
+@pytest.mark.parametrize("palette", [2, 3])
+def test_colored_elements_are_the_colorings_of_tensor(palette):
+    colored = build_instance("colored", palette=palette)
+    tensor = build_instance("tensor", palette=palette)
+    for n in range(4):
+        ground = tuple(range(1, n + 1))
+        assert len(colored.elements(ground)) == palette**n
+        assert set(colored.elements(ground)) == {s[0] for s in tensor.elements(ground)}
 
 
 def test_posets_and_preorders_counts():

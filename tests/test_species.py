@@ -15,7 +15,7 @@ from oracles import (
 from precut import fock, species
 from precut.errors import BadDecomposition
 from precut.instances import build_instance
-from precut.instances.colored import ColoredSets, Coloring
+from precut.instances.colored import ColoredSets
 from precut.instances.perm import PermPairs
 from precut.preorder import chain, is_cut
 from precut.species import (
@@ -325,8 +325,8 @@ class FlippedColors(ColoredSets):
 
     def restrict(self, s, sub):
         r = super().restrict(s, sub)
-        if len(s.colors) - len(r.colors) == 2:
-            r = Coloring(tuple((x, 1 - c) for x, c in r.colors))
+        if len(s) - len(r) == 2:
+            r = tuple((x, 1 - c) for x, c in r)
         return r
 
 
@@ -337,9 +337,9 @@ class FlippedPastThree(ColoredSets):
 
     def restrict(self, s, sub):
         r = super().restrict(s, sub)
-        dropped = [c for x, c in s.colors if x not in sub]
+        dropped = [c for x, c in s if x not in sub]
         if len(dropped) == 3 and 1 in dropped:
-            r = Coloring(tuple((x, 1 - c) for x, c in r.colors))
+            r = tuple((x, 1 - c) for x, c in r)
         return r
 
 
@@ -349,9 +349,9 @@ class OffPalette(ColoredSets):
 
     def restrict(self, s, sub):
         r = super().restrict(s, sub)
-        if len(s.colors) == 3 and len(r.colors) == 1:
-            ((x, _),) = r.colors
-            r = Coloring(((x, 7),))
+        if len(s) == 3 and len(r) == 1:
+            ((x, _),) = r
+            r = ((x, 7),)
         return r
 
 
