@@ -14,11 +14,12 @@ class AvoidanceSet:
     """Relabel-invariant predicate selecting the forbidden sub-elements.
 
     Invariance is load-bearing: with restriction natural, it makes has_part
-    constant on each orbit class, and `is_irreducible` checks one
-    representative per class.  `sizes` limits the subset scan to grounds of
-    those sizes (None scans all).  `monotone` declares that membership of a
-    restriction implies membership of the element itself, collapsing
-    has_part to membership.
+    constant on each orbit class, so `AvoidingInstance` and `is_irreducible`
+    decide one representative per class.  `sizes` limits the subset scan to
+    grounds of those sizes (None scans all).  `monotone` declares that
+    membership of a restriction implies membership of the element itself,
+    collapsing has_part to one membership call, which costs less than a
+    class lookup.
     """
 
     name: str
@@ -50,6 +51,17 @@ class AvoidingInstance(SpeciesInstance):
     this is again a restriction species over preorders.  The dual product
     automatically drops non-avoiding parent products, which is the quotient
     multiplication.
+
+    A parent element is kept when its orbit class avoids the set: has_part
+    runs once per class, on the representative, and the verdict is kept by
+    class id in a registry of the parent's classes that this instance owns.
+    That is sound for the reasons `is_irreducible` gives: the set is
+    relabel-invariant and restriction is natural, so has_part(σs) =
+    has_part(s).  `ClassRegistry.class_of` relabels an element on any ground
+    onto 1..k first, and raises InvalidStructure when a relabeling leaves the
+    parent's enumeration.  A monotone set keeps the labeled test: its
+    has_part is one membership call, cheaper than a class lookup, and the
+    parent's registry need not be built.
     """
 
     def __init__(self, parent: SpeciesInstance, aset: AvoidanceSet):
@@ -61,10 +73,22 @@ class AvoidingInstance(SpeciesInstance):
         self.restrict, self.relabel = parent.restrict, parent.relabel
         self.pi1, self.pi2 = parent.pi1, parent.pi2
         self.ground_of, self.serialize = parent.ground_of, parent.serialize
+        self._registry = ClassRegistry(parent)
+        self._avoids = {}  # cid -> whether the parent class avoids the set
 
     def _elements(self, ground):
-        parent = self.parent
-        return [s for s in parent.elements(ground) if not has_part(parent, self.aset, s)]
+        parent, aset = self.parent, self.aset
+        if aset.monotone:
+            return [s for s in parent.elements(ground) if not has_part(parent, aset, s)]
+        class_of, avoids = self._registry.class_of, self._avoids
+        out = []
+        for s in parent.elements(ground):
+            cls = class_of(s)
+            if cls.cid not in avoids:
+                avoids[cls.cid] = not has_part(parent, aset, cls.rep)
+            if avoids[cls.cid]:
+                out.append(s)
+        return out
 
 
 def _lost_cut(inst, which, aset, s, stat):

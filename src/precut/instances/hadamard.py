@@ -7,7 +7,7 @@ packed_words are pairs of preorders."""
 import itertools
 from typing import Callable, NamedTuple
 
-from ..preorder import chain
+from ..preorder import Preorder, chain
 from ..species import SpeciesInstance
 
 
@@ -108,4 +108,11 @@ class Hadamard(SpeciesInstance):
         return self.f.ground(s[0])
 
     def serialize(self, s):
-        return (self.tag, s[0], s[1])
+        # a preorder orders by refinement, a partial order, so it sorts by the
+        # (ground, rows) key of `OrderSpecies` and `PreorderPairs` instead
+        x, y = s
+        return (
+            self.tag,
+            (x.ground, x.rows) if type(x) is Preorder else x,
+            (y.ground, y.rows) if type(y) is Preorder else y,
+        )

@@ -44,7 +44,7 @@ def _preorder_factor(elements):
 
 # 1..n onto the sorted ground preserves order, so the rows carry over
 PREORDERS = _preorder_factor(
-    lambda ground: [Preorder(ground, p.rows) for p in enumerate_preorders(len(ground))]
+    lambda ground: [Preorder._valid(ground, p.rows) for p in enumerate_preorders(len(ground))]
 )
 POSETS = PREORDERS._replace(elements=lambda ground: [p for p in PREORDERS.elements(ground) if is_poset(p)])
 TOTAL_ORDERS = _preorder_factor(lambda ground: list(total_orders(ground)))

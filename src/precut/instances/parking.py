@@ -72,7 +72,12 @@ def _restrict(chain, sub):
 
 
 def _relabel(chain, mapping):
-    return tuple(tuple(sorted(mapping[x] for x in part)) for part in chain)
+    image, out, prev = mapping.__getitem__, [], None
+    for part in chain:  # a chain repeats levels: sort each run once
+        if part != prev:
+            prev, moved = part, tuple(sorted(map(image, part)))
+        out.append(moved)
+    return tuple(out)
 
 
 def dilation_sequence(raw, ground):

@@ -63,6 +63,14 @@ class Preorder:
         if not _is_transitive(n, self.rows):
             raise InvalidStructure("relation not transitive")
 
+    @classmethod
+    def _valid(cls, ground, rows):
+        """Skips the checks: restrictions, relabelings and enumerations are preorders."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ground", ground)
+        object.__setattr__(p, "rows", rows)
+        return p
+
     # -- basic queries ----------------------------------------------------
 
     def index(self, x):
@@ -292,32 +300,30 @@ class Cut:
 
 
 def _down_mask_ok(p: Preorder, mask):
-    """mask is a down-set iff nothing below it is missed."""
-    n = len(p.ground)
-    for j in range(n):
-        if mask >> j & 1:
-            for i in range(n):
-                if p.rows[i] >> j & 1 and not mask >> i & 1:
-                    return False
+    """mask is a down-set iff no row outside it reaches into it."""
+    for i, row in enumerate(p.rows):
+        if row & mask and not mask >> i & 1:
+            return False
     return True
 
 
 def is_cut(p: Preorder, down) -> bool:
     down = frozenset(down)
-    if not down <= set(p.ground):
-        raise UnknownLabel(f"{down!r} not within ground")
     mask = sum(1 << i for i, x in enumerate(p.ground) if x in down)
+    if mask.bit_count() != len(down):
+        raise UnknownLabel(f"{down!r} not within ground")
     return _down_mask_ok(p, mask)
 
 
 def cuts(p: Preorder):
     """All cuts, by subset bitmask ascending (so (∅, X) first, (X, ∅) last)."""
     n = len(p.ground)
+    ground = frozenset(p.ground)
     out = []
     for mask in range(1 << n):
         if _down_mask_ok(p, mask):
             down = frozenset(p.ground[i] for i in range(n) if mask >> i & 1)
-            out.append(Cut(down, frozenset(p.ground) - down))
+            out.append(Cut(down, ground - down))
     return out
 
 
@@ -329,17 +335,19 @@ def restrict(p: Preorder, sub) -> Preorder:
     rows = tuple(
         sum(1 << jj for jj, j in enumerate(keep) if p.rows[i] >> j & 1) for i in keep
     )
-    return Preorder(tuple(p.ground[i] for i in keep), rows)
+    return Preorder._valid(tuple(p.ground[i] for i in keep), rows)
 
 
 def relabel(p: Preorder, mapping) -> Preorder:
     """Image of p under a bijection of labels: the bitmask rows permuted."""
     ground = tuple(sorted(mapping[x] for x in p.ground))
+    if len(set(ground)) != len(ground):
+        raise InvalidStructure("duplicate ground labels")
     pos = [ground.index(mapping[x]) for x in p.ground]
     rows = [0] * len(ground)
     for i, row in enumerate(p.rows):
         rows[pos[i]] = sum(1 << pj for j, pj in enumerate(pos) if row >> j & 1)
-    return Preorder(ground, tuple(rows))
+    return Preorder._valid(ground, tuple(rows))
 
 
 # -- the minimal total refinement -----------------------------------------
@@ -428,7 +436,7 @@ def enumerate_preorders(n):
         level = extended
     ground = tuple(range(1, n + 1))
     for rows in level:
-        yield Preorder(ground, rows)
+        yield Preorder._valid(ground, rows)
 
 
 def total_orders(ground):

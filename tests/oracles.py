@@ -17,7 +17,9 @@ and every subset, that relabeling stays among the elements and commutes
 with both projections and with restriction: the naturality that the class
 registry and the product formula assume.  `labeled_is_irreducible` is the
 irreducibility check as it was before it walked one representative per
-orbit class: every labeled element of every degree, in order.
+orbit class: every labeled element of every degree, in order, and
+`labeled_avoiders` is the avoiding filter as it was before it decided one
+representative per class: `has_part` on every labeled parent element.
 `cached_canonical_form` and `CachedClassRegistry` are the class registry
 as it was while each instance
 cached a canonical form and a witness for every labeled element, with
@@ -403,6 +405,11 @@ def brute_check_natural(inst, nmax):
                     if inst.restrict(t, frozenset(on_sub.values())) != inst.relabel(part, on_sub):
                         return VerificationReport(False, "Restrict", dict(witness, subset=sorted(sub)))
     return VerificationReport(True)
+
+
+def labeled_avoiders(parent, aset, ground):
+    """The parent's elements on the ground with no part in the avoidance set."""
+    return [s for s in parent.elements(ground) if not has_part(parent, aset, s)]
 
 
 def labeled_is_irreducible(inst, which, aset, nmax):

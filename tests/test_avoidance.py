@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from precut import avoidance
 from precut.avoidance import (
     AvoidanceSet,
     AvoidingInstance,
@@ -21,7 +22,13 @@ from precut.instances import (
 )
 from precut.species import check_intertwined, mu
 
-from oracles import contains_pattern, count_avoiders, labeled_is_irreducible, pair_from_word
+from oracles import (
+    contains_pattern,
+    count_avoiders,
+    labeled_avoiders,
+    labeled_is_irreducible,
+    pair_from_word,
+)
 
 
 def test_has_part_examples():
@@ -56,6 +63,40 @@ def test_has_part_leaves_the_avoidance_set_unchanged():
 def test_avoiding_instance_counts():
     inst = AvoidingInstance(build_instance("perm_m"), pattern_set((2, 1, 3)))
     assert len(inst.elements((1, 2, 3))) == 30  # 6 relabelings of 5 avoiding words
+
+
+# the non-monotone presets, filtered by class, up to the degree each is checked at
+CLASS_ROUTE = {"213": 5, "132+213": 5, "12": 5, "3142+2413": 5, "cherry": 4, "cherry+V": 4}
+
+
+@pytest.mark.parametrize("preset", list(CLASS_ROUTE) + ["perm_f/132"])
+def test_avoiders_equal_the_labeled_filter(preset):
+    # on 1..n and on grounds that start elsewhere and skip labels, which the
+    # class lookup relabels onto 1..n
+    if preset == "perm_f/132":
+        parent, aset, nmax = build_instance("perm_f"), pattern_set((1, 3, 2)), 5
+    else:
+        parent_name, aset, _ = AVOIDANCE_PRESETS[preset]
+        parent, nmax = build_instance(parent_name), CLASS_ROUTE[preset]
+        assert not aset.monotone
+    inst = AvoidingInstance(parent, aset)
+    for n in range(nmax + 1):
+        for ground in (tuple(range(1, n + 1)), (2, 4, 5, 7, 8, 11)[:n]):
+            assert list(inst.elements(ground)) == labeled_avoiders(parent, aset, ground), (preset, ground)
+
+
+def test_has_part_runs_once_per_parent_class(monkeypatch):
+    # 154 orbit classes of perm_m at n <= 5, against 15 018 labeled elements
+    calls = []
+    real = avoidance.has_part
+    monkeypatch.setattr(avoidance, "has_part", lambda *a: calls.append(a) or real(*a))
+    assert graded_dimensions(build_preset("213"), 5) == [1, 1, 2, 5, 14, 42]
+    assert len(calls) == 154
+    # a monotone set keeps one membership test per labeled parent element
+    calls.clear()
+    inst = build_preset("nondecreasing-parking")
+    graded_dimensions(inst, 4)
+    assert len(calls) == sum(len(inst.parent.elements(tuple(range(1, n + 1)))) for n in range(5)) == 15_892
 
 
 def test_empty_avoidance_changes_nothing():
@@ -207,7 +248,22 @@ def test_census_dimensions_count_avoiders():
     perm_m = build_instance("perm_m")
     for w in PATTERNS:
         inst = AvoidingInstance(perm_m, pattern_set(w))
-        assert graded_dimensions(inst, 4) == [count_avoiders(n, [w]) for n in range(5)], w
+        assert graded_dimensions(inst, 5) == [count_avoiders(n, [w]) for n in range(6)], w
+
+
+@pytest.fixture(scope="module")
+def perm_m():
+    return build_instance("perm_m")
+
+
+@pytest.mark.parametrize("word, last", [((1, 3, 4, 2), 512), ((1, 2, 3, 4), 513), ((1, 3, 2, 4), 513)])
+def test_wilf_classes_separate_at_degree_six(perm_m, word, last):
+    # n = 6 is the first degree where length-4 patterns of different Wilf
+    # classes differ: 1342 parts from 1234 and 1324 (Bóna, *Combinatorics of
+    # Permutations*), which stay equal until n = 7
+    dims = graded_dimensions(AvoidingInstance(perm_m, pattern_set(word)), 6)
+    assert dims == [count_avoiders(n, [word]) for n in range(7)]
+    assert dims == [1, 1, 2, 6, 23, 103, last]
 
 
 @pytest.mark.parametrize(

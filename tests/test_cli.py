@@ -728,3 +728,53 @@ def test_enum_elements_and_class_ids_are_pinned(capsys, name):
             digest.update(out.encode())
         got.append(digest.hexdigest())
     assert tuple(got) == ENUM_DIGESTS[name]
+
+
+# SHA-256 of `avoid --json` for every preset (perm_m presets at --nmax 5, the
+# rest at 4), then of `--check-irreducible` with the claimed index, if any
+AVOID_DIGESTS = {
+    "12": (
+        "06c191ad7f21eedf734e357e4b08ab77d833938acca58956f8c05501ec5d6b13",
+        "636accc376eecee54e072cf0a9185ec03b021042909bc1fd369cbeaaa9177ef9",
+    ),
+    "132+213": (
+        "c6e13641e504bdbeb7f3f1d84d85388554356a6ac7e3fe9a89f91a2e9c7aef4f",
+        "fad630c6da6650412b397d16b5044c0a2445e6648c7f17f9b7bfb5ba03c2ea8c",
+    ),
+    "213": (
+        "371f407c25343d34dee44753c391df71f778830c89036eed6f8a6732acdd40ce",
+        "a8f3baa9b46a62ad05c8346dbdddb70e99402dd9f7a6ef1c42f251c8db5c4a38",
+    ),
+    "3142+2413": (
+        "31945d8f91d3588e3029a8f10e6f65e9cae8aacb29c5b7cf2c56f85bbc5beb79",
+        "111533c25c992576e18e67b3a71b04a4848791fce9d35fac19b60e7a8f8073b7",
+    ),
+    "cherry": (
+        "69172e0160386aeaa7f9b657dc0473e6671fdad8f6bf0a872d8601bb57646be1",
+        "ddaf18785cb82f1fc1f5385985de1e61722562f0d45404d3dad5b88b5c737885",
+    ),
+    "cherry+V": (
+        "bc82a44babc0379f95ae9ac274aea216f8e5a014a875b5d7c8ab898fb1111879",
+        "6f48b06dc6ac43f607e32beb41ffe0b7a0511ff07eda8a3f9af9db15cb7787a0",
+    ),
+    "mr-in-parking": ("d39a7c337840b1b36266bf00590071eb3375c1cd474fddb12a14c3092958a8e2",),
+    "nondecreasing-parking": (
+        "678f4837229b18795e5352186144532991025ea6688f3cf9a791ea38198a28ef",
+        "bc5c8d3c99f3b1e6a79456426eb2ef9e91164c315202c7bea5b08b71f0f92118",
+    ),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(AVOIDANCE_PRESETS))
+def test_avoid_outputs_are_pinned(capsys, preset):
+    # the dimensions and irreducibility reports of every preset, byte for
+    # byte, however the avoiders are filtered
+    parent_name, _, claimed = AVOIDANCE_PRESETS[preset]
+    nmax = "5" if parent_name == "perm_m" else "4"
+    runs = [()] + ([("--check-irreducible", str(claimed))] if claimed is not None else [])
+    got = []
+    for flags in runs:
+        code, out = run(capsys, "avoid", "--preset", preset, "--nmax", nmax, "--json", *flags)
+        assert code == 0
+        got.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(got) == AVOID_DIGESTS[preset]

@@ -11,7 +11,6 @@ from precut.instances import build_instance
 from precut.instances.hadamard import LINEAR, Hadamard, Single
 from precut.instances.pairs import POSETS, PREORDERS, TOTAL_PREORDERS
 from precut.instances.parking import PARKING
-from precut.preorder import Preorder
 from precut.species import check_intertwined
 
 # the four factors that shipped instances use, then the three test-only ones
@@ -44,14 +43,6 @@ def _verdicts():
     return {(row[0], g): mark == "+" for row in rows for g, mark in zip(FACTORS, row[1:])}
 
 
-class CensusProduct(Hadamard):
-    """A product of two census factors, with the default pair; a preorder
-    serializes by its ground and rows, so every element is orderable."""
-
-    def serialize(self, s):
-        return tuple((x.ground, x.rows) if isinstance(x, Preorder) else x for x in s)
-
-
 @pytest.mark.parametrize(
     "name", ["colored", "broken_dc", "broken_monotone", "broken_cut", "posets", "preorders"]
 )
@@ -82,11 +73,22 @@ def test_pair_instances_are_hadamard_products(name):
         assert s == inst.pair(s[0], s[1]) and inst.ground_of(s) == inst.g.ground(s[1])
 
 
+def test_default_serialization_orders_preorder_components():
+    # a preorder's own order is refinement, a partial order, so the pairs
+    # sort by each preorder's (ground, rows), as posets and cc pairs do
+    inst = Hadamard(PREORDERS, PREORDERS)
+    els = inst.elements((1, 2))
+    assert len(els) == len(set(map(inst.serialize, els))) == 16
+    assert [inst.serialize(s)[1:] for s in els] == sorted(
+        ((x.ground, x.rows), (y.ground, y.rows)) for x, y in els
+    )
+
+
 @pytest.mark.parametrize("f", FACTORS)
 def test_census_verdicts_are_pinned(f):
     verdicts = _verdicts()
     for g in FACTORS:
-        report = check_intertwined(CensusProduct(FACTORS[f], FACTORS[g]), 3)
+        report = check_intertwined(Hadamard(FACTORS[f], FACTORS[g]), 3)
         assert report.passed == verdicts[f, g], (f, g)
         assert report.passed or report.stage == "ExtensionUniqueness"
 

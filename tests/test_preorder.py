@@ -5,6 +5,7 @@ import pytest
 from oracles import brute_enumerate_preorders, closure_relabel
 from precut.errors import CapExceeded, GroundMismatch, InvalidStructure, UnknownLabel
 from precut.preorder import (
+    Preorder,
     bubble_partition,
     bubbles,
     chain,
@@ -281,3 +282,17 @@ def test_minimal_total_refinement_on_all_outputs_valid():
         t = minimal_total_refinement(p)
         assert is_total_preorder(t)
         assert ref_oracle(p, t)
+
+
+def test_unchecked_results_are_preorders_and_bad_inputs_still_raise():
+    # restrict, relabel and enumerate_preorders skip the constructor's checks
+    for p in enumerate_preorders(4):
+        for q in (p, restrict(p, (1, 3, 4)), relabel(p, {1: 7, 2: 5, 3: 9, 4: 6})):
+            assert Preorder(q.ground, q.rows) == q
+    p = chain((1, 2, 3))
+    with pytest.raises(InvalidStructure):
+        relabel(p, {1: 5, 2: 5, 3: 6})
+    with pytest.raises(UnknownLabel):
+        is_cut(p, {1, 4})
+    with pytest.raises(UnknownLabel):
+        restrict(p, {1, 4})
