@@ -128,11 +128,10 @@ def cmd_avoid(args):
     _check_degree(inst, args.nmax)
     out = {"preset": args.preset, "instance": inst.name}
     if args.check_irreducible:
-        parent_name, aset, claimed = AVOIDANCE_PRESETS[args.preset]
+        _, _, claimed = AVOIDANCE_PRESETS[args.preset]
         if claimed is None:
             raise PrecutError(f"preset {args.preset!r} has no single irreducibility claim")
-        parent = build_instance(parent_name)
-        report = is_irreducible(parent, args.check_irreducible, aset, args.nmax)
+        report = is_irreducible(inst.parent, args.check_irreducible, inst.aset, args.nmax)
         out["irreducible"] = report.to_json()
         out["stats"] = list(report.stats)
         _emit(out, args.json)

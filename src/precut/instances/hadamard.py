@@ -1,8 +1,8 @@
 """One species as a `Factor`, and the Hadamard product of two (Aguiar–Mahajan,
-*Monoidal Functors, Species and Hopf Algebras*, 2010): colored, posets and
-preorders are single factors, perm_f and perm_m are L × L, tensor is
-colorings × L, parking is parking chains squared, and cc, nc, nn and
-packed_words are pairs of preorders."""
+*Monoidal Functors, Species and Hopf Algebras*, 2010): colored, graphs,
+posets and preorders are single factors, perm_f and perm_m are L × L,
+tensor is colorings × L, parking is parking chains squared, and cc, nc, nn
+and packed_words are pairs of preorders."""
 
 import itertools
 from typing import Callable, NamedTuple

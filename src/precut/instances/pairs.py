@@ -11,18 +11,17 @@ from ..preorder import (
     Preorder,
     _check_same_ground,
     bubbles,
+    chain,
     closure,
     enumerate_preorders,
     is_partition_order,
     is_poset,
     is_total_preorder,
     total_blocks,
-    total_orders,
-    total_preorders,
     relabel as relabel_preorder,
     restrict as restrict_preorder,
 )
-from .hadamard import Factor, Hadamard
+from .hadamard import LINEAR, Factor, Hadamard
 
 
 class PreorderPair(NamedTuple):
@@ -30,25 +29,21 @@ class PreorderPair(NamedTuple):
     q: Preorder
 
 
-def _preorder_factor(elements):
-    # restriction looks `restrict_preorder` up at each call, so a rebinding of
-    # the module name (perfbench/tracing.py counts calls that way) reaches it
-    return Factor(
-        elements,
-        lambda p, sub: restrict_preorder(p, sub),
-        relabel_preorder,
-        lambda p: p,
-        lambda p: frozenset(p.ground),
-    )
-
-
-# 1..n onto the sorted ground preserves order, so the rows carry over
-PREORDERS = _preorder_factor(
-    lambda ground: [Preorder._valid(ground, p.rows) for p in enumerate_preorders(len(ground))]
+# restriction looks `restrict_preorder` up at each call, so a rebinding of the
+# module name (perfbench/tracing.py counts calls that way) reaches it.  1..n
+# onto the sorted ground preserves order, so the enumerated rows carry over.
+PREORDERS = Factor(
+    lambda ground: [Preorder._valid(ground, p.rows) for p in enumerate_preorders(len(ground))],
+    lambda p, sub: restrict_preorder(p, sub),
+    relabel_preorder,
+    lambda p: p,
+    lambda p: frozenset(p.ground),
 )
 POSETS = PREORDERS._replace(elements=lambda ground: [p for p in PREORDERS.elements(ground) if is_poset(p)])
-TOTAL_ORDERS = _preorder_factor(lambda ground: list(total_orders(ground)))
-TOTAL_PREORDERS = _preorder_factor(lambda ground: list(total_preorders(ground)))
+TOTAL_PREORDERS = PREORDERS._replace(
+    elements=lambda ground: [p for p in PREORDERS.elements(ground) if is_total_preorder(p)]
+)
+TOTAL_ORDERS = PREORDERS._replace(elements=lambda ground: [chain(x) for x in LINEAR.elements(ground)])
 
 
 def _pointwise(p: Preorder, q: Preorder, forward, backward):

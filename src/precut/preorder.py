@@ -8,7 +8,6 @@ refinement and exhaustive enumeration live here.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import CapExceeded, GroundMismatch, InvalidStructure, NotTotalPreorder, UnknownLabel
@@ -438,28 +437,3 @@ def enumerate_preorders(n):
     for rows in level:
         yield Preorder._valid(ground, rows)
 
-
-def total_orders(ground):
-    g = tuple(sorted(ground))
-    for seq in itertools.permutations(g):
-        yield chain(seq)
-
-
-def total_preorders(ground):
-    """All total preorders, via ordered set partitions of the ground."""
-    g = tuple(sorted(ground))
-    for blocks in _ordered_set_partitions(g):
-        yield total_preorder_from_blocks(blocks)
-
-
-def _ordered_set_partitions(items):
-    items = tuple(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for blocks in _ordered_set_partitions(rest):
-        for i in range(len(blocks)):
-            yield blocks[:i] + [(first,) + blocks[i]] + blocks[i + 1 :]
-        for i in range(len(blocks) + 1):
-            yield blocks[:i] + [(first,)] + blocks[i:]

@@ -55,10 +55,10 @@ class SpeciesInstance:
     `serialize` and `ground_of`; there are no optional hooks.  A shipped
     instance reads all but `pi2` and `serialize` from one `Factor`
     (`instances.hadamard.Single`), or all but `serialize` from two
-    (`Hadamard`); graphs write their own, and an avoiding instance binds its
-    parent's.  Elements must be hashable values, each listed once;
-    relabeling and restriction must stay among the elements, and relabeling
-    must be natural, commuting with restriction and with π1, π2
+    (`Hadamard`), and an avoiding instance binds its parent's.  Elements
+    must be hashable values, each listed once; relabeling and restriction
+    must stay among the elements, and relabeling must be natural, commuting
+    with restriction and with π1, π2
     (`preorder.relabel`): the orbit classes of `ClassRegistry` and
     everything read off their representatives rest on it, and no verifier
     checks it yet.  `elements` results are cached per ground set and

@@ -43,7 +43,9 @@ the dense column-by-column Gaussian elimination that the sparse reduced
 echelon form replaced.  The oracles after them
 build preorders and parking chains as the package did before it had one way
 to build each: `brute_enumerate_preorders` tests every relation for
-transitivity, `closure_relabel` relabels through the Warshall closure, and
+transitivity, `_ordered_set_partitions` lists the blocks of every total
+preorder, least block first, by inserting one point at a time,
+`closure_relabel` relabels through the Warshall closure, and
 the `brute_*` parking functions validate and parkize their input anew at
 every step, and `brute_restrict_filtration` is the oracle of the species'
 parking restriction.  Then come two test-only factors of Hadamard
@@ -937,6 +939,19 @@ def brute_enumerate_preorders(n):
                 rows[i] |= 1 << j
         if _is_transitive(n, rows):
             yield Preorder(ground, tuple(rows))
+
+
+def _ordered_set_partitions(items):
+    items = tuple(items)
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for blocks in _ordered_set_partitions(rest):
+        for i in range(len(blocks)):
+            yield blocks[:i] + [(first,) + blocks[i]] + blocks[i + 1 :]
+        for i in range(len(blocks) + 1):
+            yield blocks[:i] + [(first,)] + blocks[i:]
 
 
 def closure_relabel(s, mapping):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -565,6 +566,36 @@ def classes_upto(registry, N):
     return [c for n in range(N + 1) for c in registry.classes_of_degree(n)]
 
 
+# SHA-256 of json.dumps(table.to_json(), sort_keys=True) for each table below,
+# so that a refactor which keeps both registries in step still cannot move a
+# byte of the published table
+TABLE_DIGESTS = {
+    ("perm_f", 1, 2, 4): "431da2ec082be5345c95dee3b2cbfaf00c7e22674792438ed7c33dad9cf1a241",
+    ("perm_m", 1, 2, 4): "a850755fd8a2fa1edad34173e7f752e9f48ccc7909a283bc2db29b5d5ce6895b",
+    ("colored", 1, 2, 3): "8429502993a9eeeb0a703c6dab247a94781bd5bc81f49db2063b6f8eaa7efcf2",
+    ("tensor", 1, 2, 3): "539273a07e58b5978967f68d2dc1ef3210a85158b557ff9b5a6f85208600d6c5",
+    ("graphs", 1, 2, 3): "e5d1079671785d146e87ec105309b3bcbca6dd943f38a217113443b6558dfb74",
+    ("posets", 1, 2, 3): "7e8081ad741bc7d76c205aa8e0918e95489fa4138d558260e771265aecec6c64",
+    ("preorders", 1, 2, 3): "81d962677b0af96da94867858429b16dbf22933236e0929791bfeeeb920ac452",
+    ("parking", 1, 2, 3): "1e6be1402c780c70e9bc1218f6f43202eb1cac8f0c910c5b821d87329e7b9e35",
+    ("packed_words", 1, 2, 3): "0474f32349ca57a3279032cb649927b6bc25aa4e0e9cc62b83b8435cd7f3acdc",
+    ("perm_m/213", 1, 2, 3): "089b5fb11968872297eadfd075010e2520426a87b6c26ac23520841d39f0c1e3",
+    ("perm_m/132+213", 1, 2, 3): "f655328d091bf881867481a225598b8c73dbb6c397661f29c2549fd0ec591351",
+    ("perm_m/12", 1, 2, 3): "c563cf7d45d2afbfbb436b81beea802fa9be1d46e66d2e0cea121321c0182a88",
+    ("perm_m/3142+2413", 1, 2, 3): "9c06317198d731a983b76011614c3409f01b1617c0339e4efdf6ea43adc11965",
+    ("posets/cherry", 1, 2, 3): "a10f9d43ad6b9464ed7a866c14a8c73621c8f10d5784ca0ff8fd8aeb527b0736",
+    ("posets/cherry+V", 1, 2, 3): "56f99cd180d5f6bfb24d1254afae50266e62fe1dfd6e3d611e316741929ad09c",
+    ("parking/nondecreasing-parking", 1, 2, 3): "bc89c57ceb5f74e4e7fbe7f1972e0712543229d778aaff5e7d888f27ade0627a",
+    ("perm_f", 1, 2, 5): "b7e4f8b0f63dfc77d12b8d2ee52fdea8be33e9a534797974bad9cec352a058f2",
+    ("perm_m", 1, 2, 5): "bdc8707d132db4830c0769265db50d6bb64e7d443007d0d13f0890200d56df44",
+    ("cc", 1, 2, 3): "5b14a6079a4dd19bd6270218a9b7b98b56582f12f79ba099d0905e3748a02e54",
+    ("nc", 1, 2, 3): "dee71590a340bf346e5214cc80f974f78e477946fcadaf8190b5ec05c2470934",
+    ("nn", 1, 2, 3): "8785e7c4d5f5a87ca1fd496599d4bd012ac4fb70510b5230f14fe5ed88a6e503",
+    ("broken_dc", 1, 2, 3): "2432c7a21d5d76fe3ef65d1b688f93780c19d519d78fa0949e798590a21a069e",
+    ("broken_monotone", 1, 2, 3): "335390eca7459ddf033f2c72954663cd06e3b413cf3fc4ca7263fe2b32c38f5e",
+}
+
+
 @pytest.mark.parametrize(
     "name, which_delta, which_mu, N",
     list(SHIPPED_TABLES)
@@ -596,6 +627,7 @@ def test_registry_matches_cached_oracle(monkeypatch, name, which_delta, which_mu
     labeled = dataclasses.replace(table, product=labeled_product(build_instance(name), which_mu, table))
     got = [json.dumps(t.to_json(), sort_keys=True) for t in (table, build(registries[1]), labeled)]
     assert got[0] == got[1] == got[2]
+    assert hashlib.sha256(got[0].encode()).hexdigest() == TABLE_DIGESTS[name, which_delta, which_mu, N]
 
 
 @pytest.mark.parametrize("name, n, classes", [("perm_f", 4, 24), ("parking", 3, 51)])

@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from oracles import DISCRETE_SETS, POSETS_BY_COMPONENTS, glues_uniquely
-from precut.instances import build_instance
+from precut.instances import _BUILDERS, build_instance
 from precut.instances.hadamard import LINEAR, Hadamard, Single
 from precut.instances.pairs import POSETS, PREORDERS, TOTAL_PREORDERS
 from precut.instances.parking import PARKING
@@ -44,7 +44,7 @@ def _verdicts():
 
 
 @pytest.mark.parametrize(
-    "name", ["colored", "broken_dc", "broken_monotone", "broken_cut", "posets", "preorders"]
+    "name", ["colored", "broken_dc", "broken_monotone", "broken_cut", "posets", "preorders", "graphs"]
 )
 def test_single_factor_instances_read_their_factor(name):
     inst = build_instance(name)
@@ -61,6 +61,11 @@ def test_single_factor_instances_read_their_factor(name):
             for r in range(n + 1):
                 for sub in itertools.combinations(ground, r):
                     assert inst.restrict(s, sub) == f.restrict(s, frozenset(sub))
+
+
+def test_every_registered_species_is_built_from_factors():
+    for name in _BUILDERS:
+        assert isinstance(build_instance(name), (Single, Hadamard)), name
 
 
 @pytest.mark.parametrize(

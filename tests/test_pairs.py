@@ -27,7 +27,7 @@ from precut.preorder import (
 )
 from precut.species import delta, mu
 
-from oracles import packed_word_of
+from oracles import _ordered_set_partitions, packed_word_of
 
 
 def all_pairs(kind, ground):
@@ -201,12 +201,9 @@ def test_pairs_on_different_grounds_are_refused():
 def test_cc_matrix_is_isomorphism_invariant():
     # two total-preorder pairs are relabelings of each other iff their
     # matrices coincide; exhaustive on a 3-set
-    from precut.preorder import total_preorders
-
     ground = (1, 2, 3)
-    pairs = [
-        (p, q) for p in total_preorders(ground) for q in total_preorders(ground)
-    ]
+    totals = [total_preorder_from_blocks(blocks) for blocks in _ordered_set_partitions(ground)]
+    pairs = [(p, q) for p in totals for q in totals]
     perms = [dict(zip(ground, img)) for img in itertools.permutations(ground)]
 
     def relabeled(p, mapping):

@@ -1,8 +1,9 @@
 import itertools
+import math
 
 import pytest
 
-from oracles import brute_enumerate_preorders, closure_relabel
+from oracles import _ordered_set_partitions, brute_enumerate_preorders, closure_relabel
 from precut.errors import CapExceeded, GroundMismatch, InvalidStructure, UnknownLabel
 from precut.preorder import (
     Preorder,
@@ -30,10 +31,9 @@ from precut.preorder import (
     preorder_from_json,
     relabel,
     restrict,
-    total_orders,
     total_preorder_from_blocks,
-    total_preorders,
 )
+from precut.instances.pairs import TOTAL_ORDERS, TOTAL_PREORDERS
 
 ABC = ("a", "b", "c")
 
@@ -168,7 +168,7 @@ def test_minimal_total_refinement_simple_cases():
 
 def test_minimal_total_refinement_against_meet_oracle():
     ground = tuple(range(1, 5))
-    totals = list(total_preorders(ground))
+    totals = [total_preorder_from_blocks(blocks) for blocks in _ordered_set_partitions(ground)]
     for p in enumerate_preorders(4):
         fast = minimal_total_refinement(p)
         candidates = [t for t in totals if ref_oracle(p, t)]
@@ -188,9 +188,30 @@ def test_predicates_on_extremes():
 
 
 def test_counts_on_three_set():
-    assert sum(1 for _ in total_preorders(ABC)) == 13
-    assert sum(1 for _ in total_orders(ABC)) == 6
-    assert sum(1 for t in total_preorders(ABC) if is_total_order(t)) == 6
+    assert len(TOTAL_PREORDERS.elements(ABC)) == 13
+    assert len(TOTAL_ORDERS.elements(ABC)) == 6
+    assert sum(1 for t in TOTAL_PREORDERS.elements(ABC) if is_total_order(t)) == 6
+
+
+# grounds of 0-4 points, with labels that are not 1..n; 1, 1, 3, 13, 75
+# total preorders (ordered Bell numbers) and n! total orders
+ORACLE_GROUNDS = [((), 1), ((5,), 1), ((2, 9), 3), (ABC, 13), ((1, 2, 3, 4), 75), ((2, 4, 5, 7), 75)]
+
+
+@pytest.mark.parametrize("ground, count", ORACLE_GROUNDS)
+def test_total_preorder_factor_against_ordered_set_partitions(ground, count):
+    got = TOTAL_PREORDERS.elements(ground)
+    assert len(got) == len(set(got)) == count
+    assert set(got) == {total_preorder_from_blocks(b) for b in _ordered_set_partitions(ground)}
+
+
+@pytest.mark.parametrize("ground, count", ORACLE_GROUNDS)
+def test_total_order_factor_against_singleton_partitions(ground, count):
+    # the ordered set partitions into singletons, not chains of permutations
+    got = TOTAL_ORDERS.elements(ground)
+    singletons = [b for b in _ordered_set_partitions(ground) if all(len(block) == 1 for block in b)]
+    assert len(got) == len(set(got)) == len(singletons) == math.factorial(len(ground))
+    assert set(got) == {total_preorder_from_blocks(b) for b in singletons}
 
 
 def test_enumerate_preorders_counts():
