@@ -214,54 +214,60 @@ def _payload(text, *lists):
     return data
 
 
-def cmd_preorder(args):
-    op = args.op
-    if op == "closure":
-        data = _payload(args.p, "ground", "pairs")
-        if not all(isinstance(pair, list) and len(pair) == 2 for pair in data["pairs"]):
-            raise InvalidStructure('each of "pairs" is a list of two labels')
-        out = closure(data["ground"], [tuple(pair) for pair in data["pairs"]]).to_json()
-        _emit(out, args.json)
-        return 0
-    p = _read_preorder(args.p)
-    q = _read_preorder(args.q) if args.q else None
-    if op in ("meet", "join") and q is None:
-        raise PrecutError(f"{op} needs --q")
-    if op == "restrict" and args.subset is None:
+def _closure(args):
+    data = _payload(args.p, "ground", "pairs")
+    if not all(isinstance(pair, list) and len(pair) == 2 for pair in data["pairs"]):
+        raise InvalidStructure('each of "pairs" is a list of two labels')
+    return closure(data["ground"], [tuple(pair) for pair in data["pairs"]]).to_json()
+
+
+def _preorders(args):
+    """--p, and --q when given, read as preorders."""
+    return _read_preorder(args.p), _read_preorder(args.q) if args.q else None
+
+
+def _binary(op):
+    def run(args):
+        p, q = _preorders(args)
+        if q is None:
+            raise PrecutError(f"{args.op} needs --q")
+        return op(p, q).to_json()
+    return run
+
+
+def _restrict(args):
+    p, _ = _preorders(args)
+    if args.subset is None:
         raise PrecutError("restrict needs --subset")
-    if op == "meet":
-        out = meet(p, q).to_json()
-    elif op == "join":
-        out = join(p, q).to_json()
-    elif op == "opposite":
-        out = opposite(p).to_json()
-    elif op == "cuts":
-        out = [sorted(c.down) for c in cuts(p)]
-    elif op == "bubbles":
-        out = [sorted(b) for b in bubbles(p)]
-    elif op == "bubble-partition":
-        out = bubble_partition(p).to_json()
-    elif op == "components":
-        out = component_partition(p).to_json()
-    elif op == "minimal-total":
-        out = minimal_total_refinement(p).to_json()
-    elif op == "restrict":
-        subset = json.loads(args.subset)
-        if not isinstance(subset, list):
-            raise InvalidStructure("--subset is a JSON list of labels")
-        out = restrict(p, sorted_labels(subset)).to_json()
-    elif op == "predicates":
-        out = {
-            "total_preorder": is_total_preorder(p),
-            "total_order": is_total_order(p),
-            "poset": is_poset(p),
-            "partition_order": is_partition_order(p),
-            "discrete": is_discrete(p),
-            "coarse": is_coarse(p),
-        }
-    else:
-        raise PrecutError(f"unknown preorder op {op!r}")
-    _emit(out, args.json)
+    subset = json.loads(args.subset)
+    if not isinstance(subset, list):
+        raise InvalidStructure("--subset is a JSON list of labels")
+    return restrict(p, sorted_labels(subset)).to_json()
+
+
+def _unary(op):
+    return lambda args: op(_preorders(args)[0])
+
+
+PREDICATES = {"total_preorder": is_total_preorder, "total_order": is_total_order, "poset": is_poset,
+              "partition_order": is_partition_order, "discrete": is_discrete, "coarse": is_coarse}
+PREORDER_OPS = {  # op name -> its answer from the args; the keys are the choices of --op
+    "closure": _closure,
+    "meet": _binary(meet),
+    "join": _binary(join),
+    "opposite": _unary(lambda p: opposite(p).to_json()),
+    "cuts": _unary(lambda p: [sorted(c.down) for c in cuts(p)]),
+    "bubbles": _unary(lambda p: [sorted(b) for b in bubbles(p)]),
+    "bubble-partition": _unary(lambda p: bubble_partition(p).to_json()),
+    "components": _unary(lambda p: component_partition(p).to_json()),
+    "minimal-total": _unary(lambda p: minimal_total_refinement(p).to_json()),
+    "restrict": _restrict,
+    "predicates": _unary(lambda p: {name: test(p) for name, test in PREDICATES.items()}),
+}
+
+
+def cmd_preorder(args):
+    _emit(PREORDER_OPS[args.op](args), args.json)
     return 0
 
 
@@ -306,23 +312,21 @@ def cmd_pairs(args):
             out = [list(row) for row in cc_matrix(p, q)]
         _emit(out, args.json)
         return 0
-    if args.op == "generate":
-        f1 = preorder_from_json(data["frame1"])
-        f2 = preorder_from_json(data["frame2"])
-        def refs(key):
-            items = data.get(key, [])
-            if not isinstance(items, list) or not all(
-                isinstance(item, dict) and isinstance(item.get("bubble"), list) for item in items
-            ):
-                raise InvalidStructure(f'"{key}" is a list of objects with a list "bubble"')
-            return {
-                frozenset(sorted_labels(item["bubble"])): preorder_from_json(item["preorder"])
-                for item in items
-            }
-        pair = generate_pair(data["kind"], f1, f2, refs("refine1"), refs("refine2"))
-        _emit({"p": pair.p.to_json(), "q": pair.q.to_json()}, args.json)
-        return 0
-    raise PrecutError(f"unknown pairs op {args.op!r}")
+    f1 = preorder_from_json(data["frame1"])
+    f2 = preorder_from_json(data["frame2"])
+    def refs(key):
+        items = data.get(key, [])
+        if not isinstance(items, list) or not all(
+            isinstance(item, dict) and isinstance(item.get("bubble"), list) for item in items
+        ):
+            raise InvalidStructure(f'"{key}" is a list of objects with a list "bubble"')
+        return {
+            frozenset(sorted_labels(item["bubble"])): preorder_from_json(item["preorder"])
+            for item in items
+        }
+    pair = generate_pair(data["kind"], f1, f2, refs("refine1"), refs("refine2"))
+    _emit({"p": pair.p.to_json(), "q": pair.q.to_json()}, args.json)
+    return 0
 
 
 def build_parser():
@@ -368,7 +372,7 @@ def build_parser():
     p.set_defaults(func=cmd_check_square)
 
     p = sub.add_parser("preorder", parents=[common], help="lattice calculator")
-    p.add_argument("--op", required=True)
+    p.add_argument("--op", choices=tuple(PREORDER_OPS), required=True)
     p.add_argument("--p", required=True, help="preorder JSON")
     p.add_argument("--q", help="second preorder JSON")
     p.add_argument("--subset", help="JSON list of labels for restrict")

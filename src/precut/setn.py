@@ -32,12 +32,6 @@ class FiniteSet:
     def __len__(self):
         return len(self.labels)
 
-    def __contains__(self, label):
-        return label in self.labels
-
-    def index(self, label):
-        return self.labels.index(label)
-
 
 @dataclass(frozen=True)
 class Multimap:
@@ -61,9 +55,6 @@ class Multimap:
                 )
             if any(type(v) is not int or v < 0 for v in row):
                 raise InvalidStructure("multimap entries must be naturals")
-
-    def entry(self, x, y):
-        return self.coeff[self.source.index(x)][self.target.index(y)]
 
     def row_support(self, i):
         """Indices j with a nonzero entry in row i."""

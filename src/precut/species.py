@@ -56,16 +56,17 @@ class SpeciesInstance:
     instance reads all but `pi2` and `serialize` from one `Factor`
     (`instances.hadamard.Single`), or all but `serialize` from two
     (`Hadamard`), and an avoiding instance binds its parent's.  Elements
-    must be hashable values, each listed once; relabeling and restriction
-    must stay among the elements, and relabeling must be natural, commuting
-    with restriction and with π1, π2
-    (`preorder.relabel`): the orbit classes of `ClassRegistry` and
-    everything read off their representatives rest on it, and no verifier
-    checks it yet.  `elements` results are cached per ground set and
-    returned in serialization order.  Each instance owns its caches, with
-    the intertwining verdicts that `fock` stores here, so two instances
-    never share a result.  Orbit classes are not cached here: each
-    `ClassRegistry` holds its own.
+    must be hashable values, each listed once (`elements` refuses a ground
+    that lists one twice); restriction and relabeling must stay among the
+    elements (`_Sides` refuses a restriction, `ClassRegistry` a relabeling
+    that leaves them); and relabeling must be natural, commuting with
+    restriction and with π1, π2 (`preorder.relabel`): the orbit classes of
+    `ClassRegistry` and everything read off their representatives rest on
+    it, and no verifier checks it yet.  `elements` results are cached per
+    ground set and returned in serialization order.  Each instance owns
+    its caches, with the intertwining verdicts that `fock` stores here, so
+    two instances never share a result.  Orbit classes are not cached
+    here: each `ClassRegistry` holds its own.
     """
 
     name = "abstract"
@@ -110,8 +111,9 @@ class SpeciesInstance:
                 raise CapExceeded(
                     f"{self.name}: ground of size {len(key)} above cap {self.cap}"
                 )
-            els = sorted(self._elements(tuple(sorted(key))), key=self.serialize)
-            cached = tuple(els)
+            cached = tuple(sorted(self._elements(tuple(sorted(key))), key=self.serialize))
+            if len(set(cached)) < len(cached):
+                raise InvalidStructure(f"{self.name}: ground {sorted(key)} lists an element twice")
             self._element_cache[key] = cached
         return cached
 
@@ -294,6 +296,7 @@ def check_species_over_preorders(inst: SpeciesInstance, nmax) -> VerificationRep
     `stats` holds per degree the elements, the subsets restricted (2ⁿ per
     element on a passing run) and the cut sides compared, two per cut of each
     projection; on a failure the last entry counts up to the failing one.
+    It does not check closure under restriction: `_Sides` refuses a miss.
     """
     stats = []
     for n in range(nmax + 1):
@@ -355,40 +358,37 @@ class _Sides:
     x on `ground` that `down` cuts for π_which (the domain of delta_which),
     in element order.
 
-    All restrictions pass through one value pool, so equal restrictions are
-    one object and the table holds each value once.  A verifier makes one
-    table per degree and drops it with the degree; nothing lands on the
-    instance.
+    Each restriction is resolved, through a per-ground index
+    {element: element}, to the element its ground enumerates, or refused
+    with InvalidStructure: so equal restrictions are one object, and an
+    element missing from a side is one that `down` does not cut.  A
+    verifier makes one table per degree and drops it with the degree;
+    nothing lands on the instance.
     """
 
     def __init__(self, inst):
         self.inst = inst
         self.table = {}
-        self.pool = {}
+        self.index = {}  # ground -> {element: element}
 
     def __call__(self, which, ground, down):
         key = (which, ground, down)
         side = self.table.get(key)
         if side is None:
-            inst, intern = self.inst, self.pool.setdefault
-            up = ground - down
+            inst, up = self.inst, ground - down
+            for sub in (down, up):
+                if sub not in self.index:
+                    self.index[sub] = {e: e for e in inst.elements(sub)}
+            on_down, on_up = self.index[down], self.index[up]
             side = self.table[key] = {}
             for x in inst.elements(ground):
                 if is_cut(inst.pi(which, x), down):
                     r, t = inst.restrict(x, down), inst.restrict(x, up)
-                    side[x] = (intern(r, r), intern(t, t))
+                    pair = side[x] = (on_down.get(r), on_up.get(t))
+                    if pair[0] is None or pair[1] is None:
+                        r, sub = (r, down) if pair[0] is None else (t, up)
+                        raise InvalidStructure(f"{inst.name}: restriction {inst.serialize(r)} is not an element of {sorted(sub)}")
         return side
-
-    def of(self, which, ground, down, x):
-        """x's pair in its side, or None when `down` does not cut π_which(x).
-
-        A faulty species can restrict onto a value that `ground` does not
-        enumerate; such an x is tested and restricted on the spot.
-        """
-        pair = self(which, ground, down).get(x)
-        if pair is None and is_cut(self.inst.pi(which, x), down):
-            pair = (self.inst.restrict(x, down), self.inst.restrict(x, ground - down))
-        return pair
 
     def corners(self, i, j, A, B, C, D):
         """Corner side of a four-block diagram: u on A∪C and v on B∪D split by
@@ -479,10 +479,14 @@ def check_intertwined(inst: SpeciesInstance, nmax) -> VerificationReport:
     quadruples in u × v × p × q order, so the first failure is the one a
     scan of every assignment against every element finds.
 
-    CutValidity cannot fail once the precondition passes: monotonicity,
-    π(s|S) ⊆ π(s)|S, carries each cut of π(s) down to s|S, so every small
-    cut holds.  The stage is kept as a defence and fires only when the
-    precondition is bypassed.
+    Every diagram that `_diagrams` yields has a witness.  Its corners are
+    elements (`_Sides`), so one missing from its side is not cut by its
+    small cut: CutValidity, which fires only when the precondition is
+    bypassed, since monotonicity, π(s|S) ⊆ π(s)|S, carries each cut of π(s)
+    down to s|S.  Corners whose restrictions disagree fail PullbackCommute.
+    Otherwise every incidence key is a corner-compatible quadruple, and
+    `counts != quadruples` makes some quadruple's count differ from 1:
+    ExtensionUniqueness.
 
     `stats` holds per degree the elements, the doubly-cut elements of the
     diagrams walked (incidences), their corner-compatible quadruples
@@ -499,19 +503,10 @@ def check_intertwined(inst: SpeciesInstance, nmax) -> VerificationReport:
         ground = tuple(range(1, n + 1))
         split = _Sides(inst)
         for blocks, sides, incidences, counts, quadruples in _diagrams(split, ground, 1, 2, stats):
-            A, B, C, D = blocks
-            AB, CD, AC, BD = A | B, C | D, A | C, B | D
             witness_base = {"blocks": [sorted(block) for block in blocks]}
             U, V, P, Q = sides
             for s, (u, v, p, q) in incidences:
-                # a corner side holds every enumerated element its small cut
-                # cuts; `of` settles the rest
-                pairs = (
-                    U.get(u) or split.of(1, AC, A, u),
-                    V.get(v) or split.of(1, BD, B, v),
-                    P.get(p) or split.of(2, AB, A, p),
-                    Q.get(q) or split.of(2, CD, C, q),
-                )
+                pairs = (U.get(u), V.get(v), P.get(p), Q.get(q))
                 if None in pairs:
                     return VerificationReport(
                         False,
@@ -586,11 +581,11 @@ def _three_block_failure(split, ground, i, j):
         for w, which in enumerate((i, j)):
             right = {}
             for s, (a, bc) in split(which, full, A).items():
-                pair = split.of(which, BC, B, bc)
+                pair = split(which, BC, B).get(bc)
                 if pair is not None:
                     right[s] = (a,) + pair
             for s, (ab, c) in split(which, full, AB).items():
-                pair = split.of(which, AB, A, ab)
+                pair = split(which, AB, A).get(ab)
                 if pair is not None and right.pop(s, None) != pair + (c,):
                     failed.setdefault(s, w)
             for s in right:

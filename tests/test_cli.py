@@ -489,6 +489,13 @@ def test_preorder_restrict_without_subset_is_usage_error(capsys):
     assert "--subset" in capsys.readouterr().err
 
 
+def test_unknown_preorder_op_exits_2_at_parse_time(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["preorder", "--op", "bogus", "--p", "{}"])
+    assert stop.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 DISCRETE_2 = '{"ground": [1, 2], "rel": [[true, false], [false, true]]}'
 ONE_BY_ONE = '{"ground": [1, 2], "rel": [[true]]}'
 IRREFLEXIVE = '{"ground": [1, 2], "rel": [[false, false], [false, true]]}'

@@ -13,7 +13,7 @@ from oracles import (
     pair_from_word,
 )
 from precut import fock, species
-from precut.errors import BadDecomposition
+from precut.errors import BadDecomposition, InvalidStructure
 from precut.instances import build_instance
 from precut.instances.colored import ColoredSets
 from precut.instances.perm import PermPairs
@@ -355,6 +355,22 @@ class OffPalette(ColoredSets):
         return r
 
 
+class ExtraOnTwoPoints(ColoredSets):
+    """Lists the all-color-2 coloring beside the colorings of every two-point
+    ground: its restrictions to one point are not elements."""
+
+    def _elements(self, ground):
+        extra = [tuple((x, 2) for x in ground)] if len(ground) == 2 else []
+        return list(super()._elements(ground)) + extra
+
+
+class ListedTwice(ColoredSets):
+    """Lists every coloring of a two-point ground twice."""
+
+    def _elements(self, ground):
+        return list(super()._elements(ground)) * (2 if len(ground) == 2 else 1)
+
+
 class ReversedOnPairs(PermPairs):
     """perm_f whose first projection reverses the order on two-point grounds,
     so a restriction can lose the small cut that its parent's cut implies."""
@@ -404,11 +420,35 @@ def test_four_block_counts_agree_across_verifiers(name):
     [
         (FlippedColors, ["PullbackCommute", "Coassociativity", "Coassociativity"]),
         (ReversedOnPairs, ["ProjectionMonotonicity", "Coassociativity", "Associativity"]),
-        (OffPalette, ["ExtensionUniqueness", "Coassociativity", "Coassociativity"]),
     ],
 )
 def test_verifiers_match_scan_oracles_on_broken_wrappers(make, stages):
     assert _assert_matches_oracles(make) == stages
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (ExtraOnTwoPoints, "is not an element of"),
+        (OffPalette, "is not an element of"),
+        (ListedTwice, "lists an element twice"),
+    ],
+    ids=["ExtraOnTwoPoints", "OffPalette", "ListedTwice"],
+)
+def test_verifiers_refuse_a_species_that_is_not_a_set_species(make, message):
+    # S[I] is a set and restriction a map between such sets: a restriction
+    # off the enumeration, or a ground listing an element twice, is refused
+    # rather than checked, although the scan oracles give it a verdict
+    with pytest.raises(InvalidStructure, match=message):
+        check_intertwined(make(), 3)
+    for i in (1, 2):
+        with pytest.raises(InvalidStructure, match=message):
+            check_bimonoid(make(), i, 3)
+
+
+def test_graded_dimensions_refuse_an_element_listed_twice():
+    with pytest.raises(InvalidStructure, match="lists an element twice"):
+        fock.graded_dimensions(ListedTwice(2), 3)
 
 
 @pytest.mark.parametrize("i", [1, 2])
@@ -478,7 +518,6 @@ def test_shared_sides_are_exact_and_interned(monkeypatch, name):
         # one table per degree, holding every (which, ground, down) split
         assert [len(split.table) for split in made] == [2 * 3**n for n in range(4)]
         for split in made:
-            interned = {}
             for (which, ground, down), side in split.table.items():
                 want = {
                     x: (inst.restrict(x, down), inst.restrict(x, ground - down))
@@ -486,8 +525,9 @@ def test_shared_sides_are_exact_and_interned(monkeypatch, name):
                     if is_cut(inst.pi(which, x), down)
                 }
                 assert list(side.items()) == list(want.items())
+                # each restriction is the one object its ground enumerates
                 for r in itertools.chain.from_iterable(side.values()):
-                    assert interned.setdefault(r, r) is r
+                    assert any(e is r for e in inst.elements(inst.ground_of(r)))
 
 
 def _cache_keys(inst):
