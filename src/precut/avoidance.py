@@ -122,13 +122,14 @@ def is_irreducible(inst: SpeciesInstance, which, aset: AvoidanceSet, nmax) -> Ve
     commutes with relabeling; the cuts of π(σs) are σ of the cuts of π(s);
     and (σs)|σD = σ(s|D).  So (s, D) fails exactly when (σs, σD) fails.  The
     last two are the naturality of relabeling that `SpeciesInstance` asks of
-    every species and that the Fock tables rest on too; no verifier checks
-    it at run time yet.  The witness is the first failing labeled
-    element, the one a walk over every labeled element returns: every
-    earlier degree passed, elements are listed by serialization, each
-    representative is the least member of its orbit in that order, and
-    classes come sorted by it, so the first failing class's representative
-    is the least failing element of the degree.
+    every species and that the Fock tables rest on too; the verifiers check
+    that restriction is functorial, but not yet that relabeling is natural.
+    The witness is the first failing labeled element, the one a walk over
+    every labeled element returns: every earlier degree passed, elements
+    are listed by serialization, each representative is the least member
+    of its orbit in that order, and classes come sorted by it, so the first
+    failing class's representative is the least failing element of the
+    degree.
 
     `stats` holds per degree the `elements`, the orbit `classes`, the
     classes `with_part` and the `cuts` checked on them, up to the failure.

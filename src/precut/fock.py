@@ -192,7 +192,7 @@ def fock_tables(
         return acc
 
     coproduct = {c.cid: cut_classes(c.rep, which_delta) for c in classes}
-    product = {(a.cid, b.cid): {} for a in classes for b in classes if a.degree + b.degree <= N}
+    product = {(a.cid, b.cid): {} for a in classes for m in range(N - a.degree + 1) for b in registry.classes_of_degree(m)}
     for c in classes:
         for (a, b), count in cut_classes(c.rep, which_mu).items():
             coeff, rest = divmod(count * aut[a] * aut[b], aut[c.cid])

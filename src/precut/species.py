@@ -22,6 +22,7 @@ from .preorder import Preorder, is_cut
 from .preorder import cuts as preorder_cuts
 from .preorder import restrict as preorder_restrict
 
+STAGE_FUNCTORIALITY = "Functoriality"
 STAGE_MONOTONICITY = "ProjectionMonotonicity"
 STAGE_CUT_EQUALITY = "CutEquality"
 STAGE_EXTENSION = "ExtensionUniqueness"
@@ -58,11 +59,13 @@ class SpeciesInstance:
     (`Hadamard`), and an avoiding instance binds its parent's.  Elements
     must be hashable values, each listed once (`elements` refuses a ground
     that lists one twice); restriction and relabeling must stay among the
-    elements (`_Sides` refuses a restriction, `ClassRegistry` a relabeling
-    that leaves them); and relabeling must be natural, commuting with
-    restriction and with π1, π2 (`preorder.relabel`): the orbit classes of
-    `ClassRegistry` and everything read off their representatives rest on
-    it, and no verifier checks it yet.  `elements` results are cached per
+    elements (the verifiers refuse a restriction, `ClassRegistry` a
+    relabeling that leaves them); restriction must be functorial, which
+    `check_species_over_preorders` checks; and relabeling must be natural,
+    commuting with restriction and with π1, π2 (`preorder.relabel`): the
+    orbit classes of `ClassRegistry` and everything read off their
+    representatives rest on it, and no verifier checks naturality yet.
+    `elements` results are cached per
     ground set and returned in serialization order.  Each instance owns
     its caches, with the intertwining verdicts that `fock` stores here, so
     two instances never share a result.  Orbit classes are not cached
@@ -179,7 +182,8 @@ class ClassRegistry:
     witness outlives its walk.  It also records each orbit's size, for the
     Fock product.  A relabeling that leaves the degree's elements raises
     InvalidStructure.  Whatever a caller reads off a representative holds
-    for its whole class only when relabeling is natural (`SpeciesInstance`).
+    for its whole class only when relabeling is natural (`SpeciesInstance`),
+    which no verifier checks yet; the verifiers check only functoriality.
     """
 
     def __init__(self, inst):
@@ -286,42 +290,55 @@ def _block_assignments(ground, nblocks):
 
 
 def check_species_over_preorders(inst: SpeciesInstance, nmax) -> VerificationReport:
-    """Both projections must shrink under restriction and be exact on cut sides.
+    """Restriction must be a functor, and both projections must shrink under
+    restriction and be exact on cut sides: the species is one over preorders.
 
-    Every element is restricted once to each subset of its ground, and the
-    cut sides are read from those restrictions.  The restriction of a
-    projection to a subset is memoised per degree by (projection, subset):
+    Each element s on I is restricted once to each subset, into the table
+    `on` that every stage reads, in this order per element: each
+    restriction must be an element of its ground (else InvalidStructure, as
+    in `_Sides`); Functoriality, s|I = s and (s|S)|T = s|T for T ⊆ S ⊆ I,
+    decided by `_functorial`; ProjectionMonotonicity, π(s|S) ⊆ π(s)|S;
+    CutEquality, π(s|S) = π(s)|S on both sides S of each cut of π(s).  Each
+    distinct projection is restricted to every subset once per degree:
     projections repeat across the elements of a degree.
 
-    `stats` holds per degree the elements, the subsets restricted (2ⁿ per
-    element on a passing run) and the cut sides compared, two per cut of each
-    projection; on a failure the last entry counts up to the failing one.
-    It does not check closure under restriction: `_Sides` refuses a miss.
+    `stats` holds per degree the elements, the subsets checked for
+    monotonicity (2ⁿ per element on a passing run) and the cut sides
+    compared, two per cut of each projection; on a failure the last entry
+    counts up to the failing one.
     """
     stats = []
     for n in range(nmax + 1):
         ground = tuple(range(1, n + 1))
+        full = frozenset(ground)
         subsets = tuple(_subsets(ground))
-        projected = {}  # (projection, subset) -> its restriction
+        members = {sub: frozenset(inst.elements(sub)) for sub in subsets}
+        projected = {}  # projection -> {subset: its restriction}
+        functorial = {}  # element on a proper subset -> (its restrictions, verdict)
         els = inst.elements(ground)
         stat = {"degree": n, "elements": len(els), "restrictions": 0, "cut_sides": 0}
         stats.append(stat)
 
-        def restricted(p, sub):
-            key = (p, sub)
-            r = projected.get(key)
-            if r is None:
-                r = projected[key] = preorder_restrict(p, sub)
-            return r
+        def restricted(p):
+            table = projected.get(p)
+            if table is None:
+                table = projected[p] = {sub: preorder_restrict(p, sub) for sub in subsets}
+            return table
 
         for s in els:
+            on = {sub: inst.restrict(s, sub) for sub in subsets}  # restrictions of s, by subset
+            for sub, r in on.items():
+                if r not in members[sub]:
+                    raise _not_an_element(inst, r, sub)
+            if not _functorial(inst, s, full, on, functorial):
+                witness = _functoriality_witness(inst, s, full, on)
+                return VerificationReport(False, STAGE_FUNCTORIALITY, witness, tuple(stats))
             projections = {which: inst.pi(which, s) for which in (1, 2)}
-            on = {}  # restrictions of s, by subset
-            for sub in subsets:
-                r = on[sub] = inst.restrict(s, sub)
+            outer = {which: restricted(p) for which, p in projections.items()}
+            for sub, r in on.items():
                 stat["restrictions"] += 1
                 for which in (1, 2):
-                    if not inst.pi(which, r) <= restricted(projections[which], sub):
+                    if not inst.pi(which, r) <= outer[which][sub]:
                         return VerificationReport(
                             False,
                             STAGE_MONOTONICITY,
@@ -337,7 +354,7 @@ def check_species_over_preorders(inst: SpeciesInstance, nmax) -> VerificationRep
                 for cut in preorder_cuts(p):
                     for side in (cut.down, cut.up):
                         stat["cut_sides"] += 1
-                        if inst.pi(which, on[side]) != restricted(p, side):
+                        if inst.pi(which, on[side]) != outer[which][side]:
                             return VerificationReport(
                                 False,
                                 STAGE_CUT_EQUALITY,
@@ -350,6 +367,48 @@ def check_species_over_preorders(inst: SpeciesInstance, nmax) -> VerificationRep
                                 tuple(stats),
                             )
     return VerificationReport(True, stats=tuple(stats))
+
+
+def _functorial(inst, s, ground, on, memo):
+    """Whether s on `ground` = I, with on = {S: s|S}, obeys the rule: s|I = s,
+    and for each x ∈ I, r = s|I−x obeys the rule and r|T = s|T for all
+    T ⊆ I−x.  Each r's table and verdict are kept in `memo`, one per degree.
+
+    The rule is the law s|I = s and (s|S)|T = s|T for all T ⊆ S ⊆ I, by
+    induction on |I|.  Law ⇒ rule: r|T = (s|I−x)|T = s|T, and r obeys the
+    law, as r|I−x = s|I−x = r and (r|S)|T = (s|S)|T = s|T = r|T.
+    Rule ⇒ law: (s|I)|T = s|T as s|I = s; for S ⊊ I pick x ∈ I − S and
+    r = s|I−x, so s|S = r|S and (s|S)|T = (r|S)|T = r|T = s|T, r obeying
+    the law by induction.  So s fails here exactly when some (S, T) fails.
+    """
+    if on[ground] != s:
+        return False
+    for x in ground:
+        rest = ground - {x}
+        r = on[rest]
+        if r not in memo:
+            table = {sub: inst.restrict(r, sub) for sub in _subsets(rest)}
+            memo[r] = table, _functorial(inst, r, rest, table, memo)
+        table, passed = memo[r]
+        if not passed or any(t != on[sub] for sub, t in table.items()):
+            return False
+    return True
+
+
+def _functoriality_witness(inst, s, ground, on):
+    """The first law that s breaks, scanned only for a failing element: s|I = s
+    (`subset` I), then (s|S)|T = s|T (`subset` S, `part` T) in `_subsets`
+    order of S and then of T."""
+    witness = {"element": inst.serialize(s), "subset": sorted(ground)}
+    if on[ground] != s:
+        return witness
+    # a pair exists: `_functorial` fails exactly when one does
+    sub, part = next((sub, part) for sub in on for part in _subsets(sub) if inst.restrict(on[sub], part) != on[part])
+    return dict(witness, subset=sorted(sub), part=sorted(part))
+
+
+def _not_an_element(inst, r, sub):
+    return InvalidStructure(f"{inst.name}: restriction {inst.serialize(r)} is not an element of {sorted(sub)}")
 
 
 class _Sides:
@@ -386,8 +445,7 @@ class _Sides:
                     r, t = inst.restrict(x, down), inst.restrict(x, up)
                     pair = side[x] = (on_down.get(r), on_up.get(t))
                     if pair[0] is None or pair[1] is None:
-                        r, sub = (r, down) if pair[0] is None else (t, up)
-                        raise InvalidStructure(f"{inst.name}: restriction {inst.serialize(r)} is not an element of {sorted(sub)}")
+                        raise _not_an_element(inst, *((r, down) if pair[0] is None else (t, up)))
         return side
 
     def corners(self, i, j, A, B, C, D):
@@ -561,112 +619,47 @@ def _near_misses(inst, blocks, quadruple):
     return out
 
 
-def _three_block_failure(split, ground, i, j):
-    """The coassociativity or associativity failure of one degree that comes
-    first in (block assignment, element, which) order, or None.
-
-    The assignments (A, B, C) are walked in `_block_assignments` order and
-    read from the degree's split sides.  The right side is defined on the
-    elements s of the side split by A whose s|B∪C is split by B, the left
-    side on those of the side split by A∪B whose s|A∪B is split by A.  A law
-    fails when only one side is defined or when the restriction triples
-    differ; the failing element with the least index is reported, and the
-    element index is built only then.
-    """
-    inst = split.inst
-    full = frozenset(ground)
-    for A, B, C in _block_assignments(ground, 3):
-        AB, BC = A | B, B | C
-        failed = {}  # element -> position in (i, j) of its first failing law
-        for w, which in enumerate((i, j)):
-            right = {}
-            for s, (a, bc) in split(which, full, A).items():
-                pair = split(which, BC, B).get(bc)
-                if pair is not None:
-                    right[s] = (a,) + pair
-            for s, (ab, c) in split(which, full, AB).items():
-                pair = split(which, AB, A).get(ab)
-                if pair is not None and right.pop(s, None) != pair + (c,):
-                    failed.setdefault(s, w)
-            for s in right:
-                failed.setdefault(s, w)
-        if failed:
-            index = {s: k for k, s in enumerate(inst.elements(ground))}
-            s, w = min(failed.items(), key=lambda item: (index[item[0]], item[1]))
-            witness = {
-                "element": inst.serialize(s),
-                "blocks": [sorted(A), sorted(B), sorted(C)],
-                "which": (i, j)[w],
-            }
-            return (STAGE_COASSOC, STAGE_ASSOC)[w], witness
-    return None
-
-
 def check_bimonoid(inst: SpeciesInstance, coproduct_index, nmax) -> VerificationReport:
-    """Bimonoid laws for (delta_i, mu_j) on all ground sets of size <= nmax.
+    """Bimonoid laws for (delta_i, mu_j) on all ground sets of size <= nmax,
+    for a restriction species over preorders, as in the paper.
 
-    Checks the unit and counit conventions on the empty set, coassociativity
-    of both coproducts elementwise (associativity of the dual product is the
-    transpose of the second), and the product/coproduct compatibility square
-    as an exact count comparison.
+    S[∅] must have one element (Unit), the species must pass
+    `check_species_over_preorders` (its report is returned on a failure),
+    and every four-block diagram of each degree must pass the square law of
+    `_diagrams`.  The other laws follow from the precondition:
+    - Coassociativity of Δ_i, Δ_j on blocks (A, B, C).  The left side is
+      defined when A∪B cuts π(s) and A cuts π(s|A∪B), the right one when A
+      cuts π(s) and B cuts π(s|B∪C).  By exactness on cut sides both mean
+      that A and A∪B are down-sets of π(s), and the triples
+      ((s|A∪B)|A, (s|A∪B)|B, s|C) and (s|A, (s|B∪C)|B, (s|B∪C)|C) agree by
+      functoriality.  Associativity of μ_j is its transpose.
+    - Counit and unit.  ∅ and I cut every preorder, and s|I = s with
+      S[∅] = {1}, so Δ(s) there is (s, 1) or (1, s), and
+      μ_j(1, s) = μ_j(s, 1) = {s}.
+    - Compatibility is the intertwining square: the (Δ₂, μ₁) square on
+      (A, B, C, D) is the (Δ₁, μ₂) square on (A, C, B, D).  So both indices
+      and `check_intertwined` give one verdict, the paper's equivalence of a
+      bimonoid in set_N with a pair of intertwined coproducts.
+    A Compatibility failure is the first failing diagram in block-assignment
+    order, and its witness names the least key on which the mu-then-delta
+    count (the corners of the doubly-cut elements) and the delta-then-mu
+    count (one per corner-compatible quadruple) differ, comparing the
+    serializations of its corners on A∪C, B∪D, A∪B and C∪D in that order.
 
-    Every stage reads one table of split sides per degree (`_Sides`), made at
-    the top of the degree.  What is enumerated, in this order: the elements,
-    each with its counit pairs in the sides of the full ground split by itself
-    and by ∅, and with μ_j(unit, s) and μ_j(s, unit), its inverse images in
-    π_j's two such sides; the three-block assignments, in block-assignment
-    order (`_three_block_failure`); the four-block diagrams of π_i and π_j,
-    in block-assignment order.  The square is the law that
-    `check_intertwined` checks, decided once in `_diagrams`: the
-    mu-then-delta side counts the corners of the doubly-cut elements, read
-    from the two sides on the full ground, and the delta-then-mu side holds
-    one term per corner-compatible quadruple; they must be equal.  A
-    failure is the one a scan of every block assignment against every
-    element finds first.  A Compatibility witness names the least differing
-    key, comparing the serializations of its corners on A∪C, B∪D, A∪B and
-    C∪D in that order.
-
-    `stats` holds per degree the elements, the incidences of the square and
-    its delta-then-mu terms (completions), both counted through the failing
-    diagram, and the split sides built, as in `check_intertwined`.  `sides` counts
-    every side the degree built, the earlier stages' included, so a failing
-    square may report more than it reached; a degree whose unit or
-    three-block laws fail has no entry.
+    `stats` holds `check_intertwined`'s four-block counts, and is empty when
+    the Unit check or the precondition fails.
     """
     i = coproduct_index
     j = 2 if i == 1 else 1
     if len(inst.elements(())) != 1:
         return VerificationReport(False, STAGE_UNIT, {"size_on_empty": len(inst.elements(()))})
-    unit = inst.unit()
+    pre = check_species_over_preorders(inst, nmax)
+    if not pre.passed:
+        return VerificationReport(False, pre.stage, pre.witness)
     stats = []
     for n in range(nmax + 1):
         ground = tuple(range(1, n + 1))
-        full, empty = frozenset(ground), frozenset()
-        split = _Sides(inst)
-        # pair -> its inverse image in π_j's side split by ∅, by full; on the
-        # empty ground both are the counit's side, so the unit law follows
-        products = ({}, {})
-        for image, down in zip(products, (empty, full)):
-            for x, pair in split(j, full, down).items():
-                image.setdefault(pair, []).append(x)
-        for s in inst.elements(ground):
-            for which in (i, j):
-                counit = split(which, full, full).get(s), split(which, full, empty).get(s)
-                if counit != ((s, unit), (unit, s)):
-                    return VerificationReport(
-                        False,
-                        STAGE_COUNIT,
-                        {"element": inst.serialize(s), "which": which},
-                        tuple(stats),
-                    )
-            if products[0].get((unit, s)) != [s] or products[1].get((s, unit)) != [s]:
-                return VerificationReport(
-                    False, STAGE_UNIT, {"element": inst.serialize(s)}, tuple(stats)
-                )
-        failure = _three_block_failure(split, ground, i, j)
-        if failure is not None:
-            return VerificationReport(False, *failure, tuple(stats))
-        for blocks, _, _, path1, path2 in _diagrams(split, ground, i, j, stats):
+        for blocks, _, _, path1, path2 in _diagrams(_Sides(inst), ground, i, j, stats):
             bad = min(
                 (k for k in path1.keys() | path2.keys() if path1[k] != path2.get(k, 0)),
                 key=lambda k: tuple(map(inst.serialize, k)),

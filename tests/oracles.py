@@ -29,8 +29,12 @@ and tables are pinned against them.  The two verifier oracles at the end
 assignment against every element and build the corner side as a full
 product, as the verifiers did before they started from each element's cuts.
 `brute_check_species` is the precondition as it was before it memoised the
-restricted projections: every restriction and projection is recomputed
-where it is used.  `brute_verify_hopf_axioms` is the Hopf-axiom check as it
+restricted projections, with a functoriality scan of every pair of nested
+subsets in place of one-point deletions: every restriction and projection
+is recomputed where it is used.  `brute_check_intertwined` runs it, not the
+package's precondition, and `brute_check_bimonoid` decides every bimonoid
+law itself, with no precondition: it is the definition that the package's
+corollary argument is checked against.  `brute_verify_hopf_axioms` is the Hopf-axiom check as it
 was before its loops were bounded by degree: full triple and double loops
 over all classes that skip cells above the degree bound.  `graded_dual`
 transposes a table, and `check_isomorphism_by_constants` searches for a
@@ -444,10 +448,22 @@ def _subsets(ground):
 
 
 def brute_check_species(inst, nmax):
-    """Both projections must shrink under restriction and be exact on cut sides."""
+    """Restriction must be a functor, s|I = s and (s|S)|T = s|T for every
+    T ⊆ S ⊆ I, and both projections must shrink under restriction and be
+    exact on cut sides: per element in that order, each pair (S, T) in
+    subset order of S and then of T."""
     for n in range(nmax + 1):
         ground = tuple(range(1, n + 1))
         for s in inst.elements(ground):
+            witness = {"element": inst.serialize(s), "subset": list(ground)}
+            if inst.restrict(s, frozenset(ground)) != s:
+                return VerificationReport(False, species.STAGE_FUNCTORIALITY, witness)
+            for big in _subsets(ground):
+                for small in _subsets(big):
+                    if inst.restrict(inst.restrict(s, big), small) != inst.restrict(s, small):
+                        return VerificationReport(
+                            False, species.STAGE_FUNCTORIALITY, dict(witness, subset=sorted(big), part=sorted(small))
+                        )
             projections = {which: inst.pi(which, s) for which in (1, 2)}
             for sub in _subsets(ground):
                 r = inst.restrict(s, sub)
@@ -522,7 +538,7 @@ def _near_misses(inst, els, quadruple, grounds):
 def brute_check_intertwined(inst, nmax):
     """Intertwining by scanning all 4^n block assignments against every element,
     with the corner side materialised as a product of p x q and u x v."""
-    pre = species.check_species_over_preorders(inst, nmax)
+    pre = brute_check_species(inst, nmax)
     if not pre.passed:
         return pre
     for n in range(nmax + 1):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+import oracles
 from oracles import (
     SHIPPED_TABLES,
     brute_check_bimonoid,
@@ -278,6 +280,9 @@ def test_intertwined_implies_both_bimonoids(name, nmax):
     assert check_intertwined(inst, nmax).passed
     assert check_bimonoid(inst, 1, nmax).passed
     assert check_bimonoid(inst, 2, nmax).passed
+    # against the laws themselves, not the corollary that `check_bimonoid` decides
+    for i in (1, 2):
+        assert brute_check_bimonoid(build_instance(name), i, min(nmax, 3)).passed
 
 
 @pytest.mark.parametrize(
@@ -332,8 +337,9 @@ class FlippedColors(ColoredSets):
 
 class FlippedPastThree(ColoredSets):
     """Restriction that drops exactly three points, one of them of color 1,
-    also flips every color: the first law to fail is a three-block one of
-    degree 4, on the third element."""
+    also flips every color: functorial up to degree 3, so every verifier
+    passes there, and first not functorial on the second element of degree
+    4."""
 
     def restrict(self, s, sub):
         r = super().restrict(s, sub)
@@ -382,14 +388,31 @@ class ReversedOnPairs(PermPairs):
         return chain(s.t1[::-1] if len(s.t1) == 2 else s.t1)
 
 
-def _reports(make, intertwined, bimonoid):
-    return [intertwined(make(), 3)] + [bimonoid(make(), i, 3) for i in (1, 2)]
+WRAPPERS = (FlippedColors, FlippedPastThree, ReversedOnPairs)
 
 
-def _assert_matches_oracles(make):
-    got = _reports(make, check_intertwined, check_bimonoid)
-    want = _reports(make, brute_check_intertwined, brute_check_bimonoid)
-    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+def _build(name):
+    wrapper = {w.__name__: w for w in WRAPPERS}.get(name)
+    return wrapper() if wrapper else build_instance(name)
+
+
+@functools.cache
+def _scan(check, name, *args):
+    """An oracle's report on a fresh instance, as JSON, kept for the session."""
+    return check(_build(name), *args).to_json()
+
+
+def _corollary(name, i):
+    """What `check_bimonoid` must report: the brute precondition's report where
+    it fails, else the brute bimonoid laws'."""
+    pre = _scan(brute_check_species, name, 3)
+    return pre if not pre["passed"] else _scan(brute_check_bimonoid, name, i, 3)
+
+
+def _assert_matches_oracles(name):
+    got = [check_intertwined(_build(name), 3)] + [check_bimonoid(_build(name), i, 3) for i in (1, 2)]
+    want = [_scan(brute_check_intertwined, name, 3)] + [_corollary(name, i) for i in (1, 2)]
+    assert [r.to_json() for r in got] == want
     return [r.stage for r in got]
 
 
@@ -401,7 +424,7 @@ CONTROLS = sorted(
 
 @pytest.mark.parametrize("name", CONTROLS)
 def test_verifiers_match_scan_oracles(name):
-    _assert_matches_oracles(lambda: build_instance(name))
+    _assert_matches_oracles(name)
 
 
 @pytest.mark.parametrize("name", CONTROLS)
@@ -418,12 +441,33 @@ def test_four_block_counts_agree_across_verifiers(name):
 @pytest.mark.parametrize(
     "make,stages",
     [
-        (FlippedColors, ["PullbackCommute", "Coassociativity", "Coassociativity"]),
-        (ReversedOnPairs, ["ProjectionMonotonicity", "Coassociativity", "Associativity"]),
+        (FlippedColors, ["Functoriality"] * 3),
+        (ReversedOnPairs, ["ProjectionMonotonicity"] * 3),
     ],
 )
 def test_verifiers_match_scan_oracles_on_broken_wrappers(make, stages):
-    assert _assert_matches_oracles(make) == stages
+    assert _assert_matches_oracles(make.__name__) == stages
+
+
+@pytest.mark.parametrize("name", CONTROLS + [w.__name__ for w in WRAPPERS])
+def test_bimonoid_laws_are_corollaries_of_the_precondition_and_the_square(name):
+    # on a functorial species over preorders the unit, counit and three-block
+    # laws hold, and compatibility is the intertwining square: both bimonoid
+    # checks, intertwining and the laws scanned one by one give one verdict
+    verdicts = {check_intertwined(_build(name), 3).passed}
+    for i in (1, 2):
+        got = check_bimonoid(_build(name), i, 3)
+        assert got.to_json() == _corollary(name, i)
+        verdicts |= {got.passed, _scan(brute_check_bimonoid, name, i, 3)["passed"]}
+    assert len(verdicts) == 1
+
+
+@pytest.mark.parametrize("make,nmax", [(FlippedColors, 3), (FlippedPastThree, 4)], ids=["FlippedColors", "FlippedPastThree"])
+def test_precondition_refuses_a_restriction_that_is_not_functorial(make, nmax):
+    got = check_species_over_preorders(make(), nmax)
+    assert got.stage == "Functoriality"
+    assert got.to_json() == brute_check_species(make(), nmax).to_json()
+    assert check_species_over_preorders(make(), nmax - 1).passed
 
 
 @pytest.mark.parametrize(
@@ -452,16 +496,20 @@ def test_graded_dimensions_refuse_an_element_listed_twice():
 
 
 @pytest.mark.parametrize("i", [1, 2])
-def test_three_block_witness_past_the_first_element_matches_scan_oracle(i):
+def test_functoriality_witness_past_the_first_element_matches_scan_oracle(i):
+    # only the failing element is scanned pair by pair, for the oracle's witness
     got = check_bimonoid(FlippedPastThree(), i, 4)
-    assert got.stage == "Coassociativity"
-    assert got.witness["element"] == ("colored", ((1, 0), (2, 0), (3, 1), (4, 0)))
-    assert got.witness["blocks"] == [[1, 2], [3], [4]]
-    assert got.to_json() == brute_check_bimonoid(FlippedPastThree(), i, 4).to_json()
+    assert got.stage == "Functoriality"
+    assert got.witness == {
+        "element": ("colored", ((1, 0), (2, 0), (3, 0), (4, 1))),
+        "subset": [1, 2],
+        "part": [1],
+    }
+    assert got.to_json() == brute_check_species(FlippedPastThree(), 4).to_json()
 
 
 def test_bimonoid_check_leaves_no_products_on_the_instance():
-    # the unit law reads inverse images from the degree's sides, not from `mu`
+    # the unit law follows from the precondition: no product is formed
     inst = ColoredSets()
     assert check_bimonoid(inst, 1, 3).passed
     assert inst._mu_cache == {}
@@ -470,9 +518,8 @@ def test_bimonoid_check_leaves_no_products_on_the_instance():
 def test_cut_validity_matches_scan_oracle(monkeypatch):
     # Monotone projections carry every small cut down to the restrictions, so
     # CutValidity is reached only with the precondition replaced by a pass.
-    monkeypatch.setattr(
-        species, "check_species_over_preorders", lambda inst, nmax: VerificationReport(True)
-    )
+    for module, name in ((species, "check_species_over_preorders"), (oracles, "brute_check_species")):
+        monkeypatch.setattr(module, name, lambda inst, nmax: VerificationReport(True))
     got = check_intertwined(ReversedOnPairs(), 3)
     assert got.stage == "CutValidity"
     assert got.to_json() == brute_check_intertwined(ReversedOnPairs(), 3).to_json()
