@@ -17,7 +17,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import BadDecomposition, CapExceeded, InvalidStructure
+from .errors import BadDecomposition, CapExceeded, InvalidStructure, PrecutError
 from .preorder import Preorder, is_cut
 from .preorder import cuts as preorder_cuts
 from .preorder import restrict as preorder_restrict
@@ -26,8 +26,6 @@ STAGE_FUNCTORIALITY = "Functoriality"
 STAGE_MONOTONICITY = "ProjectionMonotonicity"
 STAGE_CUT_EQUALITY = "CutEquality"
 STAGE_EXTENSION = "ExtensionUniqueness"
-STAGE_CUT_VALIDITY = "CutValidity"
-STAGE_COMMUTE = "PullbackCommute"
 STAGE_UNIT = "Unit"
 STAGE_COUNIT = "Counit"
 STAGE_COASSOC = "Coassociativity"
@@ -120,16 +118,13 @@ class SpeciesInstance:
             self._element_cache[key] = cached
         return cached
 
-    def unit(self):
-        (e,) = self.elements(())
-        return e
-
     def pi(self, which, s) -> Preorder:
         key = (which, s)
         p = self._pi_cache.get(key)
         if p is None:
-            p = self.pi1(s) if which == 1 else self.pi2(s)
-            self._pi_cache[key] = p
+            if which not in (1, 2):
+                raise PrecutError(f"{self.name}: no projection pi{which}, only pi1 and pi2")
+            p = self._pi_cache[key] = self.pi1(s) if which == 1 else self.pi2(s)
         return p
 
 
@@ -448,24 +443,32 @@ class _Sides:
                         raise _not_an_element(inst, *((r, down) if pair[0] is None else (t, up)))
         return side
 
-    def corners(self, i, j, A, B, C, D):
-        """Corner side of a four-block diagram: u on A∪C and v on B∪D split by
-        the i-th cut, p on A∪B and q on C∪D split by the j-th."""
-        return (self(i, A | C, A), self(i, B | D, B), self(j, A | B, A), self(j, C | D, C))
-
 
 def _diagrams(split, ground, i, j, stats):
     """The four-block diagrams of one degree that break the square law, in
-    block-assignment order, as (blocks, corner sides, incidences, counts,
-    quadruples): the one place where the law is decided.
+    block-assignment order, as (blocks, bad, mu_then_delta, delta_then_mu):
+    the one place where the law is decided and its witness chosen.
 
     The compatibility square of (Δ_i, μ_j) and the intertwining square of
     (Δ¹, Δ²) are one law: a diagram passes exactly when its doubly-cut
     elements hit every corner-compatible quadruple once and nothing else.
-    The incidences are the elements s in both full-ground sides, split by
-    A∪B for π_i and by A∪C for π_j, in element order, each with its corners
-    (u, v, p, q) = (s|A∪C, s|B∪D, s|A∪B, s|C∪D); `counts` is their Counter
-    and `quadruples` maps each quadruple, in `_quadruples` order, to 1.
+    The doubly-cut elements are the s in both full-ground sides, split by
+    A∪B for π_i and by A∪C for π_j; one Counter counts them by their corners
+    (u, v, p, q) = (s|A∪C, s|B∪D, s|A∪B, s|C∪D), and each quadruple of
+    `_quadruples` is wanted once.  `bad` is the least key, by the
+    serializations of its corners in that order, on which the two counts
+    differ, yielded with both counts.  Every side is held in serialization
+    order, so `bad` is also the first failing quadruple of a u × v × p × q
+    scan.
+
+    Once `check_species_over_preorders` passes, every incidence key is a
+    corner-compatible quadruple, so `bad` is one whose count is not 1:
+    - A = (A∪B) ∩ (A∪C) is a down-set of π_i(s)|A∪C.  Monotonicity,
+      π_i(s|A∪C) ⊆ π_i(s)|A∪C, makes it a down-set of π_i(s|A∪C), so u is
+      in its corner side.  The same holds for B in v under π_i, and for A
+      in p and C in q under π_j.
+    - Functoriality gives (s|A∪C)|A = s|A = (s|A∪B)|A, and likewise for B,
+      C and D, so the four corners agree on the blocks.
 
     Appends the degree's entry to `stats`: `incidences` and `completions`
     add each diagram's incidences and quadruples through the failing one
@@ -485,22 +488,24 @@ def _diagrams(split, ground, i, j, stats):
     stats.append(stat)
     for blocks in _block_assignments(ground, 4):
         A, B, C, D = blocks
-        sides = split.corners(i, j, A, B, C, D)
+        # u on A∪C and v on B∪D split by the i-th cut, p on A∪B and q on C∪D by the j-th
+        sides = (split(i, A | C, A), split(i, B | D, B), split(j, A | B, A), split(j, C | D, C))
         on_AB, on_AC = split(i, full, A | B), split(j, full, A | C)
         stat["sides"] = len(split.table)
-        small, big = sorted((on_AB, on_AC), key=len)  # both in element order
-        incidences = [(s, on_AC[s] + on_AB[s]) for s in small if s in big]
-        stat["incidences"] += len(incidences)
-        counts = Counter(key for _, key in incidences)
+        small, big = sorted((on_AB, on_AC), key=len)
+        counts = Counter(on_AC[s] + on_AB[s] for s in small if s in big)
+        stat["incidences"] += counts.total()
         quadruples = dict.fromkeys(_quadruples(sides), 1)
         stat["completions"] += len(quadruples)
         if counts != quadruples:
-            yield blocks, sides, incidences, counts, quadruples
+            differ = (k for k in counts.keys() | quadruples.keys() if counts[k] != quadruples.get(k, 0))
+            bad = min(differ, key=lambda k: tuple(map(inst.serialize, k)))
+            yield blocks, bad, counts[bad], quadruples.get(bad, 0)
 
 
 def _quadruples(sides):
-    """The corner-compatible quadruples, u-major, each side in element order:
-    the order of a u × v × p × q scan."""
+    """The corner-compatible quadruples (u, v, p, q): u|A = p|A, v|B = p|B,
+    u|C = q|C and v|D = q|D."""
     U, V, P, Q = sides
     by_p, by_q = {}, {}
     for p, key in P.items():
@@ -514,37 +519,37 @@ def _quadruples(sides):
                     yield u, v, p, q
 
 
-def _corners_json(inst, quadruple):
-    u, v, p, q = quadruple
-    return {
-        "on_AC": inst.serialize(u),
-        "on_BD": inst.serialize(v),
-        "on_AB": inst.serialize(p),
-        "on_CD": inst.serialize(q),
-    }
+def _square_law(inst, i, nmax, stage, fields):
+    """The square law of (Δ_i, Δ_j), j the other index, on every degree up to
+    nmax, after the precondition: the first failing diagram of `_diagrams`
+    fails `stage`, its witness the blocks, the corners of its bad key and
+    `fields(blocks, bad, mu_then_delta, delta_then_mu)`."""
+    pre = check_species_over_preorders(inst, nmax)
+    if not pre.passed:
+        return VerificationReport(False, pre.stage, pre.witness)  # stats: four-block counts only
+    j = 2 if i == 1 else 1
+    stats = []
+    for n in range(nmax + 1):
+        for blocks, bad, *counts in _diagrams(_Sides(inst), tuple(range(1, n + 1)), i, j, stats):
+            corners = dict(zip(("on_AC", "on_BD", "on_AB", "on_CD"), map(inst.serialize, bad)))
+            witness = {"blocks": [sorted(block) for block in blocks], "corners": corners}
+            return VerificationReport(False, stage, dict(witness, **fields(blocks, bad, *counts)), tuple(stats))
+    return VerificationReport(True, stats=tuple(stats))
 
 
 def check_intertwined(inst: SpeciesInstance, nmax) -> VerificationReport:
     """Every mixed four-block diagram of the two cut coproducts must be a
-    partial pullback: restrictions of doubly-cut elements carry the small
-    cuts, the two restriction paths agree, and every corner-compatible
-    quadruple has exactly one completion carrying both big cuts.
+    partial pullback: every corner-compatible quadruple has exactly one
+    completion carrying both big cuts, and no other corners occur.
 
     That is the square law that `_diagrams` decides, for this check and the
-    bimonoid square alike, reading the incidences from the two full-ground
-    sides (`_Sides`, built once per degree).  Only a diagram that breaks it
-    is walked for a witness: its incidences in element order, then its
-    quadruples in u × v × p × q order, so the first failure is the one a
-    scan of every assignment against every element finds.
-
-    Every diagram that `_diagrams` yields has a witness.  Its corners are
-    elements (`_Sides`), so one missing from its side is not cut by its
-    small cut: CutValidity, which fires only when the precondition is
-    bypassed, since monotonicity, π(s|S) ⊆ π(s)|S, carries each cut of π(s)
-    down to s|S.  Corners whose restrictions disagree fail PullbackCommute.
-    Otherwise every incidence key is a corner-compatible quadruple, and
-    `counts != quadruples` makes some quadruple's count differ from 1:
-    ExtensionUniqueness.
+    bimonoid square alike, through one shared body (`_square_law`) and one
+    `_Sides` table per degree.  Once the precondition passes, the law can
+    fail only at ExtensionUniqueness: `corners` is the least corner
+    quadruple, by serialization, of the first failing diagram in
+    block-assignment order, `completions` its count of doubly-cut elements
+    (not 1), and `near_misses` the elements matching its four restrictions,
+    with their big-cut status.
 
     `stats` holds per degree the elements, the doubly-cut elements of the
     diagrams walked (incidences), their corner-compatible quadruples
@@ -553,47 +558,10 @@ def check_intertwined(inst: SpeciesInstance, nmax) -> VerificationReport:
     entry is the failing degree, with all three counted through the failing
     diagram.
     """
-    pre = check_species_over_preorders(inst, nmax)
-    if not pre.passed:
-        return VerificationReport(False, pre.stage, pre.witness)  # stats: four-block counts only
-    stats = []
-    for n in range(nmax + 1):
-        ground = tuple(range(1, n + 1))
-        split = _Sides(inst)
-        for blocks, sides, incidences, counts, quadruples in _diagrams(split, ground, 1, 2, stats):
-            witness_base = {"blocks": [sorted(block) for block in blocks]}
-            U, V, P, Q = sides
-            for s, (u, v, p, q) in incidences:
-                pairs = (U.get(u), V.get(v), P.get(p), Q.get(q))
-                if None in pairs:
-                    return VerificationReport(
-                        False,
-                        STAGE_CUT_VALIDITY,
-                        dict(witness_base, element=inst.serialize(s)),
-                        tuple(stats),
-                    )
-                (ua, uc), (vb, vd), (pa, pb), (qc, qd) = pairs
-                if (ua, vb, uc, vd) != (pa, pb, qc, qd):
-                    return VerificationReport(
-                        False,
-                        STAGE_COMMUTE,
-                        dict(witness_base, element=inst.serialize(s)),
-                        tuple(stats),
-                    )
-            for quadruple in quadruples:
-                if counts[quadruple] != 1:
-                    return VerificationReport(
-                        False,
-                        STAGE_EXTENSION,
-                        dict(
-                            witness_base,
-                            corners=_corners_json(inst, quadruple),
-                            completions=counts[quadruple],
-                            near_misses=_near_misses(inst, blocks, quadruple),
-                        ),
-                        tuple(stats),
-                    )
-    return VerificationReport(True, stats=tuple(stats))
+    def fields(blocks, bad, found, wanted):
+        return {"completions": found, "near_misses": _near_misses(inst, blocks, bad)}
+
+    return _square_law(inst, 1, nmax, STAGE_EXTENSION, fields)
 
 
 def _near_misses(inst, blocks, quadruple):
@@ -640,39 +608,19 @@ def check_bimonoid(inst: SpeciesInstance, coproduct_index, nmax) -> Verification
       (A, B, C, D) is the (Δ₁, μ₂) square on (A, C, B, D).  So both indices
       and `check_intertwined` give one verdict, the paper's equivalence of a
       bimonoid in set_N with a pair of intertwined coproducts.
-    A Compatibility failure is the first failing diagram in block-assignment
-    order, and its witness names the least key on which the mu-then-delta
-    count (the corners of the doubly-cut elements) and the delta-then-mu
-    count (one per corner-compatible quadruple) differ, comparing the
-    serializations of its corners on A∪C, B∪D, A∪B and C∪D in that order.
+    Once the precondition passes, the square can fail only at Compatibility,
+    with `_diagrams`' witness: the first failing diagram in block-assignment
+    order and its least differing corner quadruple by serialization, with
+    the mu-then-delta count (its doubly-cut elements) and the delta-then-mu
+    count (1, as it is corner-compatible).  For index 1 that is the diagram
+    and quadruple that `check_intertwined` names.
 
     `stats` holds `check_intertwined`'s four-block counts, and is empty when
     the Unit check or the precondition fails.
     """
-    i = coproduct_index
-    j = 2 if i == 1 else 1
     if len(inst.elements(())) != 1:
         return VerificationReport(False, STAGE_UNIT, {"size_on_empty": len(inst.elements(()))})
-    pre = check_species_over_preorders(inst, nmax)
-    if not pre.passed:
-        return VerificationReport(False, pre.stage, pre.witness)
-    stats = []
-    for n in range(nmax + 1):
-        ground = tuple(range(1, n + 1))
-        for blocks, _, _, path1, path2 in _diagrams(_Sides(inst), ground, i, j, stats):
-            bad = min(
-                (k for k in path1.keys() | path2.keys() if path1[k] != path2.get(k, 0)),
-                key=lambda k: tuple(map(inst.serialize, k)),
-            )
-            return VerificationReport(
-                False,
-                STAGE_COMPAT,
-                {
-                    "blocks": [sorted(block) for block in blocks],
-                    "corners": _corners_json(inst, bad),
-                    "mu_then_delta": path1[bad],
-                    "delta_then_mu": path2.get(bad, 0),
-                },
-                tuple(stats),
-            )
-    return VerificationReport(True, stats=tuple(stats))
+    def fields(blocks, bad, found, wanted):
+        return {"mu_then_delta": found, "delta_then_mu": wanted}
+
+    return _square_law(inst, coproduct_index, nmax, STAGE_COMPAT, fields)

@@ -560,7 +560,7 @@ def brute_check_intertwined(inst, nmax):
                     and is_cut(inst.pi(2, q), C)
                 ):
                     return VerificationReport(
-                        False, species.STAGE_CUT_VALIDITY, dict(witness_base, element=inst.serialize(s))
+                        False, "CutValidity", dict(witness_base, element=inst.serialize(s))
                     )
                 if _corner_key(inst, u, v, A, B, C, D) != (
                     inst.restrict(p, A),
@@ -569,7 +569,7 @@ def brute_check_intertwined(inst, nmax):
                     inst.restrict(q, D),
                 ):
                     return VerificationReport(
-                        False, species.STAGE_COMMUTE, dict(witness_base, element=inst.serialize(s))
+                        False, "PullbackCommute", dict(witness_base, element=inst.serialize(s))
                     )
                 key = (u, v, p, q)
                 completions[key] = completions.get(key, 0) + 1
@@ -610,6 +610,12 @@ def brute_check_intertwined(inst, nmax):
     return VerificationReport(True)
 
 
+def unit_of(inst):
+    """The one element of S[∅]."""
+    (e,) = inst.elements(())
+    return e
+
+
 def brute_check_bimonoid(inst, coproduct_index, nmax):
     """Bimonoid laws by scanning all 3^n and 4^n block assignments against every
     element; a Compatibility witness is the least differing key by serialization."""
@@ -617,7 +623,7 @@ def brute_check_bimonoid(inst, coproduct_index, nmax):
     j = 2 if i == 1 else 1
     if len(inst.elements(())) != 1:
         return VerificationReport(False, species.STAGE_UNIT, {"size_on_empty": len(inst.elements(()))})
-    unit = inst.unit()
+    unit = unit_of(inst)
     for n in range(nmax + 1):
         ground = tuple(range(1, n + 1))
         els = inst.elements(ground)

@@ -27,7 +27,7 @@ from precut.preorder import (
 )
 from precut.species import delta, mu
 
-from oracles import _ordered_set_partitions, packed_word_of
+from oracles import _ordered_set_partitions, packed_word_of, unit_of
 
 
 def all_pairs(kind, ground):
@@ -241,6 +241,6 @@ def test_nn_compatibility_counterexample():
     assert du is not None
     a, c = du
     assert len(mu(inst, 2, a, v)) == 3
-    assert len(mu(inst, 2, c, inst.unit())) == 1
+    assert len(mu(inst, 2, c, unit_of(inst))) == 1
     left = delta(inst, 1, prods[0], frozenset({1, 2}), frozenset({3}))
     assert left is not None  # one term against three

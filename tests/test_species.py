@@ -13,9 +13,10 @@ from oracles import (
     brute_check_intertwined,
     brute_check_species,
     pair_from_word,
+    unit_of,
 )
 from precut import fock, species
-from precut.errors import BadDecomposition, InvalidStructure
+from precut.errors import BadDecomposition, InvalidStructure, PrecutError
 from precut.instances import build_instance
 from precut.instances.colored import ColoredSets
 from precut.instances.perm import PermPairs
@@ -37,7 +38,7 @@ def F(word):
 def test_delta_trivial_cut_gives_unit_side():
     inst = build_instance("perm_f")
     s = F((3, 1, 2, 4))
-    unit = inst.unit()
+    unit = unit_of(inst)
     assert delta(inst, 1, s, frozenset({1, 2, 3, 4}), frozenset()) == (s, unit)
     assert delta(inst, 1, s, frozenset(), frozenset({1, 2, 3, 4})) == (unit, s)
 
@@ -72,8 +73,8 @@ def test_delta_bad_decomposition():
 def test_mu_unit_law():
     inst = build_instance("perm_f")
     s = F((2, 1, 3))
-    assert mu(inst, 2, inst.unit(), s) == (s,)
-    assert mu(inst, 2, s, inst.unit()) == (s,)
+    assert mu(inst, 2, unit_of(inst), s) == (s,)
+    assert mu(inst, 2, s, unit_of(inst)) == (s,)
 
 
 def test_mu_mr_shifted_shuffles_count():
@@ -295,7 +296,13 @@ def test_square_law_fails_both_verifiers_on_the_same_diagram(name, nmax):
     bimonoid = check_bimonoid(build_instance(name), 1, nmax)
     assert (intertwined.stage, bimonoid.stage) == ("ExtensionUniqueness", "Compatibility")
     assert intertwined.stats[-1]["degree"] == bimonoid.stats[-1]["degree"]
-    assert intertwined.witness["blocks"] == bimonoid.witness["blocks"]
+    # one witness rule: the same least quadruple, counted alike, wanted once
+    for key in ("blocks", "corners"):
+        assert intertwined.witness[key] == bimonoid.witness[key]
+    assert intertwined.witness["completions"] == bimonoid.witness["mu_then_delta"]
+    assert bimonoid.witness["delta_then_mu"] == 1
+    if nmax == 3:
+        assert intertwined.to_json() == _scan(brute_check_intertwined, name, 3)
 
 
 def test_relabel_commutes_with_restriction():
@@ -515,14 +522,39 @@ def test_bimonoid_check_leaves_no_products_on_the_instance():
     assert inst._mu_cache == {}
 
 
-def test_cut_validity_matches_scan_oracle(monkeypatch):
+def test_square_law_stays_total_without_the_precondition(monkeypatch):
     # Monotone projections carry every small cut down to the restrictions, so
-    # CutValidity is reached only with the precondition replaced by a pass.
+    # only with the precondition replaced by a pass does a doubly-cut element
+    # lose one: the scan oracle stops there at CutValidity, and both verifiers
+    # fail the same diagram on that element's corners, which are no
+    # corner-compatible quadruple (counted once, wanted never).
     for module, name in ((species, "check_species_over_preorders"), (oracles, "brute_check_species")):
         monkeypatch.setattr(module, name, lambda inst, nmax: VerificationReport(True))
-    got = check_intertwined(ReversedOnPairs(), 3)
-    assert got.stage == "CutValidity"
-    assert got.to_json() == brute_check_intertwined(ReversedOnPairs(), 3).to_json()
+    inst = ReversedOnPairs()
+    want = brute_check_intertwined(inst, 3)
+    blocks = [[1], [2], [3], []]
+    assert (want.stage, want.witness["blocks"]) == ("CutValidity", blocks)
+    s = next(s for s in inst.elements((1, 2, 3)) if inst.serialize(s) == want.witness["element"])
+    grounds = {"on_AC": {1, 3}, "on_BD": {2}, "on_AB": {1, 2}, "on_CD": {3}}
+    corners = {key: inst.serialize(inst.restrict(s, frozenset(sub))) for key, sub in grounds.items()}
+    got = check_intertwined(inst, 3)
+    assert (got.stage, got.witness["blocks"], got.witness["corners"]) == ("ExtensionUniqueness", blocks, corners)
+    assert got.witness["completions"] == 1
+    for i in (1, 2):
+        got = check_bimonoid(inst, i, 3)
+        assert (got.stage, got.witness["blocks"], got.witness["corners"]) == ("Compatibility", blocks, corners)
+        assert (got.witness["mu_then_delta"], got.witness["delta_then_mu"]) == (1, 0)
+
+
+@pytest.mark.parametrize("which", [0, 3])
+def test_projection_index_outside_one_and_two_is_refused(which):
+    with pytest.raises(PrecutError, match=f"no projection pi{which}"):
+        check_bimonoid(build_instance("perm_m"), which, 3)
+
+
+def test_fock_tables_refuse_a_projection_index_outside_one_and_two():
+    with pytest.raises(PrecutError, match="no projection pi7"):
+        fock.fock_tables(build_instance("perm_f"), 1, 7, N=3)
 
 
 @pytest.mark.parametrize(
