@@ -11,7 +11,7 @@ from .graphs import Graphs
 from .orders import OrderSpecies
 from .pairs import PackedWords, PreorderPairs, cc_matrix, generate_pair
 from .parking import ParkingPairs
-from .perm import PermPairs, word_of
+from .perm import DescentPairs, PermPairs, word_of
 from .tensor import TensorWords
 
 _BUILDERS = {
@@ -20,8 +20,8 @@ _BUILDERS = {
     "graphs": Graphs,
     "posets": partial(OrderSpecies, posets_only=True),
     "preorders": partial(OrderSpecies, posets_only=False),
-    "perm_f": partial(PermPairs, "f"),
-    "perm_m": partial(PermPairs, "m"),
+    "perm_f": PermPairs,
+    "perm_m": DescentPairs,
     "parking": ParkingPairs,
     "cc": partial(PreorderPairs, "cc"),
     "nc": partial(PreorderPairs, "nc"),

@@ -32,10 +32,16 @@ LINEAR = Factor(
 )
 
 
+def _sort_key(x):
+    # a preorder orders by refinement, a partial order, so it sorts by the
+    # (ground, rows) key of `OrderSpecies` and `PreorderPairs` instead
+    return (x.ground, x.rows) if type(x) is Preorder else x
+
+
 class Single(SpeciesInstance):
     """The species of one factor f: its elements, restriction, relabeling and
-    ground, with π₁ read from f's projection.  Subclasses set π₂, the
-    serialization and what is their own."""
+    ground, with π₁ read from f's projection.  Subclasses set π₂ and the
+    serialization; by default π₂ = π₁ and an element serializes as itself."""
 
     def __init__(self, f: Factor):
         super().__init__()
@@ -52,6 +58,11 @@ class Single(SpeciesInstance):
 
     def pi1(self, s):
         return self.f.project(s)
+
+    pi2 = pi1
+
+    def serialize(self, s):
+        return _sort_key(s)
 
     def ground_of(self, s):
         return self.f.ground(s)
@@ -76,8 +87,19 @@ class Hadamard(SpeciesInstance):
     and p.y both split by A into (p.y|A, p.y|B), and injectivity makes them
     equal.  Likewise y|C∪D = q.y, x|A∪C = u.x, x|B∪D = v.x: s completes the
     quadruple, and injectivity leaves no other.  By the same monotonicity
-    every doubly-cut element's corners form such a quadruple.  Nothing is
-    claimed for the converse of the rule.
+    every doubly-cut element's corners form such a quadruple.
+
+    The certificate.  π₁ reads only x, π₂ only y, and restriction is
+    componentwise, so F × G passes `check_species_over_preorders` when each
+    factor does as `Single(f)` (π₂ = π₁); the (Δ₂, μ₁) square on
+    (A, B, C, D) is the (Δ₁, μ₂) square on (A, C, B, D), so the rule covers
+    both bimonoid indices.  `species.glues_uniquely` checks it on every
+    ground I ⊆ 1..n, with F[I] not empty: so each element on I is a
+    restriction of one on 1..n, and each restriction is an element.
+    `species._square_law` takes it only where `_elements`, `restrict`,
+    `relabel`, `pi1` and `pi2` are this class's own: perm_m projects through
+    both orders and cc, nc and nn filter the pairs, so they are walked, as
+    is any product that the rule does not certify.
     """
 
     tag = "hadamard"
@@ -108,11 +130,4 @@ class Hadamard(SpeciesInstance):
         return self.f.ground(s[0])
 
     def serialize(self, s):
-        # a preorder orders by refinement, a partial order, so it sorts by the
-        # (ground, rows) key of `OrderSpecies` and `PreorderPairs` instead
-        x, y = s
-        return (
-            self.tag,
-            (x.ground, x.rows) if type(x) is Preorder else x,
-            (y.ground, y.rows) if type(y) is Preorder else y,
-        )
+        return (self.tag, _sort_key(s[0]), _sort_key(s[1]))

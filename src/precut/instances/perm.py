@@ -27,21 +27,24 @@ def word_of(s: PermPair):
 
 
 class PermPairs(Hadamard):
-    """L × L.  basis="f": projections are the orders themselves.
-    basis="m": first projection join(t1, t2-opposite), second meet(t1, t2)."""
+    """L × L, each order projected to itself: the F basis."""
 
+    name = "perm_f"
     cap = 6  # degree 7 is (7!)^2 = 25.4 M labeled pairs, minutes in one process
     pair = PermPair
     tag = "perm"
 
-    def __init__(self, basis="f"):
+    def __init__(self):
         super().__init__(LINEAR, LINEAR)
-        assert basis in ("f", "m")
-        self.basis = basis
-        self.name = f"perm_{basis}"
+
+
+class DescentPairs(PermPairs):
+    """The same pairs, π₁ = join(t1, t2-opposite), π₂ = meet(t1, t2): the M basis."""
+
+    name = "perm_m"
 
     def pi1(self, s):
-        return chain(s.t1) if self.basis == "f" else join(chain(s.t1), opposite(chain(s.t2)))
+        return join(chain(s.t1), opposite(chain(s.t2)))
 
     def pi2(self, s):
-        return chain(s.t2) if self.basis == "f" else meet(chain(s.t1), chain(s.t2))
+        return meet(chain(s.t1), chain(s.t2))

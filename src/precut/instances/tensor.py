@@ -23,10 +23,12 @@ class TensorWords(Hadamard):
     tag = "tensor"
 
     def __init__(self, palette=2):
-        super().__init__(colorings(palette), LINEAR)
-        self.palette = palette
         self.name = f"tensor[{palette}]"
+        colors = colorings(palette)
 
-    def _elements(self, ground):
-        check_element_count(self, len(ground), self.palette ** len(ground) * factorial(len(ground)))
-        return super()._elements(ground)
+        def refused(ground):
+            # refused before any pair is built; the product's `_elements` is Hadamard's
+            check_element_count(self, len(ground), palette ** len(ground) * factorial(len(ground)))
+            return colors.elements(ground)
+
+        super().__init__(colors._replace(elements=refused), LINEAR)

@@ -78,9 +78,6 @@ class Preorder:
         except ValueError:
             raise UnknownLabel(f"{x!r} not in ground {self.ground!r}") from None
 
-    def leq(self, x, y):
-        return bool(self.rows[self.index(x)] >> self.index(y) & 1)
-
     def lt(self, x, y):
         """Strictly below: comparable but not in the same bubble."""
         i, j = self.index(x), self.index(y)

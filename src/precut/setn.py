@@ -92,15 +92,6 @@ def multimap_from_json(data) -> Multimap:
     )
 
 
-def identity(X: FiniteSet) -> Multimap:
-    n = len(X)
-    return Multimap(X, X, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-
-def zero_map(X: FiniteSet, Y: FiniteSet) -> Multimap:
-    return Multimap(X, Y, tuple(tuple(0 for _ in Y.labels) for _ in X.labels))
-
-
 def compose(f: Multimap, g: Multimap) -> Multimap:
     """f followed by g; exact natural-number matrix product."""
     if f.target != g.source:
@@ -151,16 +142,6 @@ def classify(f: Multimap) -> MapClass:
     ordinary = all(s == 1 for s in sums)
     partial = all(s <= 1 for s in sums)
     return MapClass(ordinary=ordinary, promap=promap, partial_map=partial)
-
-
-def is_isomorphism(f: Multimap) -> bool:
-    """True iff the matrix is a permutation matrix."""
-    if len(f.source) != len(f.target):
-        return False
-    c = classify(f)
-    if not (c.ordinary and c.promap):
-        return False
-    return all(sum(col) == 1 for col in zip(*f.coeff)) if f.coeff else True
 
 
 @dataclass(frozen=True)

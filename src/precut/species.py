@@ -334,33 +334,17 @@ def check_species_over_preorders(inst: SpeciesInstance, nmax) -> VerificationRep
                 stat["restrictions"] += 1
                 for which in (1, 2):
                     if not inst.pi(which, r) <= outer[which][sub]:
-                        return VerificationReport(
-                            False,
-                            STAGE_MONOTONICITY,
-                            {
-                                "element": inst.serialize(s),
-                                "subset": sorted(sub),
-                                "which": which,
-                            },
-                            tuple(stats),
-                        )
+                        witness = {"element": inst.serialize(s), "subset": sorted(sub), "which": which}
+                        return VerificationReport(False, STAGE_MONOTONICITY, witness, tuple(stats))
             for which in (1, 2):
                 p = projections[which]
                 for cut in preorder_cuts(p):
                     for side in (cut.down, cut.up):
                         stat["cut_sides"] += 1
                         if inst.pi(which, on[side]) != outer[which][side]:
-                            return VerificationReport(
-                                False,
-                                STAGE_CUT_EQUALITY,
-                                {
-                                    "element": inst.serialize(s),
-                                    "cut_down": sorted(cut.down),
-                                    "side": sorted(side),
-                                    "which": which,
-                                },
-                                tuple(stats),
-                            )
+                            witness = {"element": inst.serialize(s), "cut_down": sorted(cut.down)}
+                            witness.update(side=sorted(side), which=which)
+                            return VerificationReport(False, STAGE_CUT_EQUALITY, witness, tuple(stats))
     return VerificationReport(True, stats=tuple(stats))
 
 
@@ -478,13 +462,7 @@ def _diagrams(split, ground, i, j, stats):
     inst = split.inst
     full = frozenset(ground)
     els = inst.elements(ground)
-    stat = {
-        "degree": len(ground),
-        "elements": len(els),
-        "incidences": 0,
-        "completions": 0,
-        "sides": 0,
-    }
+    stat = {"degree": len(ground), "elements": len(els), "incidences": 0, "completions": 0, "sides": 0}
     stats.append(stat)
     for blocks in _block_assignments(ground, 4):
         A, B, C, D = blocks
@@ -519,11 +497,51 @@ def _quadruples(sides):
                     yield u, v, p, q
 
 
+def glues_uniquely(inst: SpeciesInstance, nmax):
+    """Per degree n ≤ nmax, the elements on 1..n and the pairs glued over all
+    D ⊆ I ⊆ 1..n; None unless the pairs (x|D, x|I−D) of the x whose π₁ D cuts,
+    read from one `_Sides` table, are distinct and number |S[D]|·|S[I−D]| > 0."""
+    split, stats = _Sides(inst), []
+    for n in range(nmax + 1):
+        ground, glued = tuple(range(1, n + 1)), 0
+        for sub, down in ((sub, down) for sub in _subsets(ground) for down in _subsets(sub)):
+            side = split(1, sub, down)
+            if not 0 < len(set(side.values())) == len(side) == len(inst.elements(down)) * len(inst.elements(sub - down)):
+                return None
+            glued += len(side)
+        stats.append({"degree": n, "elements": len(inst.elements(ground)), "glued": glued})
+    return stats
+
+
+def _glued_factors(inst, nmax):
+    """The `stats` of a product that the gluing rule of `Hadamard` certifies
+    on both factors up to min(nmax, cap), else None."""
+    from .instances.hadamard import Hadamard, Single  # they import this module
+
+    own = ("_elements", "restrict", "relabel", "pi1", "pi2")
+    if not isinstance(inst, Hadamard) or any(getattr(getattr(inst, m), "__func__", 0) is not getattr(Hadamard, m) for m in own):
+        return None
+    top, glued = min(nmax, inst.cap), {}
+    for f in dict.fromkeys((inst.f, inst.g)):  # a factor met twice is checked once
+        try:
+            glued[f] = check_species_over_preorders(single := Single(f), top) and glues_uniquely(single, top)
+        except PrecutError:  # such as a restriction off the enumeration: the walk reports it
+            return None
+        if not glued[f]:
+            return None
+    if nmax > inst.cap:
+        inst.elements(range(1, inst.cap + 2))  # CapExceeded, as the walk raises it
+    return tuple({"factor": k, **d} for k, f in ((1, inst.f), (2, inst.g)) for d in glued[f])
+
+
 def _square_law(inst, i, nmax, stage, fields):
     """The square law of (Δ_i, Δ_j), j the other index, on every degree up to
-    nmax, after the precondition: the first failing diagram of `_diagrams`
-    fails `stage`, its witness the blocks, the corners of its bad key and
+    nmax: a product that `_glued_factors` certifies passes; otherwise, after
+    the precondition, the first failing diagram of `_diagrams` fails
+    `stage`, its witness the blocks, the corners of its bad key and
     `fields(blocks, bad, mu_then_delta, delta_then_mu)`."""
+    if (certified := _glued_factors(inst, nmax)) is not None:
+        return VerificationReport(True, stats=certified)
     pre = check_species_over_preorders(inst, nmax)
     if not pre.passed:
         return VerificationReport(False, pre.stage, pre.witness)  # stats: four-block counts only
@@ -544,7 +562,8 @@ def check_intertwined(inst: SpeciesInstance, nmax) -> VerificationReport:
 
     That is the square law that `_diagrams` decides, for this check and the
     bimonoid square alike, through one shared body (`_square_law`) and one
-    `_Sides` table per degree.  Once the precondition passes, the law can
+    `_Sides` table per degree, unless `_glued_factors` certifies a Hadamard
+    product on its factors.  Once the precondition passes, the law can
     fail only at ExtensionUniqueness: `corners` is the least corner
     quadruple, by serialization, of the first failing diagram in
     block-assignment order, `completions` its count of doubly-cut elements
@@ -556,7 +575,8 @@ def check_intertwined(inst: SpeciesInstance, nmax) -> VerificationReport:
     (completions) and the split sides built.  On a passing run incidences
     and completions agree and the sides number 2·3ⁿ; on a failure the last
     entry is the failing degree, with all three counted through the failing
-    diagram.
+    diagram.  A certified pass holds instead, per factor and degree, the
+    `factor`, `degree`, `elements` and `glued` pairs of `glues_uniquely`.
     """
     def fields(blocks, bad, found, wanted):
         return {"completions": found, "near_misses": _near_misses(inst, blocks, bad)}
@@ -566,25 +586,13 @@ def check_intertwined(inst: SpeciesInstance, nmax) -> VerificationReport:
 
 def _near_misses(inst, blocks, quadruple):
     """Elements matching all four restrictions, with their big-cut status."""
-    u, v, p, q = quadruple
     A, B, C, D = blocks
-    AB, CD, AC, BD = A | B, C | D, A | C, B | D
-    out = []
-    for s in inst.elements(A | B | C | D):
-        if (
-            inst.restrict(s, AC) == u
-            and inst.restrict(s, BD) == v
-            and inst.restrict(s, AB) == p
-            and inst.restrict(s, CD) == q
-        ):
-            out.append(
-                {
-                    "element": inst.serialize(s),
-                    "cut_for_pi1": is_cut(inst.pi(1, s), AB),
-                    "cut_for_pi2": is_cut(inst.pi(2, s), AC),
-                }
-            )
-    return out
+    corners = tuple(zip((A | C, B | D, A | B, C | D), quadruple))  # u, v, p and q on their grounds
+    return [
+        {"element": inst.serialize(s), "cut_for_pi1": is_cut(inst.pi(1, s), A | B), "cut_for_pi2": is_cut(inst.pi(2, s), A | C)}
+        for s in inst.elements(A | B | C | D)
+        if all(inst.restrict(s, sub) == corner for sub, corner in corners)
+    ]
 
 
 def check_bimonoid(inst: SpeciesInstance, coproduct_index, nmax) -> VerificationReport:
@@ -615,8 +623,9 @@ def check_bimonoid(inst: SpeciesInstance, coproduct_index, nmax) -> Verification
     count (1, as it is corner-compatible).  For index 1 that is the diagram
     and quadruple that `check_intertwined` names.
 
-    `stats` holds `check_intertwined`'s four-block counts, and is empty when
-    the Unit check or the precondition fails.
+    `stats` holds `check_intertwined`'s four-block counts, or its factor
+    counts on a certified product, and is empty when the Unit check or the
+    precondition fails.
     """
     if len(inst.elements(())) != 1:
         return VerificationReport(False, STAGE_UNIT, {"size_on_empty": len(inst.elements(()))})

@@ -54,12 +54,16 @@ the `brute_*` parking functions validate and parkize their input anew at
 every step, and `brute_restrict_filtration` is the oracle of the species'
 parking restriction.  Then come two test-only factors of Hadamard
 products (posets by components, built on the package's `POSETS`, and
-discrete sets) and `glues_uniquely`, which tests the gluing bijection of
-one factor from its own functions, without building a product.  Last,
-`graph_components` finds the components of a graph by breadth-first
-search, with no preorder.  The fixtures at the top are not
-oracles: words to permutation pairs, packed words of preorder pairs, and
-the tables the tests verify.
+discrete sets), `walked`, which re-binds π₁ of a product class so that
+the verifiers walk it instead of certifying it on its factors, and
+`glues_uniquely`, which tests the gluing bijection of one factor from its
+own functions, without building a product or a `_Sides` table: the
+package's `species.glues_uniquely` is pinned against it.  `leq`,
+`identity`, `zero_map` and `is_isomorphism` are helpers of preorders and
+multimaps that only the tests use.  Last, `graph_components` finds the
+components of a graph by breadth-first search, with no preorder.  The
+fixtures at the top are not oracles: words to permutation pairs, packed
+words of preorder pairs, and the tables the tests verify.
 """
 
 import itertools
@@ -78,6 +82,7 @@ from precut.preorder import cuts as preorder_cuts
 from precut.preorder import is_cut
 from precut.preorder import relabel as preorder_relabel
 from precut.preorder import restrict as preorder_restrict
+from precut.setn import Multimap, classify
 from precut.species import ClassRegistry, OrbitClass, VerificationReport, _class_id, delta, mu, mu_bucket
 
 # -- fixtures ----------------------------------------------------------------
@@ -1067,6 +1072,13 @@ DISCRETE_SETS = Factor(
 )
 
 
+def walked(cls):
+    """A subclass of the product class `cls` whose π₁ is the same projection
+    under a new method, so that `species._square_law` does not take the
+    factor certificate and walks every four-block diagram instead."""
+    return type(cls.__name__, (cls,), {"pi1": lambda self, s: cls.pi1(self, s)})
+
+
 def glues_uniquely(factor, nmax):
     """Whether, on every ground 1..n with n <= nmax and for every D with
     complement U, x ↦ (x|D, x|U) is a bijection from the elements whose
@@ -1085,6 +1097,33 @@ def glues_uniquely(factor, nmax):
             if len(set(images)) != len(images) or set(images) != set(pieces):
                 return False
     return True
+
+
+# -- test-only helpers of preorders and multimaps ------------------------------
+
+
+def leq(p, x, y):
+    """Whether x <= y in the preorder p."""
+    return bool(p.rows[p.index(x)] >> p.index(y) & 1)
+
+
+def identity(X):
+    n = len(X)
+    return Multimap(X, X, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+
+
+def zero_map(X, Y):
+    return Multimap(X, Y, tuple(tuple(0 for _ in Y.labels) for _ in X.labels))
+
+
+def is_isomorphism(f):
+    """True iff the matrix is a permutation matrix."""
+    if len(f.source) != len(f.target):
+        return False
+    c = classify(f)
+    if not (c.ordinary and c.promap):
+        return False
+    return all(sum(col) == 1 for col in zip(*f.coeff)) if f.coeff else True
 
 
 # -- graphs ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -9,11 +10,12 @@ import sys
 import pytest
 
 import precut
+from precut import cli
 from precut.cli import main
 from precut.instances import _BUILDERS, AVOIDANCE_PRESETS, build_instance
 from precut.preorder import cuts
 
-from oracles import pair_from_word
+from oracles import pair_from_word, walked
 
 
 def run(capsys, *argv):
@@ -295,7 +297,10 @@ def test_palette_is_refused_where_it_would_be_ignored(capsys, instance):
 
 
 @pytest.mark.parametrize("name,incidences", [("perm_f", 14400), ("perm_m", 14472)])
-def test_verify_json_reports_per_degree_counts(capsys, name, incidences):
+def test_verify_json_reports_per_degree_counts(capsys, monkeypatch, name, incidences):
+    # the walk's counts: each instance is built as a subclass that re-binds
+    # π₁, which the factor certificate of perm_f does not take
+    monkeypatch.setattr(cli, "build_instance", lambda name, **params: walked(type(build_instance(name)))())
     code, data = run_json(
         capsys, "verify", "--instance", name, "--check", "intertwined", "--nmax", "4"
     )
@@ -313,6 +318,20 @@ def test_verify_json_reports_per_degree_counts(capsys, name, incidences):
     inst = build_instance(name)
     assert [d["incidences"] for d in data["stats"]] == [
         sum(len(cuts(inst.pi1(s))) * len(cuts(inst.pi2(s))) for s in inst.elements(range(1, n + 1)))
+        for n in range(5)
+    ]
+
+
+@pytest.mark.parametrize("check", [("intertwined",), ("bimonoid", "--coproduct", "1"), ("bimonoid", "--coproduct", "2")])
+def test_verify_json_reports_certified_factor_counts(capsys, check):
+    code, data = run_json(capsys, "verify", "--instance", "perm_f", "--check", *check, "--nmax", "4")
+    assert code == 0 and data["passed"] and data["witness"] is None
+    # L on 1..n: n! orders, and over D ⊆ I ⊆ 1..n the pairs of orders on D
+    # and I − D, Σ_k C(n, k)·(k + 1)!; both factors are L
+    assert data["stats"] == [
+        {"factor": k, "degree": n, "elements": math.factorial(n),
+         "glued": sum(math.comb(n, j) * math.factorial(j + 1) for j in range(n + 1))}
+        for k in (1, 2)
         for n in range(5)
     ]
 

@@ -1,17 +1,22 @@
 """Species of one factor and Hadamard products of two: the shipped single and
-pair instances, and the census of the 49 products of seven factors at n <= 3
-against the gluing rule."""
+pair instances, the census of the 49 products of seven factors at n <= 3
+against the gluing rule, and the factor certificate against the walk."""
 
 import itertools
+import re
 
 import pytest
 
-from oracles import DISCRETE_SETS, POSETS_BY_COMPONENTS, glues_uniquely
+import oracles
+from oracles import DISCRETE_SETS, POSETS_BY_COMPONENTS, glues_uniquely, walked
+from precut import species
+from precut.errors import CapExceeded, InvalidStructure
 from precut.instances import _BUILDERS, build_instance
+from precut.instances.colored import colorings
 from precut.instances.hadamard import LINEAR, Hadamard, Single
 from precut.instances.pairs import POSETS, PREORDERS, TOTAL_PREORDERS
 from precut.instances.parking import PARKING
-from precut.species import check_intertwined
+from precut.species import check_bimonoid, check_intertwined
 
 # the four factors that shipped instances use, then the three test-only ones
 FACTORS = {
@@ -91,9 +96,10 @@ def test_default_serialization_orders_preorder_components():
 
 @pytest.mark.parametrize("f", FACTORS)
 def test_census_verdicts_are_pinned(f):
+    # by the walk: the certificate would otherwise decide the 25 passing pairs
     verdicts = _verdicts()
     for g in FACTORS:
-        report = check_intertwined(Hadamard(FACTORS[f], FACTORS[g]), 3)
+        report = check_intertwined(walked(Hadamard)(FACTORS[f], FACTORS[g]), 3)
         assert report.passed == verdicts[f, g], (f, g)
         assert report.passed or report.stage == "ExtensionUniqueness"
 
@@ -106,3 +112,59 @@ def test_census_passes_exactly_where_both_factors_glue_uniquely():
     passing = {pair for pair, passed in _verdicts().items() if passed}
     assert len(passing) == 25
     assert passing == {(f, g) for f in gluing for g in gluing}
+
+
+def test_gluing_check_matches_the_brute_oracle():
+    for name, factor in FACTORS.items():
+        counts = species.glues_uniquely(Single(factor), 4)
+        assert (counts is not None) == glues_uniquely(factor, 4), name
+        assert counts is None or [d["elements"] for d in counts] == [len(factor.elements(tuple(range(1, n + 1)))) for n in range(5)]
+
+
+def test_certificate_passes_exactly_the_gluing_pairs():
+    certified = {
+        (f, g) for f, g in itertools.product(FACTORS, repeat=2)
+        if species._glued_factors(Hadamard(FACTORS[f], FACTORS[g]), 3) is not None
+    }
+    assert len(certified) == 25
+    assert certified == {pair for pair, passed in _verdicts().items() if passed}
+
+
+@pytest.mark.parametrize("name,nmax", [("perm_f", 4), ("tensor", 4), ("parking", 3), ("packed_words", 3)])
+def test_certified_verdicts_match_the_walk(name, nmax):
+    inst = build_instance(name)
+    walk = walked(type(inst))()
+    checks = [lambda s: check_intertwined(s, nmax)] + [lambda s, i=i: check_bimonoid(s, i, nmax) for i in (1, 2)]
+    for check in checks:
+        certified, walked_report = check(inst), check(walk)
+        assert certified.to_json() == walked_report.to_json() == {"passed": True, "stage": None, "witness": None}
+        assert {d["factor"] for d in certified.stats} == {1, 2} and "incidences" in walked_report.stats[-1]
+
+
+@pytest.mark.parametrize("name,cap", [("perm_f", 6), ("tensor", 6), ("parking", 4), ("packed_words", 5)])
+def test_certified_products_pass_at_their_cap(name, cap):
+    inst = build_instance(name)
+    report = check_intertwined(inst, cap)
+    assert report.passed and [(d["factor"], d["degree"]) for d in report.stats] == [
+        (k, n) for k in (1, 2) for n in range(cap + 1)
+    ]
+    with pytest.raises(CapExceeded, match=re.escape(f"{inst.name}: ground of size {cap + 1} above cap {cap}")):
+        check_intertwined(inst, cap + 1)
+
+
+# colorings that also list the all-color-2 coloring of every two-point ground:
+# its restrictions to one point are not elements
+COLORINGS = colorings(2)
+OFF_THE_ENUMERATION = COLORINGS._replace(
+    elements=lambda ground: COLORINGS.elements(ground) + ([tuple((x, 2) for x in ground)] if len(ground) == 2 else [])
+)
+
+
+def test_factor_off_its_enumeration_falls_back_to_the_walk():
+    product = Hadamard(OFF_THE_ENUMERATION, LINEAR)
+    assert species._glued_factors(product, 3) is None
+    with pytest.raises(InvalidStructure) as got:
+        check_intertwined(product, 3)
+    with pytest.raises(InvalidStructure) as want:
+        check_intertwined(walked(Hadamard)(OFF_THE_ENUMERATION, LINEAR), 3)
+    assert str(got.value) == str(want.value) and "is not an element of [1]" in str(got.value)

@@ -4,7 +4,7 @@ import pytest
 
 from precut.errors import CapExceeded, UnknownInstance
 from precut.instances import build_instance
-from precut.instances.perm import PermPair, PermPairs, word_of
+from precut.instances.perm import DescentPairs, PermPair, word_of
 from precut.preorder import (
     bubble_partition,
     bubbles,
@@ -98,7 +98,7 @@ def test_perm_f_and_perm_m_share_elements():
     assert f.restrict(s, sub) == m.restrict(s, sub)
 
 
-PERM_M = PermPairs("m")
+PERM_M = DescentPairs()
 
 
 def descents_oracle(word):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from oracles import _ordered_set_partitions, brute_enumerate_preorders, closure_relabel
+from oracles import _ordered_set_partitions, brute_enumerate_preorders, closure_relabel, leq
 from precut.errors import CapExceeded, GroundMismatch, InvalidStructure, UnknownLabel
 from precut.preorder import (
     Preorder,
@@ -120,7 +120,7 @@ def test_is_cut_matches_down_set_definition():
         for r in range(4):
             for sub in itertools.combinations(ABC, r):
                 want = all(
-                    (not p.leq(x, y)) or x in sub for y in sub for x in ABC
+                    (not leq(p, x, y)) or x in sub for y in sub for x in ABC
                 )
                 assert is_cut(p, sub) == want
 

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from oracles import identity, is_isomorphism, zero_map
 from precut.errors import DimensionMismatch, InvalidStructure, NotPartialMap, NotPromap
 from precut.setn import (
     CheckResult,
@@ -13,10 +14,7 @@ from precut.setn import (
     classify,
     compose,
     dual,
-    identity,
-    is_isomorphism,
     multimap_from_json,
-    zero_map,
 )
 
 AB = FiniteSet(("a", "b"))
