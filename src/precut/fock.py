@@ -185,11 +185,8 @@ def fock_tables(
     aut = {c.cid: factorial(c.degree) // registry.orbit_size(c) for c in classes}
 
     def cut_classes(rep, which):  # (class of the down side, of the up side) -> cuts of π_which(rep)
-        acc = {}
-        for cut in preorder_cuts(inst.pi(which, rep)):
-            pair = tuple(registry.class_of(inst.restrict(rep, side)).cid for side in (cut.down, cut.up))
-            acc[pair] = acc.get(pair, 0) + 1
-        return acc
+        sides = ((cut.down, cut.up) for cut in preorder_cuts(inst.pi(which, rep)))
+        return _sum((tuple(registry.class_of(inst.restrict(rep, side)).cid for side in pair), 1) for pair in sides)
 
     coproduct = {c.cid: cut_classes(c.rep, which_delta) for c in classes}
     product = {(a.cid, b.cid): {} for a in classes for m in range(N - a.degree + 1) for b in registry.classes_of_degree(m)}
@@ -272,13 +269,44 @@ def _clean(vec):
     return {k: v for k, v in vec.items() if v}
 
 
+def _sum(terms):
+    """The sparse vector of (key, coeff) terms: equal keys summed, zeros dropped."""
+    out = {}
+    for k, c in terms:
+        out[k] = out.get(k, 0) + c
+    return _clean(out)
+
+
+def _product(table, u, v):
+    """u·v for sparse integer vectors of class ids, through `table.product`."""
+    out = {}
+    for a, ca in u.items():
+        for b, cb in v.items():
+            for w, cw in table.product[(a, b)].items():
+                out[w] = out.get(w, 0) + ca * cb * cw
+    return _clean(out)
+
+
+def _coproduct(table, u):
+    """Δ(u) for a sparse integer vector of class ids, through `table.coproduct`."""
+    out = {}
+    for a, ca in u.items():
+        for pair, c in table.coproduct[a].items():
+            out[pair] = out.get(pair, 0) + ca * c
+    return _clean(out)
+
+
 def verify_hopf_axioms(table: StructureConstantTable, N=None) -> VerificationReport:
     """Exact integer checks of unit, counit, associativity, coassociativity
     and the bialgebra compatibility up to degree N.
 
-    Each later factor of the associativity and compatibility passes runs
-    only over the classes whose degree still fits under N, in table order,
-    so the first witness is the one the full loops would meet."""
+    Associativity reads (a·b)·c and a·(b·c) from `_product`; compatibility
+    reads Δ(a·b) from `_coproduct` and Δ(a)·Δ(b), the product of A ⊗ A, from
+    pairs of product cells, summed by `_sum` like the counit and
+    coassociativity passes.  Each later factor of the associativity and
+    compatibility passes runs only over the classes whose degree still fits
+    under N, in table order, so the first witness is the one the full loops
+    would meet."""
     N = table.N if N is None else N
     e = table.unit_class().cid
     deg = {c.cid: c.degree for c in table.classes}
@@ -290,58 +318,34 @@ def verify_hopf_axioms(table: StructureConstantTable, N=None) -> VerificationRep
             return VerificationReport(False, STAGE_UNIT, {"class": a})
     for a in cls:
         cop = table.coproduct[a]
-        left_counit = _clean({y: c for (x, y), c in cop.items() if x == e})
-        right_counit = _clean({x: c for (x, y), c in cop.items() if y == e})
+        left_counit = _sum((y, c) for (x, y), c in cop.items() if x == e)
+        right_counit = _sum((x, c) for (x, y), c in cop.items() if y == e)
         if left_counit != {a: 1} or right_counit != {a: 1}:
             return VerificationReport(False, STAGE_COUNIT, {"class": a})
 
     for a in cls:
         for b in upto[N - deg[a]]:
+            ab = table.product[(a, b)]
             for c in upto[N - deg[a] - deg[b]]:
-                left = {}
-                for w, cw in table.product[(a, b)].items():
-                    _add(left, _scale(table.product[(w, c)], cw))
-                right = {}
-                for w, cw in table.product[(b, c)].items():
-                    _add(right, _scale(table.product[(a, w)], cw))
-                if _clean(left) != _clean(right):
-                    return VerificationReport(
-                        False, STAGE_ASSOC, {"classes": [a, b, c]}
-                    )
+                if _product(table, ab, {c: 1}) != _product(table, {a: 1}, table.product[(b, c)]):
+                    return VerificationReport(False, STAGE_ASSOC, {"classes": [a, b, c]})
 
     for a in cls:
-        left = {}
-        for (x, y), c in table.coproduct[a].items():
-            for (x1, x2), c2 in table.coproduct[x].items():
-                key = (x1, x2, y)
-                left[key] = left.get(key, 0) + c * c2
-        right = {}
-        for (x, y), c in table.coproduct[a].items():
-            for (y1, y2), c2 in table.coproduct[y].items():
-                key = (x, y1, y2)
-                right[key] = right.get(key, 0) + c * c2
-        if _clean(left) != _clean(right):
+        cop = table.coproduct[a]
+        left = _sum(((x1, x2, y), c * c2) for (x, y), c in cop.items() for (x1, x2), c2 in table.coproduct[x].items())
+        right = _sum(((x, y1, y2), c * c2) for (x, y), c in cop.items() for (y1, y2), c2 in table.coproduct[y].items())
+        if left != right:
             return VerificationReport(False, STAGE_COASSOC, {"class": a})
 
     for a in cls:
         for b in upto[N - deg[a]]:
-            left = {}
-            for w, cw in table.product[(a, b)].items():
-                for pair, c in table.coproduct[w].items():
-                    left[pair] = left.get(pair, 0) + cw * c
-            right = {}
-            for (a1, a2), ca in table.coproduct[a].items():
-                for (b1, b2), cb in table.coproduct[b].items():
-                    for x, cx in table.product[(a1, b1)].items():
-                        for y, cy in table.product[(a2, b2)].items():
-                            key = (x, y)
-                            right[key] = right.get(key, 0) + ca * cb * cx * cy
-            if _clean(left) != _clean(right):
+            left = _coproduct(table, table.product[(a, b)])
+            right = _sum(((x, y), ca * cb * cx * cy)
+                         for (a1, a2), ca in table.coproduct[a].items() for (b1, b2), cb in table.coproduct[b].items()
+                         for x, cx in table.product[(a1, b1)].items() for y, cy in table.product[(a2, b2)].items())
+            if left != right:
                 def rows(vec):
-                    return [
-                        {"left": x, "right": y, "coeff": c}
-                        for (x, y), c in sorted(_clean(vec).items())
-                    ]
+                    return [{"left": x, "right": y, "coeff": c} for (x, y), c in sorted(vec.items())]
 
                 return VerificationReport(
                     False,
@@ -484,29 +488,14 @@ def _verify_transition(ta, tb, phi, N):
     for (a, b), out in ta.product.items():
         if deg[a] + deg[b] > N:
             continue
-        lhs = {}
-        for w, cw in out.items():
-            _add(lhs, _scale(phi[w], cw))
-        rhs = {}
-        for a_img, ca in phi[a].items():
-            for b_img, cb in phi[b].items():
-                _add(rhs, _scale(tb.product[(a_img, b_img)], ca * cb))
-        if _clean(lhs) != _clean(rhs):
+        if _sum((t, cw * ct) for w, cw in out.items() for t, ct in phi[w].items()) != _product(tb, phi[a], phi[b]):
             return False
     for a, cop in ta.coproduct.items():
         if deg[a] > N:
             continue
-        lhs = {}
-        for (x, y), c in cop.items():
-            for x_img, cx in phi[x].items():
-                for y_img, cy in phi[y].items():
-                    key = (x_img, y_img)
-                    lhs[key] = lhs.get(key, 0) + c * cx * cy
-        rhs = {}
-        for tau, ct in phi[a].items():
-            for pair, c in tb.coproduct[tau].items():
-                rhs[pair] = rhs.get(pair, 0) + ct * c
-        if _clean(lhs) != _clean(rhs):
+        lhs = _sum(((x_img, y_img), c * cx * cy)
+                   for (x, y), c in cop.items() for x_img, cx in phi[x].items() for y_img, cy in phi[y].items())
+        if lhs != _coproduct(tb, phi[a]):
             return False
     return True
 

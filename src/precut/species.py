@@ -290,24 +290,26 @@ def check_species_over_preorders(inst: SpeciesInstance, nmax) -> VerificationRep
 
     Each element s on I is restricted once to each subset, into the table
     `on` that every stage reads, in this order per element: each
-    restriction must be an element of its ground (else InvalidStructure, as
-    in `_Sides`); Functoriality, s|I = s and (s|S)|T = s|T for T ⊆ S ⊆ I,
+    restriction must be an element of its ground (else InvalidStructure, by
+    `_restrictions`); Functoriality, s|I = s and (s|S)|T = s|T for T ⊆ S ⊆ I,
     decided by `_functorial`; ProjectionMonotonicity, π(s|S) ⊆ π(s)|S;
-    CutEquality, π(s|S) = π(s)|S on both sides S of each cut of π(s).  Each
-    distinct projection is restricted to every subset once per degree:
-    projections repeat across the elements of a degree.
+    CutEquality, π(s|S) = π(s)|S on both sides S of each cut of π(s), both
+    for each distinct projection (π₂ is skipped where it is π₁).  Each
+    projection is restricted to every subset once per degree: projections
+    repeat across the elements of a degree.
 
     `stats` holds per degree the elements, the subsets checked for
     monotonicity (2ⁿ per element on a passing run) and the cut sides
-    compared, two per cut of each projection; on a failure the last entry
-    counts up to the failing one.
+    compared, two per cut of each distinct projection; on a failure the
+    last entry counts up to the failing one.
     """
     stats = []
+    whiches = (1,) if inst.pi2 == inst.pi1 else (1, 2)  # the distinct projections
     for n in range(nmax + 1):
         ground = tuple(range(1, n + 1))
         full = frozenset(ground)
         subsets = tuple(_subsets(ground))
-        members = {sub: frozenset(inst.elements(sub)) for sub in subsets}
+        index = {}  # subset -> {element: element}, as in `_Sides`
         projected = {}  # projection -> {subset: its restriction}
         functorial = {}  # element on a proper subset -> (its restrictions, verdict)
         els = inst.elements(ground)
@@ -321,22 +323,19 @@ def check_species_over_preorders(inst: SpeciesInstance, nmax) -> VerificationRep
             return table
 
         for s in els:
-            on = {sub: inst.restrict(s, sub) for sub in subsets}  # restrictions of s, by subset
-            for sub, r in on.items():
-                if r not in members[sub]:
-                    raise _not_an_element(inst, r, sub)
+            on = dict(zip(subsets, _restrictions(inst, index, s, subsets)))  # restrictions of s, by subset
             if not _functorial(inst, s, full, on, functorial):
                 witness = _functoriality_witness(inst, s, full, on)
                 return VerificationReport(False, STAGE_FUNCTORIALITY, witness, tuple(stats))
-            projections = {which: inst.pi(which, s) for which in (1, 2)}
+            projections = {which: inst.pi(which, s) for which in whiches}
             outer = {which: restricted(p) for which, p in projections.items()}
             for sub, r in on.items():
                 stat["restrictions"] += 1
-                for which in (1, 2):
+                for which in whiches:
                     if not inst.pi(which, r) <= outer[which][sub]:
                         witness = {"element": inst.serialize(s), "subset": sorted(sub), "which": which}
                         return VerificationReport(False, STAGE_MONOTONICITY, witness, tuple(stats))
-            for which in (1, 2):
+            for which in whiches:
                 p = projections[which]
                 for cut in preorder_cuts(p):
                     for side in (cut.down, cut.up):
@@ -386,8 +385,18 @@ def _functoriality_witness(inst, s, ground, on):
     return dict(witness, subset=sorted(sub), part=sorted(part))
 
 
-def _not_an_element(inst, r, sub):
-    return InvalidStructure(f"{inst.name}: restriction {inst.serialize(r)} is not an element of {sorted(sub)}")
+def _restrictions(inst, index, x, subs):
+    """(x|sub for sub in subs), each the element its ground enumerates by
+    `index` (ground -> {element: element}), else InvalidStructure."""
+    out = []
+    for sub in subs:
+        if sub not in index:
+            index[sub] = {e: e for e in inst.elements(sub)}
+        r = inst.restrict(x, sub)
+        if (e := index[sub].get(r)) is None:
+            raise InvalidStructure(f"{inst.name}: restriction {inst.serialize(r)} is not an element of {sorted(sub)}")
+        out.append(e)
+    return tuple(out)
 
 
 class _Sides:
@@ -396,12 +405,10 @@ class _Sides:
     x on `ground` that `down` cuts for π_which (the domain of delta_which),
     in element order.
 
-    Each restriction is resolved, through a per-ground index
-    {element: element}, to the element its ground enumerates, or refused
-    with InvalidStructure: so equal restrictions are one object, and an
-    element missing from a side is one that `down` does not cut.  A
-    verifier makes one table per degree and drops it with the degree;
-    nothing lands on the instance.
+    Each restriction is resolved by `_restrictions`, as in the precondition:
+    so equal restrictions are one object, and an element missing from a
+    side is one that `down` does not cut.  A verifier makes one table per
+    degree and drops it with the degree; nothing lands on the instance.
     """
 
     def __init__(self, inst):
@@ -413,18 +420,11 @@ class _Sides:
         key = (which, ground, down)
         side = self.table.get(key)
         if side is None:
-            inst, up = self.inst, ground - down
-            for sub in (down, up):
-                if sub not in self.index:
-                    self.index[sub] = {e: e for e in inst.elements(sub)}
-            on_down, on_up = self.index[down], self.index[up]
+            inst, sides = self.inst, (down, ground - down)
             side = self.table[key] = {}
             for x in inst.elements(ground):
                 if is_cut(inst.pi(which, x), down):
-                    r, t = inst.restrict(x, down), inst.restrict(x, up)
-                    pair = side[x] = (on_down.get(r), on_up.get(t))
-                    if pair[0] is None or pair[1] is None:
-                        raise _not_an_element(inst, *((r, down) if pair[0] is None else (t, up)))
+                    side[x] = _restrictions(inst, self.index, x, sides)
         return side
 
 

@@ -373,6 +373,20 @@ def test_weak_order_zeta_is_a_transition_at_n5(tables_fm5):
     assert not fock._verify_transition(tf, tm, broken, 5)
 
 
+def test_transition_catches_a_bumped_coproduct_alone(tables_fm4):
+    # one coproduct coefficient of the M table off by one: the products are
+    # untouched, so the product law still holds and only the coproduct law
+    # can refuse the zeta transition
+    tf, tm = tables_fm4
+    phi = zeta_transition(tf, tm, 4)
+    assert fock._verify_transition(tf, tm, phi, 4)
+    c = next(c.cid for c in tm.classes if c.degree == 2)
+    out = dict(tm.coproduct[c])
+    out[next(iter(out))] += 1
+    bumped = dataclasses.replace(tm, coproduct={**tm.coproduct, c: out})
+    assert not fock._verify_transition(tf, bumped, phi, 4)
+
+
 def test_f_to_m_free_unknowns(monkeypatch, tables_fm5):
     # the dimension of the family of transitions: the unknowns above the
     # diagonal that no pivot of the reduced echelon form fixes
@@ -443,13 +457,34 @@ def test_axioms_match_unbounded_oracle_on_forced_tables(kind):
     assert got.to_json() == brute_verify_hopf_axioms(table).to_json()
 
 
-def test_axioms_match_unbounded_oracle_on_bumped_product(table_f3):
-    a = next(c.cid for c in table_f3.classes if c.degree == 1)
-    bumped = dict(table_f3.product[(a, a)])
-    bumped[next(iter(bumped))] += 1
-    bad = dataclasses.replace(table_f3, product={**table_f3.product, (a, a): bumped})
+def damaged(table, stage):
+    """table with one structure constant bumped by 1, so that `stage` is the
+    first axiom stage to fail."""
+    e = table.unit_class().cid
+    deg = {c.cid: c.degree for c in table.classes}
+    a = next(c.cid for c in table.classes if c.degree == 1)
+    if stage in ("Unit", "Associativity"):
+        # e·a = a, or the first cell of a·a, off by one
+        key = (e, a) if stage == "Unit" else (a, a)
+        out = dict(table.product[key])
+        out[a if stage == "Unit" else next(iter(out))] += 1
+        return dataclasses.replace(table, product={**table.product, key: out})
+    # the counit reads the terms with a unit side; coassociativity sees a
+    # term of a degree-3 class with both sides above degree 0
+    c = a if stage == "Counit" else next(c.cid for c in table.classes if c.degree == 3)
+    out = dict(table.coproduct[c])
+    term = (e, a) if stage == "Counit" else next(k for k in out if deg[k[0]] and deg[k[1]])
+    out[term] += 1
+    return dataclasses.replace(table, coproduct={**table.coproduct, c: out})
+
+
+@pytest.mark.parametrize("stage", ["Unit", "Counit", "Associativity", "Coassociativity"])
+def test_axioms_match_unbounded_oracle_on_bumped_product(table_f3, stage):
+    # one damaged table per stage ahead of Compatibility, which the forced
+    # cc, nc and nn tables pin
+    bad = damaged(table_f3, stage)
     got = verify_hopf_axioms(bad)
-    assert got.stage == "Associativity"
+    assert got.stage == stage
     assert got.to_json() == brute_verify_hopf_axioms(bad).to_json()
 
 
