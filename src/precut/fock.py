@@ -89,13 +89,7 @@ class StructureConstantTable:
                 for (a, b), out in sorted(self.product.items())
             ],
             "coproduct": [
-                {
-                    "a": cid,
-                    "result": [
-                        {"left": x, "right": y, "coeff": coeff}
-                        for (x, y), coeff in sorted(out.items())
-                    ],
-                }
+                {"a": cid, "result": _pair_rows(out)}
                 for cid, out in sorted(self.coproduct.items())
             ],
         }
@@ -125,6 +119,14 @@ def table_from_json(data) -> StructureConstantTable:
         product,
         coproduct,
     )
+
+
+def _pair_rows(vec):
+    """JSON rows of a vector of A ⊗ A: a coproduct, or a compatibility witness."""
+    return [
+        {"left": x, "right": y, "coeff": c}
+        for (x, y), c in sorted(vec.items())
+    ]
 
 
 def _tupleize(x):
@@ -185,8 +187,9 @@ def fock_tables(
     aut = {c.cid: factorial(c.degree) // registry.orbit_size(c) for c in classes}
 
     def cut_classes(rep, which):  # (class of the down side, of the up side) -> cuts of π_which(rep)
-        sides = ((cut.down, cut.up) for cut in preorder_cuts(inst.pi(which, rep)))
-        return _sum((tuple(registry.class_of(inst.restrict(rep, side)).cid for side in pair), 1) for pair in sides)
+        pairs = (tuple(registry.class_of(inst.restrict(rep, side)).cid for side in (cut.down, cut.up))
+                 for cut in preorder_cuts(inst.pi(which, rep)))
+        return _sum((pair, 1) for pair in pairs)
 
     coproduct = {c.cid: cut_classes(c.rep, which_delta) for c in classes}
     product = {(a.cid, b.cid): {} for a in classes for m in range(N - a.degree + 1) for b in registry.classes_of_degree(m)}
@@ -328,32 +331,34 @@ def verify_hopf_axioms(table: StructureConstantTable, N=None) -> VerificationRep
             ab = table.product[(a, b)]
             for c in upto[N - deg[a] - deg[b]]:
                 if _product(table, ab, {c: 1}) != _product(table, {a: 1}, table.product[(b, c)]):
-                    return VerificationReport(False, STAGE_ASSOC, {"classes": [a, b, c]})
+                    return VerificationReport(
+                        False, STAGE_ASSOC, {"classes": [a, b, c]}
+                    )
 
     for a in cls:
         cop = table.coproduct[a]
-        left = _sum(((x1, x2, y), c * c2) for (x, y), c in cop.items() for (x1, x2), c2 in table.coproduct[x].items())
-        right = _sum(((x, y1, y2), c * c2) for (x, y), c in cop.items() for (y1, y2), c2 in table.coproduct[y].items())
+        left = _sum(((x1, x2, y), c * c2) for (x, y), c in cop.items()
+                    for (x1, x2), c2 in table.coproduct[x].items())
+        right = _sum(((x, y1, y2), c * c2) for (x, y), c in cop.items()
+                     for (y1, y2), c2 in table.coproduct[y].items())
         if left != right:
             return VerificationReport(False, STAGE_COASSOC, {"class": a})
 
     for a in cls:
         for b in upto[N - deg[a]]:
             left = _coproduct(table, table.product[(a, b)])
-            right = _sum(((x, y), ca * cb * cx * cy)
-                         for (a1, a2), ca in table.coproduct[a].items() for (b1, b2), cb in table.coproduct[b].items()
-                         for x, cx in table.product[(a1, b1)].items() for y, cy in table.product[(a2, b2)].items())
+            right = _sum(((x, y), ca * cb * cx * cy) for (a1, a2), ca in table.coproduct[a].items()
+                         for (b1, b2), cb in table.coproduct[b].items()
+                         for x, cx in table.product[(a1, b1)].items()
+                         for y, cy in table.product[(a2, b2)].items())
             if left != right:
-                def rows(vec):
-                    return [{"left": x, "right": y, "coeff": c} for (x, y), c in sorted(vec.items())]
-
                 return VerificationReport(
                     False,
                     STAGE_COMPAT,
                     {
                         "classes": [a, b],
-                        "delta_of_product": rows(left),
-                        "product_of_deltas": rows(right),
+                        "delta_of_product": _pair_rows(left),
+                        "product_of_deltas": _pair_rows(right),
                     },
                 )
     return VerificationReport(True)
@@ -488,13 +493,14 @@ def _verify_transition(ta, tb, phi, N):
     for (a, b), out in ta.product.items():
         if deg[a] + deg[b] > N:
             continue
-        if _sum((t, cw * ct) for w, cw in out.items() for t, ct in phi[w].items()) != _product(tb, phi[a], phi[b]):
+        lhs = _sum((t, cw * ct) for w, cw in out.items() for t, ct in phi[w].items())
+        if lhs != _product(tb, phi[a], phi[b]):
             return False
     for a, cop in ta.coproduct.items():
         if deg[a] > N:
             continue
-        lhs = _sum(((x_img, y_img), c * cx * cy)
-                   for (x, y), c in cop.items() for x_img, cx in phi[x].items() for y_img, cy in phi[y].items())
+        lhs = _sum(((x_img, y_img), c * cx * cy) for (x, y), c in cop.items()
+                   for x_img, cx in phi[x].items() for y_img, cy in phi[y].items())
         if lhs != _coproduct(tb, phi[a]):
             return False
     return True
