@@ -1,18 +1,18 @@
 """Graded Hopf algebra tables from a species bimonoid.
 
-Basis elements are orbit classes of labeled elements under relabeling, named
-by the species' `ClassRegistry`, which walks each orbit once per degree and
-keeps, per labeled element, only its class, and per class its orbit size.
-Both tables are read off the cuts of one representative per class, which is
-sound for a natural species (`SpeciesInstance`); a fractional product
-constant is refused.  Both are exact integer tables, verified against the
-bialgebra axioms by degree.
+Basis elements are orbit classes of labeled elements under relabeling,
+named with their orbit sizes by the species' `ClassRegistry`.  Both tables
+are read off the cuts of one representative per class, which is sound for a
+natural species (`SpeciesInstance`); a fractional product constant is
+refused.  Both are exact integer tables, verified against the bialgebra
+axioms by degree.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import os
 import tempfile
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from . import __version__
-from .errors import InvalidStructure, NotIntertwined, PrecutError
+from .errors import CapExceeded, InvalidStructure, NotIntertwined, PrecutError
 from .preorder import cuts as preorder_cuts
 from .species import (
     STAGE_ASSOC,
@@ -33,7 +33,6 @@ from .species import (
     SpeciesInstance,
     VerificationReport,
     _jsonify,
-    _orbit,
     check_intertwined,
 )
 
@@ -43,9 +42,12 @@ VERIFY_DEPTH_CAP = 4
 def canonical_form(inst: SpeciesInstance, s):
     """Least-serialization relabeling onto 1..n, with the witness bijection,
     from one uncached orbit walk (the class registry never calls this)."""
-    ground, members = _orbit(inst, s)
-    rep = min(members, key=inst.serialize)
-    return rep, dict(zip(ground, members[rep]))
+    ground = sorted(inst.ground_of(s))
+    if len(ground) > inst.cap:
+        raise CapExceeded(f"{inst.name}: canonical form at size {len(ground)} above cap {inst.cap}")
+    bijections = (dict(zip(ground, image)) for image in itertools.permutations(range(1, len(ground) + 1)))
+    witness = min(bijections, key=lambda m: inst.serialize(inst.relabel(s, m)))  # the first bijection giving the least
+    return inst.relabel(s, witness), witness
 
 
 @dataclass

@@ -7,8 +7,8 @@ and packed_words are pairs of preorders."""
 import itertools
 from typing import Callable, NamedTuple
 
-from ..preorder import Preorder, chain
-from ..species import SpeciesInstance
+from ..preorder import chain
+from ..species import SpeciesInstance, _sort_key
 
 
 class Factor(NamedTuple):
@@ -30,12 +30,6 @@ LINEAR = Factor(
     chain,
     frozenset,
 )
-
-
-def _sort_key(x):
-    # a preorder orders by refinement, a partial order, so it sorts by the
-    # (ground, rows) key of `OrderSpecies` and `PreorderPairs` instead
-    return (x.ground, x.rows) if type(x) is Preorder else x
 
 
 class Single(SpeciesInstance):

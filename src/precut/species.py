@@ -16,6 +16,7 @@ import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass
+from math import factorial
 
 from .errors import BadDecomposition, CapExceeded, InvalidStructure, PrecutError
 from .preorder import Preorder, is_cut
@@ -131,25 +132,18 @@ class SpeciesInstance:
 # -- orbit classes -------------------------------------------------------------
 
 
+def _sort_key(x):
+    # a preorder orders by refinement, a partial order, so it sorts by the
+    # (ground, rows) key of `OrderSpecies` and `PreorderPairs` instead
+    return (x.ground, x.rows) if type(x) is Preorder else x
+
+
 def _jsonify(x):
     if isinstance(x, (list, tuple)):
         return [_jsonify(v) for v in x]
     if isinstance(x, frozenset):
         return sorted(_jsonify(v) for v in x)
     return x
-
-
-def _orbit(inst, s):
-    """The distinct relabelings of s onto 1..n, each with the image along the
-    sorted ground of the first bijection giving it: the one orbit walk."""
-    ground = sorted(inst.ground_of(s))
-    n = len(ground)
-    if n > inst.cap:
-        raise CapExceeded(f"{inst.name}: canonical form at size {n} above cap {inst.cap}")
-    members = {}
-    for image in itertools.permutations(range(1, n + 1)):
-        members.setdefault(inst.relabel(s, dict(zip(ground, image))), image)
-    return ground, members
 
 
 @dataclass(frozen=True)
@@ -161,29 +155,23 @@ class OrbitClass:
     cid: str
 
 
-def _class_id(instance, degree, key):
-    blob = json.dumps([instance, degree, _jsonify(key)], sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
 class ClassRegistry:
     """The orbit classes of one instance, each degree built once, on first use.
 
-    A class is an orbit of the elements on 1..n under relabeling: the
-    species' coinvariants.  Building degree n walks, n! relabelings each, the
-    orbits of the elements that no earlier walk met.  The orbit's least
-    serialization is the representative; each member is filed under its
-    class in one dict over the degree's elements, and no relabeled copy or
-    witness outlives its walk.  It also records each orbit's size, for the
-    Fock product.  A relabeling that leaves the degree's elements raises
-    InvalidStructure.  Whatever a caller reads off a representative holds
-    for its whole class only when relabeling is natural (`SpeciesInstance`),
-    which no verifier checks yet; the verifiers check only functoriality.
+    A class is an orbit of the elements on 1..n under relabeling, the
+    species' coinvariants, kept as its least member and its size.  A plain
+    Hadamard product F × G (`_elements`, `relabel`, `serialize` Hadamard's
+    own) is a cartesian product of species (Bergeron–Labelle–Leroux): the
+    classes through the least x₀ of an F-orbit are its stabilizer's orbits
+    on G[n].  Anything else, or a degree the walk refuses, is walked, n!
+    relabelings per orbit.  Representatives speak for their classes only
+    when relabeling is natural (`SpeciesInstance`).
     """
 
     def __init__(self, inst):
         self.inst = inst
-        self.degrees = {}  # n -> ({element on 1..n: its class}, classes by key)
+        self.plain = _hadamard_own(inst, ("_elements", "relabel", "serialize"))  # built from its factors
+        self.degrees = {}  # n -> (element on 1..n -> its class or None, classes by key)
         self.orbits = {}  # cid -> orbit size
 
     def class_of(self, s):
@@ -194,34 +182,77 @@ class ClassRegistry:
         if ground != list(range(1, k + 1)):
             s = inst.relabel(s, dict(zip(ground, range(1, k + 1))))
         self.classes_of_degree(k)
-        cls = self.degrees[k][0].get(s)
+        cls = self.degrees[k][0](s)
         if cls is None:
             raise InvalidStructure(f"{inst.name}: {inst.serialize(s)} is not an element of degree {k}")
         return cls
 
     def classes_of_degree(self, n):
-        """The orbit classes of the elements on 1..n, sorted by key."""
-        if n not in self.degrees:
-            inst = self.inst
-            els = inst.elements(tuple(range(1, n + 1)))
-            of, classes = dict.fromkeys(els), []
-            for s in els:
-                if of[s] is None:
-                    _, members = _orbit(inst, s)
-                    rep = min(members, key=inst.serialize)
-                    key = inst.serialize(rep)
-                    cls = OrbitClass(inst.name, n, rep, key, _class_id(inst.name, n, key))
-                    of.update(dict.fromkeys(members, cls))
-                    if len(of) > len(els):
-                        raise InvalidStructure(f"{inst.name}: relabeling {inst.serialize(s)} leaves degree {n}")
-                    self.orbits[cls.cid] = len(members)
-                    classes.append(cls)
-            self.degrees[n] = (of, sorted(classes, key=lambda c: c.key))
+        """The orbit classes of the elements on 1..n, in key order, as both builds meet them."""
+        if n not in self.degrees:  # the walk refuses a degree above the cap
+            self.degrees[n] = (self._product if self.plain and n <= self.inst.cap else self._walk)(n, tuple(range(1, n + 1)))
         return self.degrees[n][1]
 
     def orbit_size(self, cls):
         """The number of distinct relabelings of cls's representative onto 1..n."""
         return self.orbits[cls.cid]
+
+    def _class(self, n, rep, stab):
+        key = self.inst.serialize(rep)
+        blob = json.dumps([self.inst.name, n, _jsonify(key)], sort_keys=True).encode()
+        cls = OrbitClass(self.inst.name, n, rep, key, hashlib.sha256(blob).hexdigest()[:16])
+        self.orbits[cls.cid] = factorial(n) // len(stab)
+        return cls
+
+    def _walk(self, n, ground):
+        inst = self.inst
+        back, stabs, out = _orbits(inst.relabel, inst.elements(ground), _relabelings(ground))
+        if out is not None:
+            raise InvalidStructure(f"{inst.name}: relabeling {inst.serialize(out)} leaves degree {n}")
+        of = {x0: self._class(n, x0, stab) for x0, stab in stabs.items()}
+        return (lambda s: of[back[s][0]] if s in back else None), list(of.values())
+
+    def _product(self, n, ground):
+        inst = self.inst  # G listed first, as `Hadamard._elements` does: tensor's F refuses its size
+        ys, xs = (sorted(h.elements(ground), key=_sort_key) for h in (inst.g, inst.f))
+        group = _relabelings(ground)
+        (back, stabs, x_out), (_, _, y_out) = (_orbits(h.relabel, zs, group) for h, zs in ((inst.f, xs), (inst.g, ys)))
+        if x_out is not None or y_out is not None or len(set(xs)) + len(set(ys)) < len(xs) + len(ys):
+            return self._walk(n, ground)  # it names the least pair that leaves, or refuses a pair listed twice
+        relabel, table, classes = inst.g.relabel, {}, []
+        for x0, stab in stabs.items():  # the classes through x₀: its stabilizer's orbits on G[n]
+            to_least, fixed, _ = _orbits(relabel, ys, stab)
+            of = {y0: self._class(n, inst.pair(x0, y0), fix) for y0, fix in fixed.items()}
+            table[x0] = {y: of[y0] for y, (y0, _) in to_least.items()}
+            classes += of.values()
+
+        def lookup(s):  # y moved by the inverse of a relabeling that takes x₀ to x
+            hit = back.get(s[0])
+            return hit and table[hit[0]].get(relabel(s[1], hit[1][1]))
+
+        return lookup, classes
+
+
+def _relabelings(ground):  # each bijection of ground onto itself, with its inverse
+    return [(dict(zip(ground, image)), dict(zip(image, ground))) for image in itertools.permutations(ground)]
+
+
+def _orbits(relabel, xs, group):
+    """The orbits of sorted xs under a group of (relabeling, inverse) pairs: member -> (least member
+    x₀, a pair taking x₀ to it), x₀ -> its stabilizer, and the first x whose orbit leaves xs."""
+    back, stabs = dict.fromkeys(xs), {}
+    for x in xs:  # the first member met of an orbit is its least
+        if back[x] is None:
+            stab = stabs[x] = []
+            for g in group:
+                y = relabel(x, g[0])
+                if y not in back:
+                    return back, stabs, x
+                if back[y] is None:
+                    back[y] = (x, g)
+                if y == x:
+                    stab.append(g)
+    return back, stabs, None
 
 
 ELEMENT_BOUND = 518_400  # (6!)^2, perm pairs at their cap: the largest shipped degree
@@ -513,13 +544,19 @@ def glues_uniquely(inst: SpeciesInstance, nmax):
     return stats
 
 
+def _hadamard_own(inst, names):
+    """Whether inst is a Hadamard product whose methods `names` are Hadamard's own."""
+    from .instances.hadamard import Hadamard  # it imports this module
+
+    return isinstance(inst, Hadamard) and all(getattr(getattr(inst, m), "__func__", 0) is getattr(Hadamard, m) for m in names)
+
+
 def _glued_factors(inst, nmax):
     """The `stats` of a product that the gluing rule of `Hadamard` certifies
     on both factors up to min(nmax, cap), else None."""
-    from .instances.hadamard import Hadamard, Single  # they import this module
+    from .instances.hadamard import Single  # it imports this module
 
-    own = ("_elements", "restrict", "relabel", "pi1", "pi2")
-    if not isinstance(inst, Hadamard) or any(getattr(getattr(inst, m), "__func__", 0) is not getattr(Hadamard, m) for m in own):
+    if not _hadamard_own(inst, ("_elements", "restrict", "relabel", "pi1", "pi2")):
         return None
     top, glued = min(nmax, inst.cap), {}
     for f in dict.fromkeys((inst.f, inst.g)):  # a factor met twice is checked once

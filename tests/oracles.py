@@ -9,6 +9,9 @@ The two Fock oracles search every relabeling of every element
 (`brute_canonical_form`) and multiply each class pair through the species
 product `mu` (`product_via_mu`); neither shares code with the orbit walk
 or the product read off representatives that they check.
+`burnside_dimensions` counts the classes of a Hadamard product F × G by
+Burnside's lemma over cycle types, from each factor's elements and
+relabeling alone; it shares no code with the class registry.
 `labeled_product` is the class product as `fock_tables` counted it before
 it read products off representatives: a pass over every labeled element of
 degree <= N that matches each standard split against representatives
@@ -54,8 +57,10 @@ the `brute_*` parking functions validate and parkize their input anew at
 every step, and `brute_restrict_filtration` is the oracle of the species'
 parking restriction.  Then come two test-only factors of Hadamard
 products (posets by components, built on the package's `POSETS`, and
-discrete sets), `walked`, which re-binds π₁ of a product class so that
-the verifiers walk it instead of certifying it on its factors, and
+discrete sets), `walked`, which re-binds π₁ and the relabeling of a
+product class so that the verifiers walk it instead of certifying it on
+its factors and the class registry walks its orbits instead of building
+them from the factors, and
 `glues_uniquely`, which tests the gluing bijection of one factor from its
 own functions, without building a product or a `_Sides` table: the
 package's `species.glues_uniquely` is pinned against it.  `leq`,
@@ -66,7 +71,9 @@ fixtures at the top are not oracles: words to permutation pairs, packed
 words of preorder pairs, and the tables the tests verify.
 """
 
+import hashlib
 import itertools
+import json
 from math import factorial
 
 from precut import species
@@ -83,7 +90,7 @@ from precut.preorder import is_cut
 from precut.preorder import relabel as preorder_relabel
 from precut.preorder import restrict as preorder_restrict
 from precut.setn import Multimap, classify
-from precut.species import ClassRegistry, OrbitClass, VerificationReport, _class_id, delta, mu, mu_bucket
+from precut.species import ClassRegistry, OrbitClass, VerificationReport, _jsonify, delta, mu, mu_bucket
 
 # -- fixtures ----------------------------------------------------------------
 
@@ -202,6 +209,41 @@ def count_preorders(n):
                         changed = True
         seen.add(frozenset(rel))
     return len(seen)
+
+
+def _partitions(n, largest=None):
+    """The integer partitions of n, parts non-increasing."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def burnside_dimensions(f, g, nmax):
+    """dim F×G[n] = Σ_λ fix_F(λ)·fix_G(λ)/z_λ over the cycle types λ of n,
+    for n <= nmax: Burnside's lemma over relabelings, with fix counted on
+    one permutation of each type.  Reads only each factor's elements and
+    relabeling; no class registry and no product species."""
+    dims = []
+    for n in range(nmax + 1):
+        ground = tuple(range(1, n + 1))
+        total = 0
+        for cycle_type in _partitions(n):
+            sigma, start = {}, 1
+            for length in cycle_type:  # the cycle (start, ..., start + length - 1)
+                sigma.update({start + i: start + (i + 1) % length for i in range(length)})
+                start += length
+            fixed = [sum(h.relabel(x, sigma) == x for x in h.elements(ground)) for h in (f, g)]
+            z = 1
+            for length in set(cycle_type):
+                m = cycle_type.count(length)
+                z *= length**m * factorial(m)
+            total += factorial(n) // z * fixed[0] * fixed[1]  # n!/z_λ permutations of type λ
+        assert total % factorial(n) == 0, "Burnside's count must be integral"
+        dims.append(total // factorial(n))
+    return dims
 
 
 def exhaustive_chains(ground, max_len):
@@ -323,7 +365,8 @@ class CachedClassRegistry:
         cls = self.by_key.get(key)
         if cls is None:
             degree = len(self.inst.ground_of(rep))
-            cls = OrbitClass(self.inst.name, degree, rep, key, _class_id(self.inst.name, degree, key))
+            blob = json.dumps([self.inst.name, degree, _jsonify(key)], sort_keys=True).encode()
+            cls = OrbitClass(self.inst.name, degree, rep, key, hashlib.sha256(blob).hexdigest()[:16])
             self.by_key[key] = cls
         return cls
 
@@ -1073,10 +1116,12 @@ DISCRETE_SETS = Factor(
 
 
 def walked(cls):
-    """A subclass of the product class `cls` whose π₁ is the same projection
-    under a new method, so that `species._square_law` does not take the
-    factor certificate and walks every four-block diagram instead."""
-    return type(cls.__name__, (cls,), {"pi1": lambda self, s: cls.pi1(self, s)})
+    """A subclass of the product class `cls` whose π₁ and relabeling are the
+    same functions under new methods, so that neither the factor certificate
+    of `species._square_law` nor the class registry's product path is taken:
+    the verifiers walk every four-block diagram, the registry every orbit."""
+    methods = {"pi1": lambda self, s: cls.pi1(self, s), "relabel": lambda self, s, mapping: cls.relabel(self, s, mapping)}
+    return type(cls.__name__, (cls,), methods)
 
 
 def glues_uniquely(factor, nmax):

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import shutil
 import tracemalloc
 from math import factorial
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from precut import cli, fock
-from precut.errors import InvalidStructure, NotIntertwined, PrecutError
+from precut.errors import CapExceeded, InvalidStructure, NotIntertwined, PrecutError
 from precut.fock import (
     _reduced_echelon,
     canonical_form,
@@ -23,8 +24,11 @@ from precut.fock import (
     verify_hopf_axioms,
 )
 from precut.instances import build_instance, build_preset
-from precut.instances.colored import ColoredSets
+from precut.instances.colored import ColoredSets, colorings
+from precut.instances.hadamard import LINEAR, Hadamard
+from precut.instances.parking import ParkingPairs
 from precut.instances.perm import PermPairs, word_of
+from precut.instances.tensor import TensorWords
 from precut.preorder import chain
 from precut.species import ClassRegistry, check_species_over_preorders
 
@@ -41,6 +45,7 @@ from oracles import (
     labeled_product,
     pair_from_word,
     product_via_mu,
+    walked,
     weak_order_zeta,
 )
 
@@ -628,6 +633,10 @@ TABLE_DIGESTS = {
     ("nn", 1, 2, 3): "8785e7c4d5f5a87ca1fd496599d4bd012ac4fb70510b5230f14fe5ed88a6e503",
     ("broken_dc", 1, 2, 3): "2432c7a21d5d76fe3ef65d1b688f93780c19d519d78fa0949e798590a21a069e",
     ("broken_monotone", 1, 2, 3): "335390eca7459ddf033f2c72954663cd06e3b413cf3fc4ca7263fe2b32c38f5e",
+    # one degree up, taken while every registry walked the labeled pairs
+    ("perm_f", 1, 2, 6): "43f3a26edeb27a116d2d824c28d317aa579ac3bb2942613507c74117bdd9a7b0",
+    ("perm_m", 1, 2, 6): "2734d416624891e37c234a10de169c3aa6ee059a962095b5fa462acf5802f357",
+    ("parking", 1, 2, 4): "138d363325348c8f960cfc46a655354a31ee6339df7cbd74eed3b5ae8de44d55",
 }
 
 
@@ -665,23 +674,47 @@ def test_registry_matches_cached_oracle(monkeypatch, name, which_delta, which_mu
     assert hashlib.sha256(got[0].encode()).hexdigest() == TABLE_DIGESTS[name, which_delta, which_mu, N]
 
 
+@pytest.mark.parametrize("name, which_delta, which_mu, N", [("perm_f", 1, 2, 6), ("perm_m", 1, 2, 6), ("parking", 1, 2, 4)])
+def test_tables_one_degree_up_keep_their_digests(monkeypatch, name, which_delta, which_mu, N):
+    # digest only: the labeled oracle registry takes seconds per table here
+    monkeypatch.delenv("PRECUT_CACHE_DIR", raising=False)
+    table = fock_tables(build_instance(name), which_delta, which_mu, N, verify="force")
+    blob = json.dumps(table.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == TABLE_DIGESTS[name, which_delta, which_mu, N]
+
+
 @pytest.mark.parametrize("name, n, classes", [("perm_f", 4, 24), ("parking", 3, 51)])
-def test_degree_build_walks_each_orbit_once(monkeypatch, name, n, classes):
-    inst = build_instance(name)
-    inst.elements(tuple(range(1, n + 1)))
+def test_degree_build_walks_each_orbit_once(name, n, classes):
+    # a product's build relabels factor elements: n! per orbit of each
+    # factor, then |Aut x0| per class through x0 (perm_f: 24 + 24 + 24; the
+    # walk of the labeled pairs made 24 * 24 pair relabelings, each of two
+    # components).  Spying on the factors keeps the instance's methods
+    # Hadamard's own, so the path that ships is the one counted.
+    relabelings = {"perm_f": 72, "parking": 166}[name]
+    inst, calls = build_instance(name), []
+    inst.f, inst.g = (f._replace(relabel=lambda x, m, f=f: calls.append(x) or f.relabel(x, m)) for f in (inst.f, inst.g))
+    registry = ClassRegistry(inst)
+    assert len(registry.classes_of_degree(n)) == classes
+    assert len(calls) == relabelings
+    registry.classes_of_degree(n)  # built once
+    registry.class_of(inst.elements(tuple(range(1, n + 1)))[-1])  # one relabeling of y
+    assert len(calls) == relabelings + 1
+
+
+def test_single_degree_build_walks_each_orbit_once(monkeypatch):
+    inst = build_instance("graphs")
+    inst.elements((1, 2, 3, 4))
     calls = []
     relabel = inst.relabel
     monkeypatch.setattr(inst, "relabel", lambda s, mapping: calls.append(s) or relabel(s, mapping))
     registry = ClassRegistry(inst)
-    assert len(registry.classes_of_degree(n)) == classes
-    assert len(calls) == classes * factorial(n)
-    registry.classes_of_degree(n)  # built once
-    assert len(calls) == classes * factorial(n)
+    assert len(registry.classes_of_degree(4)) == 11
+    assert len(calls) == 11 * factorial(4)
+    registry.classes_of_degree(4)  # built once
+    assert len(calls) == 11 * factorial(4)
 
 
-def test_registry_keeps_no_orbit_copies():
-    # the per-element cache it replaced peaked at 16.7 MB here
-    inst = build_instance("parking")
+def _peak_of_degree_4(inst):
     inst.elements((1, 2, 3, 4))
     tracemalloc.start()
     try:
@@ -690,7 +723,22 @@ def test_registry_keeps_no_orbit_copies():
     finally:
         tracemalloc.stop()
     assert len(classes) == 819
-    assert peak < 6_000_000
+    return peak
+
+
+def test_registry_keeps_no_orbit_copies():
+    # built from the factors, keeping maps of the factors' elements only:
+    # 0.4 MB here, where the per-element cache of the walk peaked at 16.7 MB
+    inst = build_instance("parking")
+    assert ClassRegistry(inst).plain
+    assert _peak_of_degree_4(inst) < 2_000_000
+
+
+def test_walk_keeps_no_orbit_copies():
+    # the same pairs walked, one map entry per labeled pair: 1.8 MB
+    inst = walked(ParkingPairs)()
+    assert not ClassRegistry(inst).plain
+    assert _peak_of_degree_4(inst) < 6_000_000
 
 
 class SortedFirstPairs(PermPairs):
@@ -716,6 +764,69 @@ def test_relabeling_off_the_enumeration_is_refused(monkeypatch):
         fock_tables(SortedFirstPairs(), 1, 2, 2, verify="force")
     monkeypatch.setattr(cli, "build_instance", lambda name, **params: SortedFirstPairs())
     assert cli.main(["enum", "--instance", "perm_f", "--n", "2", "--classes"]) == 2
+
+
+SORTED_ONLY = LINEAR._replace(elements=lambda ground: [tuple(ground)])  # left by any swap
+TWICE = LINEAR._replace(elements=lambda ground: LINEAR.elements(ground) * 2)
+
+
+def _one_colored(ground):
+    out = [tuple((a, 0) for a in ground)]  # all 0: its orbit stays
+    if ground:  # the least label alone colored 1: its orbit leaves
+        out.append(tuple((a, int(a == ground[0])) for a in ground))
+    return out
+
+
+ONE_COLORED = colorings(2)._replace(elements=_one_colored)
+
+
+@pytest.mark.parametrize(
+    "cls, args, n, error, message",
+    [
+        (ParkingPairs, (), 5, CapExceeded, "parking: ground of size 5 above cap 4"),
+        (TensorWords, (3,), 6, CapExceeded, "tensor[3]: 524880 elements in degree 6, above 518400"),
+        (Hadamard, (TWICE, LINEAR), 2, InvalidStructure, "abstract: ground [1, 2] lists an element twice"),
+        # the least pair whose orbit leaves is named, whichever factor it leaves
+        (Hadamard, (SORTED_ONLY, LINEAR), 2, InvalidStructure,
+         "abstract: relabeling ('hadamard', (1, 2), (1, 2)) leaves degree 2"),
+        (Hadamard, (LINEAR, SORTED_ONLY), 3, InvalidStructure,
+         "abstract: relabeling ('hadamard', (1, 2, 3), (1, 2, 3)) leaves degree 3"),
+        (Hadamard, (ONE_COLORED, SORTED_ONLY), 2, InvalidStructure,
+         "abstract: relabeling ('hadamard', ((1, 0), (2, 0)), (1, 2)) leaves degree 2"),
+        (Hadamard, (ONE_COLORED, LINEAR), 2, InvalidStructure,
+         "abstract: relabeling ('hadamard', ((1, 1), (2, 0)), (1, 2)) leaves degree 2"),
+    ],
+)
+def test_product_classes_refuse_as_the_walk_does(cls, args, n, error, message):
+    for product in (cls(*args), walked(cls)(*args)):  # built from the factors, then walked
+        with pytest.raises(PrecutError) as got:
+            ClassRegistry(product).classes_of_degree(n)
+        assert (type(got.value), str(got.value)) == (error, message)
+
+
+# colorings that also list the all-2 coloring of a two-point ground, whose
+# one-point restrictions are not elements
+OFF_BY_RESTRICTION = colorings(2)._replace(
+    elements=lambda ground: colorings(2).elements(ground) + ([tuple((a, 2) for a in ground)] if len(ground) == 2 else [])
+)
+
+
+@pytest.mark.parametrize("factors", [(OFF_BY_RESTRICTION, LINEAR), (LINEAR, OFF_BY_RESTRICTION)])
+def test_product_class_of_refuses_what_the_walk_refuses(factors):
+    for product in (Hadamard(*factors), walked(Hadamard)(*factors)):
+        s = next(s for s in product.elements((1, 2)) if (2, 2) in s[0] + s[1])
+        with pytest.raises(InvalidStructure, match=r"is not an element of degree 1$"):
+            ClassRegistry(product).class_of(product.restrict(s, {1}))
+
+
+def test_product_refusals_reach_the_cli_as_before(capsys):
+    with pytest.raises(CapExceeded, match=re.escape("perm_f: ground of size 7 above cap 6")):
+        fock_tables(build_instance("perm_f"), 1, 2, 7)
+    assert cli.main(["enum", "--instance", "tensor", "--palette", "3", "--n", "6", "--classes"]) == 2
+    assert capsys.readouterr().err == "error: tensor[3]: 524880 elements in degree 6, above 518400\n"
+    # a pair instance that filters the pairs keeps the walk, and its refusal
+    with pytest.raises(InvalidStructure, match=re.escape("perm_f: relabeling ('perm', (1, 2), (1, 2)) leaves degree 2")):
+        ClassRegistry(SortedFirstPairs()).classes_of_degree(2)
 
 
 def test_restriction_off_the_enumeration_is_refused():

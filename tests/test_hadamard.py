@@ -1,9 +1,11 @@
 """Species of one factor and Hadamard products of two: the shipped single and
 pair instances, the census of the 49 products of seven factors at n <= 3
-against the gluing rule, and the factor certificate against the walk."""
+against the gluing rule, the factor certificate against the walk, and the
+orbit classes built from the factors against the walk and Burnside's count."""
 
 import itertools
 import re
+from math import factorial
 
 import pytest
 
@@ -11,6 +13,7 @@ import oracles
 from oracles import DISCRETE_SETS, POSETS_BY_COMPONENTS, glues_uniquely, walked
 from precut import species
 from precut.errors import CapExceeded, InvalidStructure
+from precut.fock import graded_dimensions
 from precut.instances import _BUILDERS, build_instance
 from precut.instances.colored import colorings
 from precut.instances.hadamard import LINEAR, Hadamard, Single
@@ -168,3 +171,33 @@ def test_factor_off_its_enumeration_falls_back_to_the_walk():
     with pytest.raises(InvalidStructure) as want:
         check_intertwined(walked(Hadamard)(OFF_THE_ENUMERATION, LINEAR), 3)
     assert str(got.value) == str(want.value) and "is not an element of [1]" in str(got.value)
+
+
+# -- orbit classes from the factors ----------------------------------------------
+
+
+def test_product_classes_match_the_walk_on_the_census():
+    for (f, g), n in itertools.product(itertools.product(FACTORS.values(), repeat=2), range(4)):
+        new, old = species.ClassRegistry(Hadamard(f, g)), species.ClassRegistry(walked(Hadamard)(f, g))
+        classes = new.classes_of_degree(n)
+        assert classes == old.classes_of_degree(n)
+        assert [new.orbit_size(c) for c in classes] == [old.orbit_size(c) for c in classes]
+        doubled = {i: 2 * i for i in range(1, n + 1)}  # each element also on the ground 2, 4, ..., 2n
+        for s in new.inst.elements(tuple(range(1, n + 1))):
+            assert new.class_of(s) == new.class_of(new.inst.relabel(s, doubled)) == old.class_of(s)
+
+
+@pytest.mark.parametrize(
+    "make, dims",
+    [
+        (lambda: build_instance("perm_f"), [factorial(n) for n in range(7)]),
+        (lambda: build_instance("perm_m"), [factorial(n) for n in range(7)]),
+        (lambda: build_instance("parking"), [1, 1, 5, 51, 819]),
+        (lambda: build_instance("tensor"), [2**n for n in range(6)]),
+        # no instance ships parking chains × orders: the parking functions, (n+1)^(n-1)
+        (lambda: Hadamard(PARKING, LINEAR), [1, 1, 3, 16, 125]),
+    ],
+)
+def test_product_dimensions_match_burnside(make, dims):
+    inst = make()
+    assert oracles.burnside_dimensions(inst.f, inst.g, len(dims) - 1) == graded_dimensions(inst, len(dims) - 1) == dims
