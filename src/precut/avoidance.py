@@ -16,31 +16,20 @@ class AvoidanceSet:
     Invariance is load-bearing: with restriction natural, it makes has_part
     constant on each orbit class, so `AvoidingInstance` and `is_irreducible`
     decide one representative per class.  `sizes` limits the subset scan to
-    grounds of those sizes (None scans all).  `monotone` declares that
-    membership of a restriction implies membership of the element itself,
-    collapsing has_part to one membership call, which costs less than a
-    class lookup.
+    grounds of those sizes (None scans all).
     """
 
     name: str
     membership: object
     sizes: frozenset | None = None
-    monotone: bool = False
 
 
 def has_part(inst: SpeciesInstance, aset: AvoidanceSet, s) -> bool:
     """Whether some restriction of s lies in the avoidance set."""
-    if aset.monotone:
-        return bool(aset.membership(s))
     ground = tuple(sorted(inst.ground_of(s)))
     sizes = range(len(ground) + 1) if aset.sizes is None else sorted(aset.sizes)
-    for r in sizes:
-        if r > len(ground):
-            continue
-        for sub in itertools.combinations(ground, r):
-            if aset.membership(inst.restrict(s, frozenset(sub))):
-                return True
-    return False
+    subs = (sub for r in sizes for sub in itertools.combinations(ground, r))
+    return any(aset.membership(inst.restrict(s, frozenset(sub))) for sub in subs)
 
 
 class AvoidingInstance(SpeciesInstance):
@@ -52,43 +41,37 @@ class AvoidingInstance(SpeciesInstance):
     automatically drops non-avoiding parent products, which is the quotient
     multiplication.
 
-    A parent element is kept when its orbit class avoids the set: has_part
-    runs once per class, on the representative, and the verdict is kept by
-    class id in a registry of the parent's classes that this instance owns.
+    The avoiders are a set of the parent's orbit classes: `kept(n)` runs
+    has_part once on each representative of a registry of the parent that
+    this instance owns, and a parent element is kept when its class is.
     That is sound for the reasons `is_irreducible` gives: the set is
     relabel-invariant and restriction is natural, so has_part(σs) =
     has_part(s).  `ClassRegistry.class_of` relabels an element on any ground
-    onto 1..k first, and raises InvalidStructure when a relabeling leaves the
-    parent's enumeration.  A monotone set keeps the labeled test: its
-    has_part is one membership call, cheaper than a class lookup, and the
-    parent's registry need not be built.
+    onto 1..k first, and raises InvalidStructure when a relabeling leaves
+    the parent's enumeration.  An avoider's own `ClassRegistry` is read off
+    the kept classes, with no second orbit walk.
     """
 
     def __init__(self, parent: SpeciesInstance, aset: AvoidanceSet):
         super().__init__()
-        self.parent = parent
-        self.aset = aset
+        self.parent, self.aset = parent, aset
         self.name = f"{parent.name}/{aset.name}"
         self.cap = parent.cap
-        self.restrict, self.relabel = parent.restrict, parent.relabel
-        self.pi1, self.pi2 = parent.pi1, parent.pi2
+        self.restrict, self.relabel, self.pi1, self.pi2 = parent.restrict, parent.relabel, parent.pi1, parent.pi2
         self.ground_of, self.serialize = parent.ground_of, parent.serialize
-        self._registry = ClassRegistry(parent)
-        self._avoids = {}  # cid -> whether the parent class avoids the set
+        self.registry = ClassRegistry(parent)
+        self._kept = {}  # n -> the avoiding parent classes of degree n, by cid
+
+    def kept(self, n):
+        """The parent's classes of degree n whose representative has no part, by cid."""
+        if n not in self._kept:
+            classes, parent, aset = self.registry.classes_of_degree(n), self.parent, self.aset
+            self._kept[n] = {c.cid: c for c in classes if not has_part(parent, aset, c.rep)}
+        return self._kept[n]
 
     def _elements(self, ground):
-        parent, aset = self.parent, self.aset
-        if aset.monotone:
-            return [s for s in parent.elements(ground) if not has_part(parent, aset, s)]
-        class_of, avoids = self._registry.class_of, self._avoids
-        out = []
-        for s in parent.elements(ground):
-            cls = class_of(s)
-            if cls.cid not in avoids:
-                avoids[cls.cid] = not has_part(parent, aset, cls.rep)
-            if avoids[cls.cid]:
-                out.append(s)
-        return out
+        kept, class_of = self.kept(len(ground)), self.registry.class_of
+        return [s for s in self.parent.elements(ground) if class_of(s).cid in kept]
 
 
 def _lost_cut(inst, which, aset, s, stat):
@@ -131,15 +114,15 @@ def is_irreducible(inst: SpeciesInstance, which, aset: AvoidanceSet, nmax) -> Ve
     failing class's representative is the least failing element of the
     degree.
 
-    `stats` holds per degree the `elements`, the orbit `classes`, the
-    classes `with_part` and the `cuts` checked on them, up to the failure.
+    `stats` holds per degree the `elements` (the sum of the orbit sizes),
+    the orbit `classes`, the classes `with_part` and the `cuts` checked on
+    them, up to the failure.
     """
     registry = ClassRegistry(inst)
     stats = []
     for n in range(nmax + 1):
-        ground = tuple(range(1, n + 1))
         classes = registry.classes_of_degree(n)
-        stat = dict(degree=n, elements=len(inst.elements(ground)), classes=len(classes), with_part=0, cuts=0)
+        stat = dict(degree=n, elements=sum(map(registry.orbit_size, classes)), classes=len(classes), with_part=0, cuts=0)
         stats.append(stat)
         for c in classes:
             cut = _lost_cut(inst, which, aset, c.rep, stat)

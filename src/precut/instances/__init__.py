@@ -64,7 +64,11 @@ def _not_total(chain):
     return any(len(part) > i + 1 for i, part in enumerate(chain))
 
 
-PARKING_SECOND = AvoidanceSet("nondecreasing-parking", lambda s: _not_total(s.second), monotone=True)
+# A parking chain is not total exactly when a 2-point restriction is not: at
+# the least i with |X_i| > i, X_i − X_{i−1} holds two labels that first
+# appear at level i, and the chain restricted to them ties at its first
+# level; every restriction of a total chain is total.
+PARKING_SECOND = AvoidanceSet("nondecreasing-parking", lambda s: _not_total(s.second), sizes=frozenset({2}))
 
 # preset -> (parent instance name, avoidance set, index whose coproduct is irreducible)
 AVOIDANCE_PRESETS = {
@@ -75,14 +79,14 @@ AVOIDANCE_PRESETS = {
     "cherry": ("posets", CHERRY, 2),
     "cherry+V": ("posets", CHERRY_V, 2),
     "nondecreasing-parking": ("parking", PARKING_SECOND, 2),
-    # both filtrations total, so pairs of permutations; a union of monotone
-    # predicates is monotone.  No one coproduct is claimed irreducible.
+    # both filtrations total, so pairs of permutations, each decided on its
+    # 2-point restrictions.  No one coproduct is claimed irreducible.
     "mr-in-parking": (
         "parking",
         AvoidanceSet(
             "nondecreasing-parking/first-total",
             lambda s: _not_total(s.second) or _not_total(s.first),
-            monotone=True,
+            sizes=frozenset({2}),
         ),
         None,
     ),

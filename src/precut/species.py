@@ -159,18 +159,24 @@ class ClassRegistry:
     """The orbit classes of one instance, each degree built once, on first use.
 
     A class is an orbit of the elements on 1..n under relabeling, the
-    species' coinvariants, kept as its least member and its size.  A plain
-    Hadamard product F × G (`_elements`, `relabel`, `serialize` Hadamard's
-    own) is a cartesian product of species (Bergeron–Labelle–Leroux): the
-    classes through the least x₀ of an F-orbit are its stabilizer's orbits
-    on G[n].  Anything else, or a degree the walk refuses, is walked, n!
-    relabelings per orbit.  Representatives speak for their classes only
-    when relabeling is natural (`SpeciesInstance`).
+    species' coinvariants, kept as its least member and its size.  Three
+    builds: a plain Hadamard product F × G (`_elements`, `relabel`,
+    `serialize` Hadamard's own) is a cartesian product of species
+    (Bergeron–Labelle–Leroux): the classes through the least x₀ of an
+    F-orbit are its stabilizer's orbits on G[n].  An avoiding instance
+    (`_elements` its own) has the classes its parent's registry keeps, named
+    by the avoider and looked up through the parent.  Anything else, or a
+    degree above the cap, is walked, n! relabelings per orbit.
+    Representatives speak for their classes only when relabeling is natural
+    (`SpeciesInstance`).
     """
 
     def __init__(self, inst):
-        self.inst = inst
-        self.plain = _hadamard_own(inst, ("_elements", "relabel", "serialize"))  # built from its factors
+        from .avoidance import AvoidingInstance  # it imports this module
+
+        self.inst = inst  # `build` makes each degree up to the cap; the walk refuses one above it
+        self.build = (self._kept if _own(inst, ("_elements",), AvoidingInstance) else
+                      self._product if _own(inst, ("_elements", "relabel", "serialize")) else self._walk)
         self.degrees = {}  # n -> (element on 1..n -> its class or None, classes by key)
         self.orbits = {}  # cid -> orbit size
 
@@ -188,20 +194,20 @@ class ClassRegistry:
         return cls
 
     def classes_of_degree(self, n):
-        """The orbit classes of the elements on 1..n, in key order, as both builds meet them."""
-        if n not in self.degrees:  # the walk refuses a degree above the cap
-            self.degrees[n] = (self._product if self.plain and n <= self.inst.cap else self._walk)(n, tuple(range(1, n + 1)))
+        """The orbit classes of the elements on 1..n, in key order, as every build meets them."""
+        if n not in self.degrees:
+            self.degrees[n] = (self.build if n <= self.inst.cap else self._walk)(n, tuple(range(1, n + 1)))
         return self.degrees[n][1]
 
     def orbit_size(self, cls):
         """The number of distinct relabelings of cls's representative onto 1..n."""
         return self.orbits[cls.cid]
 
-    def _class(self, n, rep, stab):
+    def _class(self, n, rep, size):
         key = self.inst.serialize(rep)
         blob = json.dumps([self.inst.name, n, _jsonify(key)], sort_keys=True).encode()
         cls = OrbitClass(self.inst.name, n, rep, key, hashlib.sha256(blob).hexdigest()[:16])
-        self.orbits[cls.cid] = factorial(n) // len(stab)
+        self.orbits[cls.cid] = size
         return cls
 
     def _walk(self, n, ground):
@@ -209,8 +215,13 @@ class ClassRegistry:
         back, stabs, out = _orbits(inst.relabel, inst.elements(ground), _relabelings(ground))
         if out is not None:
             raise InvalidStructure(f"{inst.name}: relabeling {inst.serialize(out)} leaves degree {n}")
-        of = {x0: self._class(n, x0, stab) for x0, stab in stabs.items()}
+        of = {x0: self._class(n, x0, factorial(n) // len(stab)) for x0, stab in stabs.items()}
         return (lambda s: of[back[s][0]] if s in back else None), list(of.values())
+
+    def _kept(self, n, ground):  # the parent's classes that the avoider keeps, under its name
+        parent = self.inst.registry
+        of = {cid: self._class(n, c.rep, parent.orbit_size(c)) for cid, c in self.inst.kept(n).items()}
+        return (lambda s: (c := parent.degrees[n][0](s)) and of.get(c.cid)), list(of.values())
 
     def _product(self, n, ground):
         inst = self.inst  # G listed first, as `Hadamard._elements` does: tensor's F refuses its size
@@ -222,7 +233,7 @@ class ClassRegistry:
         relabel, table, classes = inst.g.relabel, {}, []
         for x0, stab in stabs.items():  # the classes through x₀: its stabilizer's orbits on G[n]
             to_least, fixed, _ = _orbits(relabel, ys, stab)
-            of = {y0: self._class(n, inst.pair(x0, y0), fix) for y0, fix in fixed.items()}
+            of = {y0: self._class(n, inst.pair(x0, y0), factorial(n) // len(fix)) for y0, fix in fixed.items()}
             table[x0] = {y: of[y0] for y, (y0, _) in to_least.items()}
             classes += of.values()
 
@@ -544,11 +555,12 @@ def glues_uniquely(inst: SpeciesInstance, nmax):
     return stats
 
 
-def _hadamard_own(inst, names):
-    """Whether inst is a Hadamard product whose methods `names` are Hadamard's own."""
+def _own(inst, names, cls=None):
+    """Whether inst is a `cls`, by default a Hadamard product, whose methods `names` are cls's own."""
     from .instances.hadamard import Hadamard  # it imports this module
 
-    return isinstance(inst, Hadamard) and all(getattr(getattr(inst, m), "__func__", 0) is getattr(Hadamard, m) for m in names)
+    cls = cls or Hadamard
+    return isinstance(inst, cls) and all(getattr(getattr(inst, m), "__func__", 0) is getattr(cls, m) for m in names)
 
 
 def _glued_factors(inst, nmax):
@@ -556,7 +568,7 @@ def _glued_factors(inst, nmax):
     on both factors up to min(nmax, cap), else None."""
     from .instances.hadamard import Single  # it imports this module
 
-    if not _hadamard_own(inst, ("_elements", "restrict", "relabel", "pi1", "pi2")):
+    if not _own(inst, ("_elements", "restrict", "relabel", "pi1", "pi2")):
         return None
     top, glued = min(nmax, inst.cap), {}
     for f in dict.fromkeys((inst.f, inst.g)):  # a factor met twice is checked once

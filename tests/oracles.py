@@ -1116,11 +1116,16 @@ DISCRETE_SETS = Factor(
 
 
 def walked(cls):
-    """A subclass of the product class `cls` whose π₁ and relabeling are the
-    same functions under new methods, so that neither the factor certificate
-    of `species._square_law` nor the class registry's product path is taken:
-    the verifiers walk every four-block diagram, the registry every orbit."""
-    methods = {"pi1": lambda self, s: cls.pi1(self, s), "relabel": lambda self, s, mapping: cls.relabel(self, s, mapping)}
+    """A subclass of the instance class `cls` whose enumeration, π₁ and
+    relabeling are the same functions under new methods, so that neither
+    the factor certificate of `species._square_law` nor the class registry's
+    product or avoider path is taken: the verifiers walk every four-block
+    diagram, the registry every orbit."""
+    methods = {
+        "_elements": lambda self, ground: cls._elements(self, ground),
+        "pi1": lambda self, s: cls.pi1(self, s),
+        "relabel": lambda self, s, mapping: cls.relabel(self, s, mapping),
+    }
     return type(cls.__name__, (cls,), methods)
 
 

@@ -16,11 +16,13 @@ from precut.instances import (
     CHERRY,
     CHERRY_V,
     PARKING_SECOND,
+    _not_total,
     build_instance,
     build_preset,
     pattern_set,
 )
-from precut.species import check_intertwined, mu
+from precut.instances.parking import PARKING
+from precut.species import ClassRegistry, check_intertwined, mu
 
 from oracles import (
     contains_pattern,
@@ -28,6 +30,7 @@ from oracles import (
     labeled_avoiders,
     labeled_is_irreducible,
     pair_from_word,
+    walked,
 )
 
 
@@ -42,8 +45,7 @@ def test_has_part_examples():
 
 
 def test_has_part_matches_naive_scan():
-    # each preset's fast path (the scan of the listed sizes only, or the
-    # membership of a monotone set alone) against the scan of every subset
+    # each preset's scan of the listed sizes only against the scan of every subset
     for preset, (parent_name, aset, _) in AVOIDANCE_PRESETS.items():
         parent = build_instance(parent_name)
         naive = AvoidanceSet(aset.name, aset.membership)
@@ -60,16 +62,27 @@ def test_has_part_leaves_the_avoidance_set_unchanged():
     assert vars(CHERRY) == before
 
 
+def test_two_point_restrictions_decide_a_total_chain():
+    # the lemma behind the parking presets' sizes {2}
+    for n in range(7):
+        ground = tuple(range(1, n + 1))
+        for c in PARKING.elements(ground):
+            pairs = itertools.combinations(ground, 2)
+            assert _not_total(c) == any(_not_total(PARKING.restrict(c, frozenset(p))) for p in pairs), c
+
+
 def test_avoiding_instance_counts():
     inst = AvoidingInstance(build_instance("perm_m"), pattern_set((2, 1, 3)))
     assert len(inst.elements((1, 2, 3))) == 30  # 6 relabelings of 5 avoiding words
 
 
-# the non-monotone presets, filtered by class, up to the degree each is checked at
-CLASS_ROUTE = {"213": 5, "132+213": 5, "12": 5, "3142+2413": 5, "cherry": 4, "cherry+V": 4}
+# every preset, up to the degree it is checked at
+CHECKED = {"213": 5, "132+213": 5, "12": 5, "3142+2413": 5, "cherry": 4, "cherry+V": 4,
+           "nondecreasing-parking": 4, "mr-in-parking": 4}
+assert set(CHECKED) == set(AVOIDANCE_PRESETS)
 
 
-@pytest.mark.parametrize("preset", list(CLASS_ROUTE) + ["perm_f/132"])
+@pytest.mark.parametrize("preset", list(CHECKED) + ["perm_f/132"])
 def test_avoiders_equal_the_labeled_filter(preset):
     # on 1..n and on grounds that start elsewhere and skip labels, which the
     # class lookup relabels onto 1..n
@@ -77,8 +90,7 @@ def test_avoiders_equal_the_labeled_filter(preset):
         parent, aset, nmax = build_instance("perm_f"), pattern_set((1, 3, 2)), 5
     else:
         parent_name, aset, _ = AVOIDANCE_PRESETS[preset]
-        parent, nmax = build_instance(parent_name), CLASS_ROUTE[preset]
-        assert not aset.monotone
+        parent, nmax = build_instance(parent_name), CHECKED[preset]
     inst = AvoidingInstance(parent, aset)
     for n in range(nmax + 1):
         for ground in (tuple(range(1, n + 1)), (2, 4, 5, 7, 8, 11)[:n]):
@@ -92,11 +104,43 @@ def test_has_part_runs_once_per_parent_class(monkeypatch):
     monkeypatch.setattr(avoidance, "has_part", lambda *a: calls.append(a) or real(*a))
     assert graded_dimensions(build_preset("213"), 5) == [1, 1, 2, 5, 14, 42]
     assert len(calls) == 154
-    # a monotone set keeps one membership test per labeled parent element
+    # parking too: 877 classes at n <= 4, against 15 892 labeled pairs
     calls.clear()
     inst = build_preset("nondecreasing-parking")
-    graded_dimensions(inst, 4)
-    assert len(calls) == sum(len(inst.parent.elements(tuple(range(1, n + 1)))) for n in range(5)) == 15_892
+    assert graded_dimensions(inst, 4) == [1, 1, 3, 16, 125]
+    assert len(calls) == 1 + 1 + 5 + 51 + 819 == 877
+
+
+@pytest.mark.parametrize("preset", list(CHECKED))
+def test_avoider_classes_equal_the_walk(preset):
+    # read off the parent's registry: the cid, key, representative and orbit
+    # size of every class, and the class of each avoider on a ground that
+    # skips labels, are those of a twin that walks the avoiders' orbits
+    parent_name, aset, _ = AVOIDANCE_PRESETS[preset]
+    got, want = (ClassRegistry(cls(build_instance(parent_name), aset)) for cls in (AvoidingInstance, walked(AvoidingInstance)))
+    for n in range(CHECKED[preset] + 1):
+        rows = [[(c.cid, c.key, c.rep, r.orbit_size(c)) for c in r.classes_of_degree(n)] for r in (got, want)]
+        assert rows[0] == rows[1], (preset, n)
+        shifted = got.inst.elements((2, 4, 5, 7, 8, 11)[:n])
+        assert [got.class_of(s) for s in shifted] == [want.class_of(s) for s in shifted], (preset, n)
+
+
+def _relabels(parent, work):
+    # counts the relabelings of both factors of a Hadamard parent during work()
+    calls = []
+    for side in ("f", "g"):
+        factor = getattr(parent, side)
+        setattr(parent, side, factor._replace(relabel=lambda x, m, real=factor.relabel: calls.append(x) or real(x, m)))
+    work()
+    return len(calls)
+
+
+def test_avoider_classes_relabel_nothing_beyond_the_parent():
+    perm_m, inst = build_instance("perm_m"), build_preset("213")
+    registry = ClassRegistry(perm_m)
+    built = _relabels(perm_m, lambda: [registry.classes_of_degree(n) for n in range(6)])
+    assert built > 0
+    assert _relabels(inst.parent, lambda: graded_dimensions(inst, 5)) == built
 
 
 def test_empty_avoidance_changes_nothing():

@@ -730,14 +730,14 @@ def test_registry_keeps_no_orbit_copies():
     # built from the factors, keeping maps of the factors' elements only:
     # 0.4 MB here, where the per-element cache of the walk peaked at 16.7 MB
     inst = build_instance("parking")
-    assert ClassRegistry(inst).plain
+    assert ClassRegistry(inst).build.__func__ is ClassRegistry._product
     assert _peak_of_degree_4(inst) < 2_000_000
 
 
 def test_walk_keeps_no_orbit_copies():
     # the same pairs walked, one map entry per labeled pair: 1.8 MB
     inst = walked(ParkingPairs)()
-    assert not ClassRegistry(inst).plain
+    assert ClassRegistry(inst).build.__func__ is ClassRegistry._walk
     assert _peak_of_degree_4(inst) < 6_000_000
 
 
