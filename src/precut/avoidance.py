@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 
 from .preorder import cuts as preorder_cuts
-from .species import ClassRegistry, SpeciesInstance, VerificationReport
+from .species import ClassRegistry, SpeciesInstance, VerificationReport, require_projection
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,7 @@ def is_irreducible(inst: SpeciesInstance, which, aset: AvoidanceSet, nmax) -> Ve
     the orbit `classes`, the classes `with_part` and the `cuts` checked on
     them, up to the failure.
     """
+    require_projection(inst, which)
     registry = ClassRegistry(inst)
     stats = []
     for n in range(nmax + 1):

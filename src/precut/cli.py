@@ -164,12 +164,11 @@ def cmd_fock(args):
     if not axioms.passed:
         summary["axioms_failure"] = axioms.to_json()
     if args.out:
-        data = table.to_json()
         if args.format == "csv":
             _write_csv(args.out, table)
         else:
             with open(args.out, "w") as fh:
-                json.dump(data, fh, sort_keys=True, indent=1)
+                json.dump(table.to_json(), fh, sort_keys=True, indent=1)
         summary["written"] = args.out
     _emit(summary, args.json)
     return 0 if axioms.passed else 1

@@ -5,7 +5,9 @@ named with their orbit sizes by the species' `ClassRegistry`.  Both tables
 are read off the cuts of one representative per class, which is sound for a
 natural species (`SpeciesInstance`); a fractional product constant is
 refused.  Both are exact integer tables, verified against the bialgebra
-axioms by degree.
+axioms by degree.  A change of basis phi between two tables is solved from
+the residuals of its laws, phi(a)phi(b) − phi(a·b) and Δ(phi(w)) −
+(phi ⊗ phi)Δ(w): the residuals that `_verify_transition` checks.
 """
 
 from __future__ import annotations
@@ -260,45 +262,23 @@ def _atomic_write(path, text):
 # -- axioms ----------------------------------------------------------------
 
 
-def _scale(vec, c):
-    return {k: v * c for k, v in vec.items()}
-
-
-def _add(acc, vec):
-    for k, v in vec.items():
-        acc[k] = acc.get(k, 0) + v
-    return acc
-
-
-def _clean(vec):
-    return {k: v for k, v in vec.items() if v}
-
-
 def _sum(terms):
     """The sparse vector of (key, coeff) terms: equal keys summed, zeros dropped."""
     out = {}
     for k, c in terms:
         out[k] = out.get(k, 0) + c
-    return _clean(out)
+    return {k: c for k, c in out.items() if c}
 
 
 def _product(table, u, v):
-    """u·v for sparse integer vectors of class ids, through `table.product`."""
-    out = {}
-    for a, ca in u.items():
-        for b, cb in v.items():
-            for w, cw in table.product[(a, b)].items():
-                out[w] = out.get(w, 0) + ca * cb * cw
-    return _clean(out)
+    """u·v for sparse vectors of class ids, through `table.product`."""
+    return _sum((w, ca * cb * cw) for a, ca in u.items() for b, cb in v.items()
+                for w, cw in table.product[(a, b)].items())
 
 
 def _coproduct(table, u):
-    """Δ(u) for a sparse integer vector of class ids, through `table.coproduct`."""
-    out = {}
-    for a, ca in u.items():
-        for pair, c in table.coproduct[a].items():
-            out[pair] = out.get(pair, 0) + ca * c
-    return _clean(out)
+    """Δ(u) for a sparse vector of class ids, through `table.coproduct`."""
+    return _sum((pair, ca * c) for a, ca in u.items() for pair, c in table.coproduct[a].items())
 
 
 def verify_hopf_axioms(table: StructureConstantTable, N=None) -> VerificationReport:
@@ -371,43 +351,78 @@ def _reduced_echelon(equations):
 
     An equation is a dict {var: coeff} that reads sum(coeff * var) +
     constant = 0, with the constant under the key None; variables must be
-    mutually comparable.  Each new row is reduced by the pivots so far, takes
-    its least variable as pivot, is scaled to a pivot coefficient of 1, and
-    that pivot is substituted out of every earlier row.  So each row holds
-    its pivot and otherwise only free variables above it: a row's variables
-    are all at or above its pivot when it is made, and substituting a later
-    pivot q brings in only the free variables of q's row, all above q.  Rows
-    in pivot order are then the reduced row echelon form of the system,
-    which is unique, so the pivot set and the rows are exactly those of a
-    dense column-by-column sweep.  Returns {pivot: row}, or None when some
-    row reduces to a nonzero constant.
+    mutually comparable.  Each new row is reduced by the pivots so far in one
+    `_sum`, takes its least variable as pivot, is scaled to a pivot
+    coefficient of 1, and that pivot is substituted out of every earlier row.
+    One `_sum` suffices because a pivot's row holds no other pivot: a row's
+    variables are all at or above its pivot when it is made, and
+    substituting a later pivot q brings in only the free variables of q's
+    row, all above q.  Rows in pivot order are then the reduced row echelon
+    form of the system, which is unique, so the pivot set and the rows are
+    exactly those of a dense column-by-column sweep.  Returns {pivot: row},
+    or None when some row reduces to a nonzero constant.
     """
     from fractions import Fraction  # kept off the import path of every CLI command
 
     rows = {}
     for equation in equations:
-        row = {v: Fraction(c) for v, c in equation.items()}
-        for p in [v for v in row if v in rows]:
-            _add(row, _scale(rows[p], -row[p]))
-        row = _clean(row)
+        substituted = ((v, -equation[p] * c) for p in equation if p in rows for v, c in rows[p].items())
+        row = _sum(itertools.chain(equation.items(), substituted))
         if row.keys() <= {None}:
             if row:
                 return None
             continue
         pivot = min(v for v in row if v is not None)
-        row = _scale(row, 1 / row[pivot])
+        row = {v: Fraction(c, row[pivot]) for v, c in row.items()}
         for p, other in rows.items():
             if pivot in other:
-                rows[p] = _clean(_add(other, _scale(row, -other[pivot])))
+                substituted = ((v, -other[pivot] * c) for v, c in row.items())
+                rows[p] = _sum(itertools.chain(other.items(), substituted))
         rows[pivot] = row
     return rows
 
 
-def _times(f, g):
-    """The product of two affine forms, one of which is a constant {None: k}."""
-    if f.keys() != {None}:
-        f, g = g, f
-    return _scale(g, f[None])
+class _Affine(dict):
+    """An affine form {unknown: coeff}, with the constant under the key None
+    and no zero coefficient: an entry of a transition in the degree being
+    solved.  Forms add, and multiply by an integer or by a constant form;
+    the product of two non-constant forms is not affine and raises
+    ValueError.  No form is changed in place, so a sum with 0 may return
+    the form itself."""
+
+    def __add__(self, other):
+        if not other:
+            return self
+        terms = other.items() if isinstance(other, _Affine) else [(None, other)]
+        return _Affine(_sum(itertools.chain(self.items(), terms)))
+
+    def __mul__(self, other):
+        if isinstance(other, _Affine):
+            if self.keys() - {None} and other.keys() - {None}:
+                raise ValueError("the product of two non-constant affine forms is not affine")
+            if self.keys() <= {None}:
+                self, other = other, self
+            other = other.get(None, 0)
+        return _Affine({v: c * other for v, c in self.items()} if other else {})
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+
+def _residuals(ta, tb, phi, pairs, classes):
+    """The laws of a transition phi from table ta to table tb, as sparse
+    vectors of tb that vanish where they hold: phi(a)phi(b) − phi(a·b) for
+    each (a, b) of `pairs`, then Δ(phi(w)) − (phi ⊗ phi)Δ(w) for each class
+    w of `classes`.  phi maps a class id of ta to a sparse vector of tb
+    whose coefficients are integers or `_Affine` forms; the minus signs
+    ride on the integer structure constants of ta."""
+    for a, b in pairs:
+        minus_image = ((t, -cw * ct) for w, cw in ta.product[(a, b)].items() for t, ct in phi[w].items())
+        yield _sum(itertools.chain(_product(tb, phi[a], phi[b]).items(), minus_image))
+    for w in classes:
+        minus_image = (((x_img, y_img), -c * cx * cy) for (x, y), c in ta.coproduct[w].items()
+                       for x_img, cx in phi[x].items() for y_img, cy in phi[y].items())
+        yield _sum(itertools.chain(_coproduct(tb, phi[w]).items(), minus_image))
 
 
 def check_isomorphism_by_change_of_basis(ta, tb, N=None, order_key=None):
@@ -417,12 +432,13 @@ def check_isomorphism_by_change_of_basis(ta, tb, N=None, order_key=None):
     key); the returned dict maps degree -> matrix rows (tuples of ints), row
     i giving the expansion of the i-th source class in target classes.
 
-    Degree by degree, each entry is an affine form: 1 on the diagonal, the
-    unknown (i, j) above it, and the entries of lower degrees are constants.
-    The equations phi(a.b) = phi(a) phi(b) and (phi x phi) Delta(w) =
-    Delta(phi(w)) are linear, since every coproduct term has one side in a
-    lower degree.  They are solved exactly, and the whole transition is
-    checked by substitution at the end.  The free unknowns span a family of
+    Degree by degree, each entry is an `_Affine` form: 1 on the diagonal,
+    the unknown (i, j) above it, and the entries of lower degrees are
+    integers.  The equations are the coefficients of the `_residuals` that
+    `_verify_transition` checks, over the products of two lower degrees and
+    the coproducts of this one: affine, since no term multiplies two
+    unknowns.  They are solved exactly, and the whole transition is checked
+    by substitution at the end.  The free unknowns span a family of
     solutions; setting them to 0 picks one member, not a canonical one (for
     F -> M at N=5 the weak-order zeta matrix is another).  A None result
     means: no integer transition with the free unknowns at 0.
@@ -434,78 +450,36 @@ def check_isomorphism_by_change_of_basis(ta, tb, N=None, order_key=None):
     per_a = {n: sorted((c for c in ta.classes if c.degree == n), key=key) for n in range(N + 1)}
     per_b = {n: sorted((c for c in tb.classes if c.degree == n), key=key) for n in range(N + 1)}
 
-    image = {}  # cid of A-class -> {cid of B-class: affine form}
+    phi = {}  # cid of A-class -> {cid of B-class: integer, or affine form in degree n}
     matrices = {}
     for n in range(N + 1):
         a_classes, b_classes = per_a[n], per_b[n]
-        m = len(a_classes)
         for i, a in enumerate(a_classes):
-            image[a.cid] = {
-                b.cid: {(i, j): 1} if j > i else {None: 1}
-                for j, b in enumerate(b_classes)
-                if j >= i
-            }
-
-        equations = []
-        for p in range(1, n):
-            for a in per_a[p]:
-                for b in per_a[n - p]:
-                    eq = {}
-                    for w, cw in ta.product[(a.cid, b.cid)].items():
-                        for tau, f in image[w].items():
-                            _add(eq.setdefault(tau, {}), _scale(f, cw))
-                    for a_img, fa in image[a.cid].items():
-                        for b_img, fb in image[b.cid].items():
-                            for tau, c in tb.product[(a_img, b_img)].items():
-                                _add(eq.setdefault(tau, {}), _scale(_times(fa, fb), -c))
-                    equations += eq.values()
-        for w in a_classes:
-            eq = {}
-            for (x, y), c in ta.coproduct[w.cid].items():
-                for x_img, fx in image[x].items():
-                    for y_img, fy in image[y].items():
-                        _add(eq.setdefault((x_img, y_img), {}), _scale(_times(fx, fy), c))
-            for tau, f in image[w.cid].items():
-                for pair, c in tb.coproduct[tau].items():
-                    _add(eq.setdefault(pair, {}), _scale(f, -c))
-            equations += eq.values()
-
-        echelon = _reduced_echelon(equations)
+            phi[a.cid] = {b.cid: _Affine({(i, j) if j > i else None: 1})
+                          for j, b in enumerate(b_classes) if j >= i}
+        pairs = [(a.cid, b.cid) for p in range(1, n) for a, b in itertools.product(per_a[p], per_a[n - p])]
+        residuals = _residuals(ta, tb, phi, pairs, [w.cid for w in a_classes])
+        echelon = _reduced_echelon(f if isinstance(f, _Affine) else {None: f}
+                                   for residual in residuals for f in residual.values())
         if echelon is None:
             return None
-        value = {v: -row.get(None, 0) for v, row in echelon.items()}
+        value = {v: -row.get(None, 0) for v, row in echelon.items()}  # the free unknowns at 0
         if any(x.denominator != 1 for x in value.values()):
             return None
-        mat = tuple(
-            tuple(1 if i == j else int(value.get((i, j), 0)) if j > i else 0 for j in range(m))
-            for i in range(m)
-        )
-        matrices[n] = mat
-        for i, a in enumerate(a_classes):
-            image[a.cid] = {b_classes[j].cid: {None: v} for j, v in enumerate(mat[i]) if v}
+        value[None] = 1
+        for a in a_classes:  # each entry is one unknown or the constant, with coefficient 1
+            phi[a.cid] = _sum((b, int(value.get(v, 0))) for b, form in phi[a.cid].items() for v in form)
+        matrices[n] = tuple(tuple(phi[a.cid].get(b.cid, 0) for b in b_classes) for a in a_classes)
 
-    phi = {a: {b: f[None] for b, f in row.items()} for a, row in image.items()}
-    if not _verify_transition(ta, tb, phi, N):
-        return None
-    return matrices
+    return matrices if _verify_transition(ta, tb, phi, N) else None
 
 
 def _verify_transition(ta, tb, phi, N):
+    """Whether phi carries every product and coproduct of degree <= N: no
+    residual is nonzero."""
     deg = {c.cid: c.degree for c in ta.classes}
-    for (a, b), out in ta.product.items():
-        if deg[a] + deg[b] > N:
-            continue
-        lhs = _sum((t, cw * ct) for w, cw in out.items() for t, ct in phi[w].items())
-        if lhs != _product(tb, phi[a], phi[b]):
-            return False
-    for a, cop in ta.coproduct.items():
-        if deg[a] > N:
-            continue
-        lhs = _sum(((x_img, y_img), c * cx * cy) for (x, y), c in cop.items()
-                   for x_img, cx in phi[x].items() for y_img, cy in phi[y].items())
-        if lhs != _coproduct(tb, phi[a]):
-            return False
-    return True
+    pairs = [(a, b) for a, b in ta.product if deg[a] + deg[b] <= N]
+    return not any(_residuals(ta, tb, phi, pairs, [a for a in ta.coproduct if deg[a] <= N]))
 
 
 def graded_dimensions(inst: SpeciesInstance, N):

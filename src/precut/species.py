@@ -123,10 +123,15 @@ class SpeciesInstance:
         key = (which, s)
         p = self._pi_cache.get(key)
         if p is None:
-            if which not in (1, 2):
-                raise PrecutError(f"{self.name}: no projection pi{which}, only pi1 and pi2")
+            require_projection(self, which)
             p = self._pi_cache[key] = self.pi1(s) if which == 1 else self.pi2(s)
         return p
+
+
+def require_projection(inst: SpeciesInstance, which):
+    """Refuse a projection, coproduct or product index other than 1 or 2."""
+    if which not in (1, 2):
+        raise PrecutError(f"{inst.name}: no projection pi{which}, only pi1 and pi2")
 
 
 # -- orbit classes -------------------------------------------------------------
@@ -676,6 +681,7 @@ def check_bimonoid(inst: SpeciesInstance, coproduct_index, nmax) -> Verification
     counts on a certified product, and is empty when the Unit check or the
     precondition fails.
     """
+    require_projection(inst, coproduct_index)
     if len(inst.elements(())) != 1:
         return VerificationReport(False, STAGE_UNIT, {"size_on_empty": len(inst.elements(()))})
     def fields(blocks, bad, found, wanted):

@@ -79,7 +79,7 @@ from math import factorial
 from precut import species
 from precut.avoidance import has_part
 from precut.errors import NotExhaustive, NotNested
-from precut.fock import StructureConstantTable, _add, _clean, _scale, _verify_transition
+from precut.fock import StructureConstantTable, _verify_transition
 from precut.instances.hadamard import Factor
 from precut.instances.pairs import POSETS
 from precut.instances.perm import PermPair, word_of
@@ -764,6 +764,21 @@ def brute_check_bimonoid(inst, coproduct_index, nmax):
                     },
                 )
     return VerificationReport(True)
+
+
+# sparse vectors of the Hopf-axiom oracle, kept apart from the package's `_sum`
+def _clean(vec):
+    return {k: v for k, v in vec.items() if v}
+
+
+def _scale(vec, c):
+    return {k: v * c for k, v in vec.items()}
+
+
+def _add(acc, vec):
+    for k, v in vec.items():
+        acc[k] = acc.get(k, 0) + v
+    return acc
 
 
 def brute_verify_hopf_axioms(table, N=None):

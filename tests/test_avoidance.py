@@ -10,6 +10,7 @@ from precut.avoidance import (
     has_part,
     is_irreducible,
 )
+from precut.errors import PrecutError
 from precut.fock import fock_tables, graded_dimensions, verify_hopf_axioms
 from precut.instances import (
     AVOIDANCE_PRESETS,
@@ -180,6 +181,13 @@ def test_irreducibility_of_descent_coproduct():
     inst = build_instance("perm_m")
     assert is_irreducible(inst, 1, pattern_set((2, 1, 3)), 4).passed
     assert is_irreducible(inst, 1, pattern_set((1, 2)), 4).passed
+
+
+def test_irreducibility_refuses_a_coproduct_index():
+    # with no part up to n = 2, no cut was ever read: π3 passed silently
+    inst = build_instance("perm_m")
+    with pytest.raises(PrecutError, match=r"^perm_m: no projection pi3, only pi1 and pi2$"):
+        is_irreducible(inst, 3, pattern_set((2, 1, 3)), 2)
 
 
 def test_deconcatenation_is_not_irreducible():

@@ -403,10 +403,62 @@ def test_f_to_m_free_unknowns(monkeypatch, tables_fm5):
         return echelon
 
     monkeypatch.setattr(fock, "_reduced_echelon", counting)
-    assert check_isomorphism_by_change_of_basis(*tables_fm5, 5, order_key=inversion_order) is not None
+    trans = check_isomorphism_by_change_of_basis(*tables_fm5, 5, order_key=inversion_order)
+    assert trans is not None
     unknowns = [factorial(n) * (factorial(n) - 1) // 2 for n in range(6)]
     assert unknowns[4:] == [276, 7140]
     assert [u - p for u, p in zip(unknowns, pivots)][4:] == [6, 538]
+    assert transition_digest(trans) == "5c90bc7c63c33d42782591567c63a1ceeff4206c146eb7b188085728eb00c6d0"
+
+
+def transition_digest(trans):
+    return hashlib.sha256(json.dumps(sorted(trans.items())).encode()).hexdigest()
+
+
+def test_transitions_keep_their_digests(tables_fm4):
+    # the free unknowns at 0 pick one member of each family: pin which
+    tf, tm = tables_fm4
+    f_to_m = check_isomorphism_by_change_of_basis(tf, tm, 4, order_key=inversion_order)
+    assert transition_digest(f_to_m) == "8d9c6df12b952f8213ab60b443f199f0e958188aa1395cd014ded49e97b79fa5"
+    m_to_f = check_isomorphism_by_change_of_basis(tm, tf, 4)
+    assert transition_digest(m_to_f) == "9246604292ed8321752fad4fc8c7f321b6a986d10ed8d47b8308c81d938c8bfa"
+
+
+def test_change_of_basis_refusals(monkeypatch, table_f3):
+    # each None exit: unequal dimensions, an inconsistent system, and a unit
+    # product that no equation reads but the final substitution check does
+    tm = fock_tables(build_instance("perm_m"), 1, 2, 3)
+    assert check_isomorphism_by_change_of_basis(table_f3, fock_tables(build_preset("213"), 1, 2, 3)) is None
+    echelons = []
+
+    def recording(equations):
+        echelons.append(_reduced_echelon(equations))
+        return echelons[-1]
+
+    monkeypatch.setattr(fock, "_reduced_echelon", recording)
+    e = tm.unit_class().cid
+    x = next(c.cid for c in tm.classes if c.degree == 1)
+    y = next(c.cid for c in tm.classes if c.degree == 2)
+    bumped_product = {**tm.product, (x, x): {**tm.product[(x, x)], y: tm.product[(x, x)].get(y, 0) + 1}}
+    pair = next(iter(tm.coproduct[y]))
+    bumped_coproduct = {**tm.coproduct, y: {**tm.coproduct[y], pair: tm.coproduct[y][pair] + 1}}
+    inconsistent = [dataclasses.replace(tm, product=bumped_product), dataclasses.replace(tm, coproduct=bumped_coproduct)]
+    for table in inconsistent:
+        echelons.clear()
+        assert check_isomorphism_by_change_of_basis(table_f3, table, order_key=inversion_order) is None
+        assert len(echelons) == 3 and echelons[-1] is None
+    echelons.clear()
+    bumped_unit = dataclasses.replace(tm, product={**tm.product, (e, x): {x: 2}})
+    assert check_isomorphism_by_change_of_basis(table_f3, bumped_unit, order_key=inversion_order) is None
+    assert len(echelons) == 4 and None not in echelons
+
+
+def test_affine_forms_refuse_a_product_of_two_unknowns():
+    x, y = fock._Affine({(0, 1): 1}), fock._Affine({(0, 2): 2, None: 1})
+    assert 3 * x + y * fock._Affine({None: 2}) == {(0, 1): 3, (0, 2): 4, None: 2}
+    assert x * 0 == {} and x + x * -1 == {}
+    with pytest.raises(ValueError, match="not affine"):
+        x * y
 
 
 def as_equations(rows):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import os
+import re
 import subprocess
 import sys
 
@@ -546,6 +547,16 @@ def test_square_law_stays_total_without_the_precondition(monkeypatch):
 def test_projection_index_outside_one_and_two_is_refused(which):
     with pytest.raises(PrecutError, match=f"no projection pi{which}"):
         check_bimonoid(build_instance("perm_m"), which, 3)
+
+
+@pytest.mark.parametrize("name,which", [("perm_f", 3), ("tensor", 0), ("graphs", 3)])
+def test_bimonoid_refuses_a_coproduct_index_before_any_check(name, which):
+    # a certified product never reads the index, and a walked species would
+    # read it only after the unit and precondition checks
+    inst = build_instance(name)
+    inst.elements = lambda ground: pytest.fail("checked before refusing the index")
+    with pytest.raises(PrecutError, match=rf"^{re.escape(inst.name)}: no projection pi{which}, only pi1 and pi2$"):
+        check_bimonoid(inst, which, 3)
 
 
 def test_fock_tables_refuse_a_projection_index_outside_one_and_two():
